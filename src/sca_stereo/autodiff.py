@@ -287,20 +287,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def smul(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar tensor (shape ``()``)."""
-    if s.data.shape != ():
-        raise ValueError(f"smul: scalar operand must have shape (), got {s.data.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * s.data)
-        if s.requires_grad:
-            _accumulate(s, np.array((g * a.data).sum()))
-
-    return _result(a.data * s.data, (a, s), bwd)
-
-
 def sdiv(a: Tensor, s: Tensor) -> Tensor:
     """Divide a tensor by a scalar tensor (shape ``()``)."""
     if s.data.shape != ():
@@ -485,24 +471,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(xp: Array, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> Array:
-    # tap-major layout: block t = (di, dj) holds the [C, H'*W'] shifted slice
-    c_in = xp.shape[0]
-    cols = np.empty((kh * kw * c_in, h_out * w_out), dtype=np.float64)
-    t = 0
-    for di in range(kh):
-        for dj in range(kw):
-            patch = xp[:, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride]
-            cols[t * c_in : (t + 1) * c_in] = patch.reshape(c_in, h_out * w_out)
-            t += 1
-    return cols
-
-
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw], zero padding.
 
-    Output is [C_out, H', W'] with H' = floor((H + 2*padding - kh)/stride) + 1.
-    Differentiable with respect to both input and kernel.
+    Output is [C_out, H', W'] with H' = floor((H + 2*padding - kh)/stride) + 1,
+    plus the optional [C_out] ``bias`` per channel. Differentiable with
+    respect to input, kernel and bias.
+
+    The zero-padded input is split into ``stride**2`` phase images: phase
+    (a, b) holds the padded pixels (a + stride*r, b + stride*q). Each is
+    stored flat with row pitch ``wq = W' + (kw-1)//stride``, so tap (di, dj)
+    reads phase (di % stride, dj % stride) at the constant flat offset
+    (di//stride)*wq + dj//stride, and its H'*wq-long window is a plain view.
+    The forward is one matmul per tap on that view; the ``wq - W'`` spare
+    columns of each output row read the next row and are dropped. The
+    backward runs the same loop with zeros in the spare columns of the
+    output gradient, so the kernel gradient is one matmul per tap and the
+    input gradient is added into the phase images at the same views.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d: expected [C,H,W] and [O,C,kh,kw], got {x.shape}, {kernel.shape}")
@@ -514,40 +499,57 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ValueError(f"conv2d: kernel size must be odd, got {kh}x{kw}")
     if stride < 1 or padding < 0:
         raise ValueError(f"conv2d: invalid stride {stride} or padding {padding}")
+    if bias is not None and bias.shape != (c_out,):
+        raise ValueError(f"conv2d: bias shape {bias.shape} does not match {c_out} output channels")
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
     if h_out <= 0 or w_out <= 0:
         raise ValueError(f"conv2d: empty output for input {x.shape} and kernel {kernel.shape}")
 
-    if padding:
-        xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-        xp[:, padding : padding + h, padding : padding + w] = x.data
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
-    # tap-major kernel layout matching _im2col: [C_out, (di, dj, c)]
-    k_mat = np.ascontiguousarray(kernel.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in))
-    out = (k_mat @ cols).reshape(c_out, h_out, w_out)
+    s = stride
+    hq = h_out + (kh - 1) // s
+    wq = w_out + (kw - 1) // s
+    n = h_out * wq
+    # phase (a, b) of the padded input xp is xp[:, a::s, b::s]; one spare phase
+    # row holds the last tap's window, which runs (kw-1)//s past row hq-1
+    xp = np.zeros((c_in, s * (hq + 1), s * wq), dtype=np.float64)
+    xp[:, padding : padding + h, padding : padding + w] = x.data[:, :, : s * wq - padding]
+    flat = xp.reshape(c_in, hq + 1, s, wq, s).transpose(2, 4, 0, 1, 3).reshape(s, s, c_in, (hq + 1) * wq)
+    taps = []  # index of each tap's [C_in, n] window in flat, (di, dj) row-major
+    for di in range(kh):
+        for dj in range(kw):
+            off = (di // s) * wq + dj // s
+            taps.append((di % s, dj % s, slice(None), slice(off, off + n)))
+    k_taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, c_in)
+
+    acc = np.zeros((c_out, n), dtype=np.float64)
+    for k_tap, tap in zip(k_taps, taps):
+        acc += k_tap @ flat[tap]
+    out = acc.reshape(c_out, h_out, wq)[:, :, :w_out]
+    out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
 
     def bwd(g):
-        g_mat = g.reshape(c_out, h_out * w_out)
+        if bias is not None and bias.requires_grad:
+            _accumulate_owned(bias, g.sum(axis=(1, 2)))
+        g_pad = np.zeros((c_out, h_out, wq), dtype=np.float64)
+        g_pad[:, :, :w_out] = g
+        g_pad = g_pad.reshape(c_out, n)
         if kernel.requires_grad:
-            dk = (g_mat @ cols.T).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-            _accumulate_owned(kernel, np.ascontiguousarray(dk))
+            dk = np.empty((kh * kw, c_out, c_in), dtype=np.float64)
+            for dk_tap, tap in zip(dk, taps):
+                np.matmul(g_pad, flat[tap].T, out=dk_tap)
+            _accumulate_owned(kernel, np.ascontiguousarray(dk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1)))
         if x.requires_grad:
-            dcols = (k_mat.T @ g_mat).reshape(kh, kw, c_in, h_out, w_out)
-            dxp = np.zeros_like(xp)
-            for di in range(kh):
-                for dj in range(kw):
-                    dxp[:, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride] += dcols[
-                        di, dj
-                    ]
-            if padding:
-                _accumulate(x, dxp[:, padding : padding + h, padding : padding + w])
-            else:
-                _accumulate_owned(x, dxp)
+            dflat = np.zeros_like(flat)
+            for k_tap, tap in zip(k_taps, taps):
+                dflat[tap] += k_tap.T @ g_pad
+            dxp = dflat.reshape(s, s, c_in, hq + 1, wq).transpose(2, 3, 0, 4, 1).reshape(c_in, s * (hq + 1), s * wq)
+            dx = np.zeros_like(x.data)
+            dx[:, :, : s * wq - padding] = dxp[:, padding : padding + h, padding : padding + w]
+            _accumulate_owned(x, dx)
 
-    return _result(out, (x, kernel), bwd)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _result(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -586,20 +588,6 @@ def _boxsum(x: Array) -> Array:
         for dj in range(3):
             out += xp[:, di : di + h, dj : dj + w]
     return out
-
-
-def upsample_nearest2(a: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsample of a [C,H,W] tensor."""
-    if a.ndim != 3:
-        raise ValueError(f"upsample_nearest2 expects [C,H,W], got shape {a.shape}")
-    c, h, w = a.shape
-    out = np.repeat(np.repeat(a.data, 2, axis=1), 2, axis=2)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
-
-    return _result(out, (a,), bwd)
 
 
 def _lerp_up_axis(x: Array, axis: int) -> Array:
@@ -645,13 +633,13 @@ def upsample_bilinear2(a: Tensor) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def upsample_pow2(a: Tensor, factor: int, mode: str = "bilinear") -> Tensor:
-    """Repeated 2x upsampling for a power-of-two ``factor``."""
+def upsample_pow2(a: Tensor, factor: int) -> Tensor:
+    """Repeated bilinear 2x upsampling for a power-of-two ``factor``."""
     if factor < 1 or (factor & (factor - 1)) != 0:
         raise ValueError(f"upsample factor must be a positive power of two, got {factor}")
     out = a
     while factor > 1:
-        out = upsample_bilinear2(out) if mode == "bilinear" else upsample_nearest2(out)
+        out = upsample_bilinear2(out)
         factor //= 2
     return out
 

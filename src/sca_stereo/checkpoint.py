@@ -46,7 +46,10 @@ def load_arrays(path: Path) -> dict[str, np.ndarray]:
             if len(parts) != 3:
                 raise FormatError(f"malformed manifest line: {line!r}", 0)
             name, shape_str, offset_str = parts
-            shape = tuple(int(s) for s in shape_str.split(",")) if shape_str else ()
+            shape_tokens = shape_str.split(",") if shape_str else []
+            if not all(t.isdecimal() for t in shape_tokens + [offset_str]):
+                raise FormatError(f"array {name!r}: shape and offset must be non-negative integers", 0)
+            shape = tuple(int(t) for t in shape_tokens)
             offset = int(offset_str)
             count = int(np.prod(shape)) if shape else 1
             end = offset + 8 * count

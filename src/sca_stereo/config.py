@@ -78,6 +78,15 @@ class RunConfig:
     sca_enabled: bool = True
     val_interval: int = 100
 
+    def validate(self) -> "RunConfig":
+        """Raise ConfigError for settings that would fail only once a stage runs."""
+        for name in ("pretrain_batch", "translator_batch", "adapt_batch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.image_height % 2**self.n_scales or self.image_width % 2**self.n_scales:
+            raise ConfigError(f"image size {self.image_height}x{self.image_width} not divisible by 2**n_scales")
+        return self
+
     def loss_weights(self) -> LossWeights:
         return LossWeights(
             lambda_perc=self.lambda_perc,
@@ -128,7 +137,7 @@ def load_config(path) -> RunConfig:
         if key not in _FIELDS:
             raise ConfigError(f"line {line_no}: unknown config key '{key}'")
         setattr(config, key, _parse_value(key, raw, line_no))
-    return config
+    return config.validate()
 
 
 def apply_overrides(config: RunConfig, seed=None, no_sca: bool = False, out=None) -> RunConfig:
@@ -138,4 +147,4 @@ def apply_overrides(config: RunConfig, seed=None, no_sca: bool = False, out=None
         config.sca_enabled = False
     if out is not None:
         config.output_dir = str(out)
-    return config
+    return config.validate()

@@ -154,19 +154,20 @@ def backward_warp(feature: Tensor, offset: Tensor) -> Tensor:
     rows = np.arange(h)[:, None]
     w0 = (1.0 - frac) * in0
     w1 = frac * in1
-    f0 = feature.data[:, rows, k0c]
-    f1 = feature.data[:, rows, k1c]
+    idx0 = (rows * w + k0c).ravel()
+    idx1 = (rows * w + k1c).ravel()
+    flat = feature.data.reshape(c, h * w)
+    f0 = np.take(flat, idx0, axis=1).reshape(c, h, w)
+    f1 = np.take(flat, idx1, axis=1).reshape(c, h, w)
     out = w0[None] * f0 + w1[None] * f1
 
     def bwd(g):
         if feature.requires_grad:
-            dflat = np.zeros((c, h * w), dtype=np.float64)
-            idx0 = (rows * w + k0c).ravel()
-            idx1 = (rows * w + k1c).ravel()
-            chan = np.arange(c)[:, None]
-            np.add.at(dflat, (chan, idx0[None, :]), (g * w0[None]).reshape(c, h * w))
-            np.add.at(dflat, (chan, idx1[None, :]), (g * w1[None]).reshape(c, h * w))
-            ad._accumulate(feature, dflat.reshape(c, h, w))
+            # per channel, one sequential scatter over both taps: the sums of
+            # np.add.at over idx0 then idx1, in the same order, bit for bit
+            idx, w0f, w1f = np.concatenate([idx0, idx1]), w0.ravel(), w1.ravel()
+            dflat = [np.bincount(idx, np.concatenate([gc * w0f, gc * w1f]), h * w) for gc in g.reshape(c, h * w)]
+            ad._accumulate_owned(feature, np.stack(dflat).reshape(c, h, w))
         if offset.requires_grad:
             d_off = (g * (f1 * in1[None] - f0 * in0[None])).sum(axis=0)
             ad._accumulate(offset, d_off)

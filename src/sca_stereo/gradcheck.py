@@ -227,19 +227,21 @@ def _ensure_registry() -> None:
         k = _rand(rng, 2, 2, 3, 3)
         return lambda x, k: ad.mean_all(ad.conv2d(x, k, stride=2, padding=1)), [x, k]
 
+    @register("conv2d_bias")
+    def _(seed):
+        rng = np.random.default_rng(seed)
+        x = _rand(rng, 3, 7, 5)
+        k = _rand(rng, 2, 3, 3, 3)
+        b = _rand(rng, 2)
+        w = ad.constant(rng.standard_normal((2, 4, 3)))
+        return lambda x, k, b: ad.sum_all(ad.mul(ad.conv2d(x, k, stride=2, padding=1, bias=b), w)), [x, k, b]
+
     @register("box_filter3")
     def _(seed):
         rng = np.random.default_rng(seed)
         x = _rand(rng, 2, 5, 6)
         w = ad.constant(rng.standard_normal((2, 5, 6)))
         return lambda x: ad.sum_all(ad.mul(ad.box_filter3(x), w)), [x]
-
-    @register("upsample_nearest2")
-    def _(seed):
-        rng = np.random.default_rng(seed)
-        x = _rand(rng, 2, 3, 4)
-        w = ad.constant(rng.standard_normal((2, 6, 8)))
-        return lambda x: ad.sum_all(ad.mul(ad.upsample_nearest2(x), w)), [x]
 
     @register("upsample_bilinear2")
     def _(seed):

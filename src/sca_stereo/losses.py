@@ -95,8 +95,7 @@ def _masked_l1_term(f_base: Tensor, f_match: Tensor, disparity: geometry.Dispari
     offset = geometry.signed_offset(ad.constant(disparity.values.data), disparity.view)
     warped = geometry.backward_warp(f_match, offset)
     diff = ad.absolute(ad.sub(f_base, warped))
-    mask3 = ad.constant(np.broadcast_to(mask, diff.shape).copy())
-    return ad.mulc(ad.sum_all(ad.mul(diff, mask3)), 1.0 / mask_sum)
+    return ad.mulc(ad.sum_all(ad.mul_spatial(diff, ad.constant(mask))), 1.0 / mask_sum)
 
 
 def stereo_consistency_loss(

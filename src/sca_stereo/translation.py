@@ -52,8 +52,7 @@ def init_conv(
 
 
 def conv(x: Tensor, params: dict[str, Tensor], name: str, stride: int = 1, padding: int = 1) -> Tensor:
-    y = ad.conv2d(x, params[name + ".w"], stride=stride, padding=padding)
-    return ad.add(y, ad.broadcast_chan(params[name + ".b"], y.shape[1], y.shape[2]))
+    return ad.conv2d(x, params[name + ".w"], stride=stride, padding=padding, bias=params[name + ".b"])
 
 
 def detach_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -348,8 +347,7 @@ def _sn_conv(
     update_u: bool,
 ) -> Tensor:
     kernel = ad.spectral_normalize(params[name + ".w"], dparams.sn_states[name + ".w"], update=update_u)
-    y = ad.conv2d(x, kernel, stride=stride, padding=1)
-    return ad.add(y, ad.broadcast_chan(params[name + ".b"], y.shape[1], y.shape[2]))
+    return ad.conv2d(x, kernel, stride=stride, padding=1, bias=params[name + ".b"])
 
 
 def discriminate(

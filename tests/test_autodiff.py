@@ -84,14 +84,36 @@ class TestConv2d:
         out = ad.conv2d(x, k)
         assert np.array_equal(out.data, [[[2.0, 4.0], [6.0, 8.0]]])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 2)])
-    def test_matches_nested_loop_oracle(self, stride, padding):
+    @pytest.mark.parametrize(
+        "stride,padding,shape,ksize,with_bias",
+        [
+            pytest.param(1, 0, (3, 8, 8), 3, False, id="1-0"),
+            pytest.param(1, 1, (3, 8, 8), 3, False, id="1-1"),
+            pytest.param(2, 1, (3, 8, 8), 3, False, id="2-1"),
+            pytest.param(3, 2, (3, 8, 8), 3, False, id="3-2"),
+            pytest.param(2, 1, (3, 9, 7), 3, False, id="2-1-odd"),
+            pytest.param(2, 0, (3, 9, 11), 3, False, id="2-0-odd"),
+            pytest.param(3, 0, (3, 8, 8), 3, False, id="3-0-unread-tail"),
+            pytest.param(1, 0, (5, 6, 7), 1, False, id="1x1"),
+            pytest.param(2, 1, (3, 7, 9), 3, True, id="2-1-bias"),
+        ],
+    )
+    def test_matches_nested_loop_oracle(self, stride, padding, shape, ksize, with_bias):
         rng = np.random.default_rng(stride * 10 + padding)
-        x = ad.tensor(rng.standard_normal((3, 8, 8)))
-        k = ad.tensor(rng.standard_normal((4, 3, 3, 3)))
-        out = ad.conv2d(x, k, stride=stride, padding=padding)
+        x = ad.tensor(rng.standard_normal(shape))
+        k = ad.tensor(rng.standard_normal((4, shape[0], ksize, ksize)))
+        b = ad.tensor(rng.standard_normal(4)) if with_bias else None
+        out = ad.conv2d(x, k, stride=stride, padding=padding, bias=b)
         expected = conv2d_oracle(x.data, k.data, stride=stride, padding=padding)
+        if with_bias:
+            expected += b.data[:, None, None]
         assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+    def test_bias_shape_rejected(self):
+        x = ad.tensor(np.zeros((2, 4, 4)))
+        k = ad.tensor(np.zeros((3, 2, 3, 3)))
+        with pytest.raises(ValueError):
+            ad.conv2d(x, k, padding=1, bias=ad.tensor(np.zeros(2)))
 
     def test_channel_mismatch_rejected(self):
         x = ad.tensor(np.zeros((2, 4, 4)))
@@ -231,12 +253,6 @@ class TestPlumbingValues:
         x = ad.tensor(np.full((2, 4, 5), 3.5))
         out = ad.box_filter3(x)
         assert np.allclose(out.data, 3.5, atol=1e-13)
-
-    def test_upsample_nearest_values(self):
-        x = ad.tensor([[[1.0, 2.0], [3.0, 4.0]]])
-        out = ad.upsample_nearest2(x)
-        assert np.array_equal(out.data[0, :2, :2], [[1.0, 1.0], [1.0, 1.0]])
-        assert np.array_equal(out.data[0, 2:, 2:], [[4.0, 4.0], [4.0, 4.0]])
 
     def test_upsample_bilinear_constant_preserved(self):
         x = ad.tensor(np.full((1, 3, 3), 2.0))

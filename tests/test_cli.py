@@ -88,6 +88,22 @@ class TestConfig:
         assert config.sca_enabled is False
         assert config.output_dir == "elsewhere"
 
+    @pytest.mark.parametrize(
+        "line",
+        ["pretrain_batch = 0", "translator_batch = -1", "adapt_batch = 0", "image_height = 60", "image_width = 100"],
+    )
+    def test_invalid_values_rejected_at_load(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"n_scales = 3\n{line}\n")
+        with pytest.raises(ConfigError):
+            load_config(p)
+
+    def test_overrides_revalidate(self):
+        config = RunConfig()
+        config.image_height = 60
+        with pytest.raises(ConfigError):
+            apply_overrides(config, seed=1)
+
 
 class TestCheckpointContainer:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -116,6 +132,17 @@ class TestCheckpointContainer:
         path = tmp_path / "net.ckpt"
         checkpoint.save_arrays(path, {"x": np.zeros(8)})
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError):
+            checkpoint.load_arrays(path)
+
+    @pytest.mark.parametrize(
+        "shape,offset",
+        [("-1,3", "0"), ("2,x", "0"), ("2.5", "0"), ("2,,3", "0"), ("1_0", "0"), ("4", "-8"), ("4", "0x8")],
+    )
+    def test_bad_manifest_tokens_rejected(self, tmp_path, shape, offset):
+        path = tmp_path / "net.ckpt"
+        checkpoint.save_arrays(path, {"x": np.zeros(12)})
+        checkpoint.manifest_path(path).write_text(f"x\t{shape}\t{offset}\n")
         with pytest.raises(FormatError):
             checkpoint.load_arrays(path)
 

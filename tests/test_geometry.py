@@ -105,6 +105,30 @@ class TestBackwardWarp:
         )
         assert err <= 1e-5
 
+    def test_feature_gradient_matches_add_at_bitwise(self):
+        rng = np.random.default_rng(6)
+        c, h, w = 5, 4, 24
+        f = ad.tensor(rng.standard_normal((c, h, w)), requires_grad=True)
+        offset = rng.uniform(-2.0, 2.0, (h, w))
+        offset[:, :3] = -2.6  # off the left edge; column 2 straddles it
+        offset[:, -3:] = 2.4  # off the right edge; column w-3 straddles it
+        offset[:, 8:14] = 8.25 - np.arange(8, 14)  # six targets sample columns 8 and 9
+        g = rng.standard_normal((c, h, w))
+        out = geometry.backward_warp(f, ad.constant(offset))
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+
+        s = np.arange(w)[None, :] + offset
+        k0 = np.floor(s).astype(np.int64)
+        frac = s - k0
+        rows = np.arange(h)[:, None]
+        expected = np.zeros((c, h * w))
+        chan = np.arange(c)[:, None]
+        for k, weight in ((k0, 1.0 - frac), (k0 + 1, frac)):
+            inside = (k >= 0) & (k < w)
+            idx = (rows * w + np.clip(k, 0, w - 1)).ravel()
+            np.add.at(expected, (chan, idx[None, :]), (g * (weight * inside)[None]).reshape(c, h * w))
+        assert np.array_equal(f.grad, expected.reshape(c, h, w))
+
 
 class TestOcclusionMask:
     def test_consistent_constant_scene(self):
