@@ -3,44 +3,20 @@
 A pixel's query in one view attends to key/value features of the other view
 at horizontal offsets 0..d_max: candidates sit at ``i - d`` when querying
 from the left view and ``i + d`` when querying from the right view.
-Candidates outside the image are excluded by -inf logits, so the softmax
-renormalizes over real content only.
+
+The attention is composed from tape ops, with no backward of its own:
+:func:`autodiff.shifted_dot` scores every candidate, a constant -inf map
+excludes candidates outside the image, :func:`autodiff.softmax` renormalizes
+over real content only, and :func:`autodiff.shifted_weighted_sum` mixes the
+candidate values.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-DIRECTIONS = ("left_to_right", "right_to_left")
-
-
-@dataclass
-class SCAParams:
-    """Learned query/key projections plus the maximum candidate offset."""
-
-    w_q: Tensor
-    w_k: Tensor
-    d_max: int
-
-    def __post_init__(self):
-        if self.w_q.ndim != 2 or self.w_k.ndim != 2:
-            raise ValueError("w_q and w_k must be 2-D matrices")
-        if self.w_q.shape != self.w_k.shape:
-            raise ValueError(f"w_q shape {self.w_q.shape} != w_k shape {self.w_k.shape}")
-        if self.d_max < 0:
-            raise ValueError(f"d_max must be non-negative, got {self.d_max}")
-
-
-def _offset_slices(width: int, d: int, direction: str):
-    """(query columns, candidate columns) slices for offset ``d``."""
-    if direction == "left_to_right":
-        return slice(d, width), slice(0, width - d)  # candidate i - d
-    return slice(0, width - d), slice(d, width)  # candidate i + d
 
 
 def epipolar_attention(q: Tensor, k: Tensor, values: Tensor, d_max: int, direction: str) -> Tensor:
@@ -51,91 +27,37 @@ def epipolar_attention(q: Tensor, k: Tensor, values: Tensor, d_max: int, directi
     ``out(j,i) = sum_d softmax_d(q(j,i) . k(j, cand)) values(j, cand)`` with
     out-of-image candidates excluded from the softmax.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    if q.shape != k.shape:
-        raise ValueError(f"query shape {q.shape} != key shape {k.shape}")
-    if q.shape[1:] != values.shape[1:]:
-        raise ValueError(f"spatial shapes differ: {q.shape} vs {values.shape}")
-    c_v, h, w = values.shape
-    if d_max >= w:
-        raise ValueError(f"d_max {d_max} must be smaller than width {w}")
-    n_d = d_max + 1
+    logits = ad.shifted_dot(q, k, d_max, direction)
+    ones = np.ones((1,) + q.shape[1:])
+    in_image = ad._shifted_dot(ones, ones, d_max, direction) > 0
+    outside = ad.constant(np.where(in_image, 0.0, -np.inf))
+    weights = ad.softmax(ad.add(logits, outside), axis=0)
+    return ad.shifted_weighted_sum(weights, values, direction)
 
-    logits = np.full((n_d, h, w), -np.inf, dtype=np.float64)
-    for d in range(n_d):
-        qs, cs = _offset_slices(w, d, direction)
-        logits[d, :, qs] = (q.data[:, :, qs] * k.data[:, :, cs]).sum(axis=0)
-    m = logits.max(axis=0, keepdims=True)  # d = 0 is always in range
-    e = np.exp(logits - m)
-    weights = e / e.sum(axis=0, keepdims=True)
 
-    out = np.zeros((c_v, h, w), dtype=np.float64)
-    for d in range(n_d):
-        qs, cs = _offset_slices(w, d, direction)
-        out[:, :, qs] += weights[d, :, qs][None] * values.data[:, :, cs]
-
-    def bwd(g):
-        dw = np.zeros_like(weights)
-        for d in range(n_d):
-            qs, cs = _offset_slices(w, d, direction)
-            dw[d, :, qs] = (g[:, :, qs] * values.data[:, :, cs]).sum(axis=0)
-        if values.requires_grad:
-            dv = np.zeros_like(values.data)
-            for d in range(n_d):
-                qs, cs = _offset_slices(w, d, direction)
-                dv[:, :, cs] += weights[d, :, qs][None] * g[:, :, qs]
-            ad._accumulate_owned(values, dv)
-        if q.requires_grad or k.requires_grad:
-            inner = (dw * weights).sum(axis=0, keepdims=True)
-            dlogits = weights * (dw - inner)
-            if q.requires_grad:
-                dq = np.zeros_like(q.data)
-                for d in range(n_d):
-                    qs, cs = _offset_slices(w, d, direction)
-                    dq[:, :, qs] += dlogits[d, :, qs][None] * k.data[:, :, cs]
-                ad._accumulate_owned(q, dq)
-            if k.requires_grad:
-                dk = np.zeros_like(k.data)
-                for d in range(n_d):
-                    qs, cs = _offset_slices(w, d, direction)
-                    dk[:, :, cs] += dlogits[d, :, qs][None] * q.data[:, :, qs]
-                ad._accumulate_owned(k, dk)
-
-    return ad._result(out, (q, k, values), bwd)
+def _project(w: Tensor, source: Tensor) -> Tensor:
+    """Apply the [D,C] matrix ``w`` to every pixel of the [C,H,W] ``source``."""
+    c, h, width = source.shape
+    return ad.reshape(ad.matmul(w, ad.reshape(source, (c, h * width))), (w.shape[0], h, width))
 
 
 def sca_cross_attend(
-    f_query_view: Tensor,
     f_other_view: Tensor,
     q_source: Tensor,
     k_source: Tensor,
-    params: SCAParams,
+    w_q: Tensor,
+    w_k: Tensor,
+    d_max: int,
     direction: str,
 ) -> Tensor:
     """Project sources through W_Q / W_K and attend into the other view.
 
     ``q_source`` belongs to the query view, ``k_source`` to the other view;
     both are channel-stacked feature maps twice as wide as the value
-    features. Differentiable with respect to features and both matrices.
+    features ``f_other_view``. Differentiable with respect to features and
+    both matrices.
     """
-    if f_query_view.shape != f_other_view.shape:
-        raise ValueError(f"view shapes differ: {f_query_view.shape} vs {f_other_view.shape}")
-    if q_source.shape != k_source.shape:
-        raise ValueError(f"q_source shape {q_source.shape} != k_source shape {k_source.shape}")
-    if q_source.shape[1:] != f_query_view.shape[1:]:
-        raise ValueError(
-            f"spatial shapes differ: {q_source.shape} vs {f_query_view.shape}"
-        )
-    if params.w_q.shape[1] != q_source.shape[0]:
-        raise ValueError(
-            f"projection expects {params.w_q.shape[1]} channels, sources have {q_source.shape[0]}"
-        )
-    _, h, w = f_query_view.shape
-    d_out = params.w_q.shape[0]
-    q = ad.reshape(ad.matmul(params.w_q, ad.reshape(q_source, (q_source.shape[0], h * w))), (d_out, h, w))
-    k = ad.reshape(ad.matmul(params.w_k, ad.reshape(k_source, (k_source.shape[0], h * w))), (d_out, h, w))
-    return epipolar_attention(q, k, f_other_view, params.d_max, direction)
+    return epipolar_attention(_project(w_q, q_source), _project(w_k, k_source), f_other_view, d_max, direction)
 
 
 def scaled_d_max(d_max_full: int, scale: int) -> int:

@@ -11,6 +11,8 @@ directly on parameter tensors.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NumericError
@@ -62,27 +64,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else addc(self, other)
-
-    def __radd__(self, other):
-        return addc(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else addc(self, -other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mulc(self, other)
-
-    def __rmul__(self, other):
-        return mulc(self, other)
-
-    def __neg__(self):
-        return mulc(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other) if isinstance(other, Tensor) else mulc(self, 1.0 / other)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -301,6 +282,16 @@ def sdiv(a: Tensor, s: Tensor) -> Tensor:
     return _result(a.data / s.data, (a, s), bwd)
 
 
+def add_n(terms: list[Tensor]) -> Tensor:
+    """Left-fold sum ``((t0 + t1) + t2) + ...``; a zero scalar when empty."""
+    return functools.reduce(add, terms) if terms else constant(np.zeros(()))
+
+
+def mean_n(terms: list[Tensor]) -> Tensor:
+    """:func:`add_n` of ``terms`` divided by their count."""
+    return mulc(add_n(terms), 1.0 / len(terms))
+
+
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
@@ -446,6 +437,99 @@ def softmax(a: Tensor, axis: int) -> Tensor:
             _accumulate_owned(a, out * (g - inner))
 
     return _result(out, (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# shifted row slices (stereo correlation and epipolar attention)
+# ---------------------------------------------------------------------------
+
+DIRECTIONS = ("left_to_right", "right_to_left")
+
+
+def _offset_slices(width: int, d: int, direction: str):
+    """(query columns, candidate columns) slices for offset ``d``."""
+    if direction == "left_to_right":
+        return slice(d, width), slice(0, width - d)  # candidate i - d
+    return slice(0, width - d), slice(d, width)  # candidate i + d
+
+
+def _shifted_dot(a: Array, b: Array, d_max: int, direction: str) -> Array:
+    """[d_max+1,H,W]: channel dot product of each query with each candidate."""
+    _, h, w = a.shape
+    out = np.zeros((d_max + 1, h, w), dtype=np.float64)
+    for d in range(d_max + 1):
+        qs, cs = _offset_slices(w, d, direction)
+        out[d, :, qs] = (a[:, :, qs] * b[:, :, cs]).sum(axis=0)
+    return out
+
+
+def _shifted_gather(weights: Array, values: Array, direction: str) -> Array:
+    """[C,H,W]: each query's candidate values summed with per-offset weights."""
+    w = values.shape[2]
+    out = np.zeros_like(values)
+    for d in range(weights.shape[0]):
+        qs, cs = _offset_slices(w, d, direction)
+        out[:, :, qs] += weights[d, :, qs][None] * values[:, :, cs]
+    return out
+
+
+def _shifted_scatter(weights: Array, x: Array, direction: str) -> Array:
+    """[C,H,W]: each query's ``x`` added into its candidates with per-offset weights."""
+    w = x.shape[2]
+    out = np.zeros_like(x)
+    for d in range(weights.shape[0]):
+        qs, cs = _offset_slices(w, d, direction)
+        out[:, :, cs] += weights[d, :, qs][None] * x[:, :, qs]
+    return out
+
+
+def _check_shift(op: str, d_max: int, width: int, direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"{op}: direction must be one of {DIRECTIONS}, got {direction!r}")
+    if not 0 <= d_max < width:
+        raise ValueError(f"{op}: d_max {d_max} must be in [0, {width})")
+
+
+def shifted_dot(a: Tensor, b: Tensor, d_max: int, direction: str) -> Tensor:
+    """Per-row dot products of two [C,H,W] maps at offsets 0..d_max.
+
+    Output is [d_max+1,H,W] with ``out(d,j,i) = sum_c a(c,j,i) b(c,j,i-d)``
+    for ``left_to_right`` and ``b(c,j,i+d)`` for ``right_to_left``.
+    Candidates outside the image give 0.
+    """
+    if a.ndim != 3 or a.shape != b.shape:
+        raise ValueError(f"shifted_dot: expected two equal [C,H,W] shapes, got {a.shape} and {b.shape}")
+    _check_shift("shifted_dot", d_max, a.shape[2], direction)
+
+    def bwd(g):
+        if a.requires_grad:
+            _accumulate_owned(a, _shifted_gather(g, b.data, direction))
+        if b.requires_grad:
+            _accumulate_owned(b, _shifted_scatter(g, a.data, direction))
+
+    return _result(_shifted_dot(a.data, b.data, d_max, direction), (a, b), bwd)
+
+
+def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Tensor:
+    """Weighted sum of each pixel's :func:`shifted_dot` candidates.
+
+    ``weights`` is [n_d,H,W] and ``values`` [C,H,W]; output is [C,H,W] with
+    ``out(c,j,i) = sum_d weights(d,j,i) values(c,j,i-d)`` (``i+d`` for
+    ``right_to_left``), candidates outside the image skipped. This is the
+    adjoint of ``shifted_dot(., values)``.
+    """
+    if weights.ndim != 3 or values.ndim != 3 or weights.shape[1:] != values.shape[1:]:
+        raise ValueError(f"shifted_weighted_sum: incompatible shapes {weights.shape} and {values.shape}")
+    d_max = weights.shape[0] - 1
+    _check_shift("shifted_weighted_sum", d_max, values.shape[2], direction)
+
+    def bwd(g):
+        if weights.requires_grad:
+            _accumulate_owned(weights, _shifted_dot(g, values.data, d_max, direction))
+        if values.requires_grad:
+            _accumulate_owned(values, _shifted_scatter(weights.data, g, direction))
+
+    return _result(_shifted_gather(weights.data, values.data, direction), (weights, values), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen-data", help="write the synthetic two-domain dataset")
     sub.add_parser("pretrain", help="stage 1: train the matcher on the source domain")
 
-    p = sub.add_parser("train-translator", help="stage 2: train translator and discriminator")
-    p.add_argument("--matcher-ckpt", type=Path, default=None)
+    sub.add_parser("train-translator", help="stage 2: train translator and discriminator")
 
     p = sub.add_parser("adapt", help="stage 3: adapt the matcher to the target domain")
     p.add_argument("--translator-ckpt", type=Path, required=True)
@@ -63,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote matcher checkpoint to {ckpt}")
         return 0
     if args.command == "train-translator":
-        g_ckpt, c_ckpt = training.train_translator(config, args.matcher_ckpt)
+        g_ckpt, c_ckpt = training.train_translator(config)
         print(f"wrote translator checkpoint to {g_ckpt}")
         print(f"wrote discriminator checkpoint to {c_ckpt}")
         return 0

@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from .attention import scaled_d_max
 from .errors import ConfigError
 from .losses import LossWeights
 
@@ -80,11 +81,23 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Raise ConfigError for settings that would fail only once a stage runs."""
-        for name in ("pretrain_batch", "translator_batch", "adapt_batch"):
+        counts = ("pretrain_batch", "translator_batch", "adapt_batch")
+        counts += ("n_source_train", "n_source_val", "n_target_train", "n_target_test")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.image_height % 2**self.n_scales or self.image_width % 2**self.n_scales:
             raise ConfigError(f"image size {self.image_height}x{self.image_width} not divisible by 2**n_scales")
+        if self.d_max_scene >= self.d_max_full:
+            raise ConfigError(f"d_max_scene {self.d_max_scene} must be smaller than d_max_full {self.d_max_full}")
+        if self.d_max_full >= self.image_width:
+            raise ConfigError(f"d_max_full {self.d_max_full} must be smaller than image_width {self.image_width}")
+        coarse_d_max = scaled_d_max(self.d_max_full, self.n_scales)
+        coarse_width = self.image_width // 2**self.n_scales
+        if self.sca_enabled and coarse_d_max >= coarse_width:
+            raise ConfigError(
+                f"attention range {coarse_d_max} at the coarsest scale must be smaller than its width {coarse_width}"
+            )
         return self
 
     def loss_weights(self) -> LossWeights:

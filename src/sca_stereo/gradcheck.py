@@ -250,6 +250,13 @@ def _ensure_registry() -> None:
         w = ad.constant(rng.standard_normal((2, 6, 8)))
         return lambda x: ad.sum_all(ad.mul(ad.upsample_bilinear2(x), w)), [x]
 
+    @register("flip_horizontal")
+    def _(seed):
+        rng = np.random.default_rng(seed)
+        x = _rand(rng, 2, 3, 5)
+        w = ad.constant(rng.standard_normal((2, 3, 5)))
+        return lambda x: ad.sum_all(ad.mul(ad.flip_horizontal(x), w)), [x]
+
     @register("concat_channels")
     def _(seed):
         rng = np.random.default_rng(seed)
@@ -323,16 +330,21 @@ def _ensure_registry() -> None:
             [f, d],
         )
 
-    @register("correlation_1d")
+    @register("shifted_dot")
     def _(seed):
         rng = np.random.default_rng(seed)
-        fl = _rand(rng, 3, 4, 7)
-        fr = _rand(rng, 3, 4, 7)
+        a = _rand(rng, 3, 4, 7)
+        b = _rand(rng, 3, 4, 7)
         w = ad.constant(rng.standard_normal((4, 4, 7)))
-        return (
-            lambda fl, fr: ad.sum_all(ad.mul(matcher.correlation_1d(fl, fr, 3), w)),
-            [fl, fr],
-        )
+        return lambda a, b: ad.sum_all(ad.mul(ad.shifted_dot(a, b, 3, "right_to_left"), w)), [a, b]
+
+    @register("shifted_weighted_sum")
+    def _(seed):
+        rng = np.random.default_rng(seed)
+        weights = _rand(rng, 3, 4, 7)
+        values = _rand(rng, 2, 4, 7)
+        w = ad.constant(rng.standard_normal((2, 4, 7)))
+        return lambda p, v: ad.sum_all(ad.mul(ad.shifted_weighted_sum(p, v, "left_to_right"), w)), [weights, values]
 
     @register("epipolar_attention")
     def _(seed):
@@ -350,7 +362,6 @@ def _ensure_registry() -> None:
     def _(seed):
         rng = np.random.default_rng(seed)
         d_in = 2
-        fq = ad.constant(rng.standard_normal((d_in, 3, 5)))
         fo = ad.constant(rng.standard_normal((d_in, 3, 5)))
         qsrc = ad.constant(rng.standard_normal((2 * d_in, 3, 5)))
         ksrc = ad.constant(rng.standard_normal((2 * d_in, 3, 5)))
@@ -359,8 +370,7 @@ def _ensure_registry() -> None:
         w = ad.constant(rng.standard_normal((d_in, 3, 5)))
 
         def fn(wq, wk):
-            params = attention.SCAParams(wq, wk, d_max=2)
-            out = attention.sca_cross_attend(fq, fo, qsrc, ksrc, params, "right_to_left")
+            out = attention.sca_cross_attend(fo, qsrc, ksrc, wq, wk, 2, "right_to_left")
             return ad.sum_all(ad.mul(out, w))
 
         return fn, [wq, wk]
@@ -463,6 +473,13 @@ def _ensure_registry() -> None:
 
         return fn, fa
 
+    @register("downsample_avg2")
+    def _(seed):
+        rng = np.random.default_rng(seed)
+        x = _rand(rng, 2, 4, 6)
+        w = ad.constant(rng.standard_normal((2, 2, 3)))
+        return lambda x: ad.sum_all(ad.mul(translation.downsample_avg2(x), w)), [x]
+
     @register("fadain")
     def _(seed):
         rng = np.random.default_rng(seed)
@@ -526,7 +543,7 @@ def _ensure_registry() -> None:
     @register("matcher_head")
     def _(seed):
         rng = np.random.default_rng(seed)
-        p = matcher.init_matcher_params(np.random.default_rng(seed), channels=4, d_max=4)
+        p = matcher.MatcherParams(np.random.default_rng(seed), channels=4, d_max=4)
         il = ad.constant(rng.uniform(0, 1, (3, 8, 16)))
         ir = ad.constant(rng.uniform(0, 1, (3, 8, 16)))
         w = ad.constant(rng.standard_normal((8, 16)))

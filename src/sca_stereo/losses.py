@@ -43,23 +43,12 @@ class LossWeights:
 
 
 def _scale_mean(logit_maps: list[Tensor], transform=None) -> Tensor:
-    terms = []
-    for lm in logit_maps:
-        t = lm if transform is None else transform(lm)
-        terms.append(ad.mean_all(t))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mulc(total, 1.0 / len(terms))
+    return ad.mean_n([ad.mean_all(lm if transform is None else transform(lm)) for lm in logit_maps])
 
 
 def adv_loss_generator(fake_logits: dict[str, list[Tensor]]) -> Tensor:
     """Hinge generator loss: minus the mean fake logit, summed over views."""
-    total = None
-    for v in VIEWS:
-        term = ad.mulc(_scale_mean(fake_logits[v]), -1.0)
-        total = term if total is None else ad.add(total, term)
-    return total
+    return ad.add_n([ad.mulc(_scale_mean(fake_logits[v]), -1.0) for v in VIEWS])
 
 
 def adv_loss_discriminator(
@@ -75,16 +64,8 @@ def adv_loss_discriminator(
     """
     fake_t = lambda lm: ad.relu(ad.addc(lm, 1.0))
     real_t = lambda lm: ad.relu(ad.addc(ad.mulc(lm, -1.0), 1.0))
-    total = None
-    for group, transform in (
-        (fake_logits, fake_t),
-        (real_source_logits, fake_t),
-        (real_target_logits, real_t),
-    ):
-        for v in VIEWS:
-            term = _scale_mean(group[v], transform)
-            total = term if total is None else ad.add(total, term)
-    return total
+    groups = ((fake_logits, fake_t), (real_source_logits, fake_t), (real_target_logits, real_t))
+    return ad.add_n([_scale_mean(group[v], transform) for group, transform in groups for v in VIEWS])
 
 
 def _masked_l1_term(f_base: Tensor, f_match: Tensor, disparity: geometry.DisparityMap, mask: np.ndarray):
@@ -119,7 +100,7 @@ def stereo_consistency_loss(
         full_res[v] = [ad.upsample_pow2(f, factor) for f, factor in gen_feats[v]]
         if images is not None:
             full_res[v].append(images[v])
-    total = None
+    terms = []
     for b in VIEWS:
         m = geometry.other_view(b)
         mask = masks[b].mask.data
@@ -130,8 +111,8 @@ def stereo_consistency_loss(
                 )
             term = _masked_l1_term(f_b, f_m, gt_disparities[b], mask)
             if term is not None:
-                total = term if total is None else ad.add(total, term)
-    return total if total is not None else ad.constant(np.zeros(()))
+                terms.append(term)
+    return ad.add_n(terms)
 
 
 def smooth_l1(x: Tensor) -> Tensor:
@@ -151,7 +132,7 @@ def disparity_loss(
     predictions: dict[str, Tensor], gt_disparities: dict[str, geometry.DisparityMap]
 ) -> Tensor:
     """Mean smooth-L1 disparity error over valid pixels, both views summed."""
-    total = None
+    terms = []
     for v in VIEWS:
         gt = gt_disparities[v]
         valid = gt.valid_mask.data
@@ -159,9 +140,8 @@ def disparity_loss(
         if n == 0:
             raise UndefinedMetricError(f"disparity loss undefined: no valid pixels in {v} view")
         diff = ad.sub(predictions[v], ad.constant(gt.values.data))
-        term = ad.mulc(ad.sum_all(ad.mul(smooth_l1(diff), ad.constant(valid))), 1.0 / n)
-        total = term if total is None else ad.add(total, term)
-    return total
+        terms.append(ad.mulc(ad.sum_all(ad.mul(smooth_l1(diff), ad.constant(valid))), 1.0 / n))
+    return ad.add_n(terms)
 
 
 def ssim(a: Tensor, b: Tensor) -> Tensor:
@@ -189,16 +169,15 @@ def reprojection_loss(
     Uses the predicted (differentiable) disparities of the base view as the
     sampling offsets; both orderings are summed.
     """
-    total = None
+    terms = []
     for b in VIEWS:
         m = geometry.other_view(b)
         offset = geometry.signed_offset(pred_disparities[b], b)
         warped = geometry.backward_warp(images[m], offset)
         l1 = ad.mean_all(ad.absolute(ad.sub(images[b], warped)))
         dssim = ad.mulc(ad.addc(ad.mulc(ad.mean_all(ssim(images[b], warped)), -1.0), 1.0), alpha / 2.0)
-        term = ad.add(ad.mulc(l1, 1.0 - alpha), dssim)
-        total = term if total is None else ad.add(total, term)
-    return total
+        terms.append(ad.add(ad.mulc(l1, 1.0 - alpha), dssim))
+    return ad.add_n(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +225,7 @@ def default_perceptual_net() -> PerceptualNet:
 def perceptual_loss(a: Tensor, b: Tensor, feature_net=None) -> Tensor:
     """Mean L1 between frozen features of two images, averaged over layers."""
     net = feature_net if feature_net is not None else default_perceptual_net()
-    fa = net(a)
-    fb = net(b)
-    total = None
-    for x, y in zip(fa, fb):
-        term = ad.mean_all(ad.absolute(ad.sub(x, y)))
-        total = term if total is None else ad.add(total, term)
-    return ad.mulc(total, 1.0 / len(fa))
+    return ad.mean_n([ad.mean_all(ad.absolute(ad.sub(x, y))) for x, y in zip(net(a), net(b))])
 
 
 def feature_matching_loss(
@@ -271,10 +244,7 @@ def feature_matching_loss(
             raise ValueError(f"layer count mismatch: {len(scale_fake)} vs {len(scale_real)}")
         for f, r in zip(scale_fake, scale_real):
             terms.append(ad.mean_all(ad.absolute(ad.sub(f, r.detach()))))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mulc(total, 1.0 / len(terms))
+    return ad.mean_n(terms)
 
 
 def full_objective(components: dict[str, Tensor], weights: LossWeights) -> dict[str, Tensor]:

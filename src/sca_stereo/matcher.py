@@ -21,28 +21,7 @@ def correlation_1d(f_left: Tensor, f_right: Tensor, d_max: int) -> Tensor:
     Output channel ``d`` holds ``mean_c f_left(c,j,i) * f_right(c,j,i-d)``;
     displaced samples outside the image contribute zero.
     """
-    if f_left.shape != f_right.shape:
-        raise ValueError(f"correlation_1d: shape mismatch {f_left.shape} vs {f_right.shape}")
-    c, h, w = f_left.shape
-    if d_max >= w:
-        raise ValueError(f"correlation_1d: d_max {d_max} must be smaller than width {w}")
-    out = np.zeros((d_max + 1, h, w), dtype=np.float64)
-    for d in range(d_max + 1):
-        out[d, :, d:] = (f_left.data[:, :, d:] * f_right.data[:, :, : w - d]).mean(axis=0)
-
-    def bwd(g):
-        if f_left.requires_grad:
-            dl = np.zeros_like(f_left.data)
-            for d in range(d_max + 1):
-                dl[:, :, d:] += g[d, :, d:][None] * f_right.data[:, :, : w - d] / c
-            ad._accumulate(f_left, dl)
-        if f_right.requires_grad:
-            dr = np.zeros_like(f_right.data)
-            for d in range(d_max + 1):
-                dr[:, :, : w - d] += g[d, :, d:][None] * f_left.data[:, :, d:] / c
-            ad._accumulate(f_right, dr)
-
-    return ad._result(out, (f_left, f_right), bwd)
+    return ad.mulc(ad.shifted_dot(f_left, f_right, d_max, "left_to_right"), 1.0 / f_left.shape[0])
 
 
 class MatcherParams:
@@ -65,10 +44,6 @@ class MatcherParams:
         head_bias = float(np.log(np.expm1(0.4 * d_max)))
         init_conv(p, rng, "matcher.head2", channels, 1, weight_scale=0.1, bias_init=head_bias)
         self.params = p
-
-
-def init_matcher_params(rng: np.random.Generator, channels: int = 16, d_max: int = 16) -> MatcherParams:
-    return MatcherParams(rng, channels, d_max)
 
 
 def _extract(image: Tensor, mparams: MatcherParams) -> Tensor:

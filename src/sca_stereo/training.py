@@ -140,28 +140,25 @@ def _save_params(path: Path, params: dict[str, Tensor], extra: dict[str, np.ndar
     checkpoint.save_arrays(path, arrays)
 
 
-def _load_params(path: Path, params: dict[str, Tensor], context: str, extra_prefix: str = "sn:"):
+def _load_params(path: Path, params: dict[str, Tensor], context: str) -> None:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{context} checkpoint not found: {path}")
     arrays = checkpoint.load_arrays(path)
-    extra = {k[len(extra_prefix):]: v for k, v in arrays.items() if k.startswith(extra_prefix)}
-    main = {k: v for k, v in arrays.items() if not k.startswith(extra_prefix)}
-    if set(main) != set(params):
-        missing = set(params) - set(main)
-        unexpected = set(main) - set(params)
+    if set(arrays) != set(params):
+        missing = set(params) - set(arrays)
+        unexpected = set(arrays) - set(params)
         raise ConfigError(
             f"{context} checkpoint does not match config: missing={sorted(missing)}, "
             f"unexpected={sorted(unexpected)}"
         )
     for name, p in params.items():
-        if main[name].shape != p.data.shape:
+        if arrays[name].shape != p.data.shape:
             raise ConfigError(
                 f"{context} checkpoint shape mismatch for '{name}': "
-                f"{main[name].shape} vs {p.data.shape}"
+                f"{arrays[name].shape} vs {p.data.shape}"
             )
-        p.data = main[name]
-    return extra
+        p.data = arrays[name]
 
 
 def _init_matcher(config: RunConfig) -> matcher.MatcherParams:
@@ -205,15 +202,6 @@ def load_translator(config: RunConfig, path: Path, trainable: bool = True) -> tr
     return tparams
 
 
-def load_discriminator(config: RunConfig, path: Path) -> translation.DiscriminatorParams:
-    dparams = _init_discriminator(config)
-    extra = _load_params(path, dparams.params, "discriminator")
-    for name, u in extra.items():
-        if name in dparams.sn_states:
-            dparams.sn_states[name].u_vector = u
-    return dparams
-
-
 # ---------------------------------------------------------------------------
 # stage 1: source-domain pretraining
 # ---------------------------------------------------------------------------
@@ -229,17 +217,9 @@ def _l1_disparity_loss(pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
 def _val_epe(split: LoadedSplit, mparams: matcher.MatcherParams) -> float:
     errs = []
     for s in split.samples:
-        pred = matcher.predict_disparity(s.images["left"].detach(), s.images["right"].detach(), _frozen(mparams))
+        pred = matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
         errs.append(geometry.epe(pred, s.disparities["left"]))
     return float(np.mean(errs))
-
-
-def _frozen(mparams: matcher.MatcherParams) -> matcher.MatcherParams:
-    frozen = matcher.MatcherParams.__new__(matcher.MatcherParams)
-    frozen.channels = mparams.channels
-    frozen.d_max = mparams.d_max
-    frozen.params = translation.detach_params(mparams.params)
-    return frozen
 
 
 def pretrain(config: RunConfig) -> Path:
@@ -255,13 +235,12 @@ def pretrain(config: RunConfig) -> Path:
     for it in range(1, config.pretrain_iters + 1):
         batch = rng.integers(0, len(train), size=config.pretrain_batch)
         zero_grads(mparams.params)
-        total = None
+        terms = []
         for idx in batch:
             s = train.samples[idx]
             pred = matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
-            term = _l1_disparity_loss(pred, s.disparities["left"])
-            total = term if total is None else ad.add(total, term)
-        loss = ad.mulc(total, 1.0 / len(batch))
+            terms.append(_l1_disparity_loss(pred, s.disparities["left"]))
+        loss = ad.mean_n(terms)
         backward(loss)
         adam_step(mparams.params, collect_grads(mparams.params), state)
         loss_rows.append([it, _fmt(loss.item())])
@@ -286,20 +265,8 @@ def _advance_spectral(dparams: translation.DiscriminatorParams) -> None:
         ad.spectral_normalize(dparams.params[name], state, update=True)
 
 
-def _mean(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mulc(total, 1.0 / len(terms))
-
-
-def train_translator(config: RunConfig, matcher_ckpt: Path | None = None) -> tuple[Path, Path]:
-    """Stage 2: adversarial translator training; returns (G, C) ckpt paths.
-
-    ``matcher_ckpt`` is accepted for CLI symmetry but unused: this stage
-    trains the translation network and discriminator only.
-    """
-    del matcher_ckpt
+def train_translator(config: RunConfig) -> tuple[Path, Path]:
+    """Stage 2: adversarial translator training; returns (G, C) ckpt paths."""
     source = load_split(config, "source_train")
     target = load_split(config, "target_train")
     tparams = _init_translator(config)
@@ -341,17 +308,17 @@ def train_translator(config: RunConfig, matcher_ckpt: Path | None = None) -> tup
                 real_hidden.extend(hidden)
             adv_terms.append(losses.adv_loss_generator(fake_logits))
             perc_terms.append(
-                _mean([losses.perceptual_loss(fakes[v], src.images[v]) for v in VIEWS])
+                ad.mean_n([losses.perceptual_loss(fakes[v], src.images[v]) for v in VIEWS])
             )
             feat_terms.append(losses.feature_matching_loss(fake_hidden, real_hidden))
             stereo_terms.append(
                 losses.stereo_consistency_loss(feats, fakes, src.disparities, source.masks[si])
             )
         components = {
-            "adv_g": _mean(adv_terms),
-            "perc": _mean(perc_terms),
-            "feat": _mean(feat_terms),
-            "stereo": _mean(stereo_terms),
+            "adv_g": ad.mean_n(adv_terms),
+            "perc": ad.mean_n(perc_terms),
+            "feat": ad.mean_n(feat_terms),
+            "stereo": ad.mean_n(stereo_terms),
         }
         loss_g = losses.full_objective(components, weights)["loss_G"]
         zero_grads(tparams.params)
@@ -368,7 +335,7 @@ def train_translator(config: RunConfig, matcher_ckpt: Path | None = None) -> tup
             rs = {v: translation.discriminate(src.images[v], dparams)[0] for v in VIEWS}
             rt = {v: translation.discriminate(tgt.images[v], dparams)[0] for v in VIEWS}
             adv_c_terms.append(losses.adv_loss_discriminator(fl, rs, rt))
-        loss_c = _mean(adv_c_terms)
+        loss_c = ad.mean_n(adv_c_terms)
         zero_grads(dparams.params)
         backward(loss_c)
         adam_step(dparams.params, collect_grads(dparams.params), c_state)
@@ -439,7 +406,7 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
             reproj_terms.append(
                 losses.reprojection_loss(tgt.images, tpreds, alpha=weights.alpha)
             )
-        components = {"disp": _mean(disp_terms), "reproj": _mean(reproj_terms)}
+        components = {"disp": ad.mean_n(disp_terms), "reproj": ad.mean_n(reproj_terms)}
         loss_e = losses.full_objective(components, weights)["loss_E"]
         zero_grads(mparams.params)
         backward(loss_e)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry
-from .attention import SCAParams, sca_cross_attend, scaled_d_max
+from .attention import sca_cross_attend, scaled_d_max
 from .autodiff import SpectralNormState, Tensor
 
 VIEWS = ("left", "right")
@@ -138,13 +138,13 @@ def sca_block(
     the attended result enters through a residual conv before a final
     content-conditioned modulation. Weights are shared between views.
     """
-    sca = SCAParams(params[prefix + ".wq"], params[prefix + ".wk"], d_max)
+    w_q, w_k = params[prefix + ".wq"], params[prefix + ".wk"]
     sources = {v: ad.concat_channels([f_g[v], f_content[v]]) for v in VIEWS}
     direction = {"left": "left_to_right", "right": "right_to_left"}
     out: dict[str, Tensor] = {}
     for v in VIEWS:
         o = geometry.other_view(v)
-        attended = sca_cross_attend(f_g[v], f_g[o], sources[v], sources[o], sca, direction[v])
+        attended = sca_cross_attend(f_g[o], sources[v], sources[o], w_q, w_k, d_max, direction[v])
         mixed = ad.add(f_g[v], conv(attended, params, prefix + ".res"))
         out[v] = fade_modulation(mixed, f_content[v], params, prefix + ".fade")
     return out

@@ -8,40 +8,36 @@ from sca_stereo.gradcheck import check_gradients
 from oracles import sca_oracle
 
 
-def _params(rng, d_in, d_out, d_max):
-    return attention.SCAParams(
+def _projections(rng, d_in, d_out):
+    return (
         ad.tensor(rng.standard_normal((d_out, 2 * d_in))),
         ad.tensor(rng.standard_normal((d_out, 2 * d_in))),
-        d_max,
     )
 
 
-def _attend(rng, d_in=3, d_out=4, h=5, w=9, d_max=3, direction="left_to_right", params=None):
-    fq = ad.tensor(rng.standard_normal((d_in, h, w)))
+def _attend(rng, d_in=3, d_out=4, h=5, w=9, d_max=3, direction="left_to_right"):
     fo = ad.tensor(rng.standard_normal((d_in, h, w)))
     qsrc = ad.tensor(rng.standard_normal((2 * d_in, h, w)))
     ksrc = ad.tensor(rng.standard_normal((2 * d_in, h, w)))
-    params = params or _params(rng, d_in, d_out, d_max)
-    out = attention.sca_cross_attend(fq, fo, qsrc, ksrc, params, direction)
-    return out, (fq, fo, qsrc, ksrc, params)
+    w_q, w_k = _projections(rng, d_in, d_out)
+    out = attention.sca_cross_attend(fo, qsrc, ksrc, w_q, w_k, d_max, direction)
+    return out, (fo, qsrc, ksrc, w_q, w_k)
 
 
 class TestCrossAttend:
     def test_dmax_zero_returns_other_view(self):
         rng = np.random.default_rng(0)
-        out, (fq, fo, *_ ) = _attend(rng, d_max=0)
+        out, (fo, *_) = _attend(rng, d_max=0)
         assert np.max(np.abs(out.data - fo.data)) <= 1e-15
 
     def test_zero_projections_give_uniform_mean(self):
         rng = np.random.default_rng(1)
         d_in, h, w, d_max = 2, 3, 8, 3
         fo = ad.tensor(rng.standard_normal((d_in, h, w)))
-        zeros = attention.SCAParams(
-            ad.tensor(np.zeros((2, 2 * d_in))), ad.tensor(np.zeros((2, 2 * d_in))), d_max
-        )
+        zeros = ad.tensor(np.zeros((2, 2 * d_in)))
         out = attention.sca_cross_attend(
-            fo, fo, ad.tensor(rng.standard_normal((2 * d_in, h, w))),
-            ad.tensor(rng.standard_normal((2 * d_in, h, w))), zeros, "left_to_right"
+            fo, ad.tensor(rng.standard_normal((2 * d_in, h, w))),
+            ad.tensor(rng.standard_normal((2 * d_in, h, w))), zeros, zeros, d_max, "left_to_right"
         )
         for i in range(w):
             cols = [i - d for d in range(d_max + 1) if 0 <= i - d < w]
@@ -70,11 +66,11 @@ class TestCrossAttend:
     def test_matches_brute_force_oracle(self, direction):
         rng = np.random.default_rng(3)
         d_in, d_out, h, w, d_max = 3, 4, 5, 11, 4
-        out, (fq, fo, qsrc, ksrc, params) = _attend(
+        out, (fo, qsrc, ksrc, w_q, w_k) = _attend(
             rng, d_in=d_in, d_out=d_out, h=h, w=w, d_max=d_max, direction=direction
         )
-        q = np.einsum("oc,chw->ohw", params.w_q.data, qsrc.data)
-        k = np.einsum("oc,chw->ohw", params.w_k.data, ksrc.data)
+        q = np.einsum("oc,chw->ohw", w_q.data, qsrc.data)
+        k = np.einsum("oc,chw->ohw", w_k.data, ksrc.data)
         expected = sca_oracle(fo.data, q, k, d_max, direction)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
 
@@ -104,15 +100,14 @@ class TestCrossAttend:
     def test_directions_are_mirror_images(self):
         rng = np.random.default_rng(6)
         d_in, d_out, h, w, d_max = 2, 3, 4, 13, 5
-        params = _params(rng, d_in, d_out, d_max)
-        fq = ad.tensor(rng.standard_normal((d_in, h, w)))
+        w_q, w_k = _projections(rng, d_in, d_out)
         fo = ad.tensor(rng.standard_normal((d_in, h, w)))
         qsrc = ad.tensor(rng.standard_normal((2 * d_in, h, w)))
         ksrc = ad.tensor(rng.standard_normal((2 * d_in, h, w)))
-        out = attention.sca_cross_attend(fq, fo, qsrc, ksrc, params, "left_to_right")
+        out = attention.sca_cross_attend(fo, qsrc, ksrc, w_q, w_k, d_max, "left_to_right")
         flip = lambda t: ad.tensor(t.data[:, :, ::-1].copy())
         out_flipped = attention.sca_cross_attend(
-            flip(fq), flip(fo), flip(qsrc), flip(ksrc), params, "right_to_left"
+            flip(fo), flip(qsrc), flip(ksrc), w_q, w_k, d_max, "right_to_left"
         )
         assert np.max(np.abs(out.data[:, :, ::-1] - out_flipped.data)) <= 1e-12
 
@@ -123,11 +118,11 @@ class TestCrossAttend:
 
     def test_mismatched_projection_rejected(self):
         rng = np.random.default_rng(8)
-        params = _params(rng, d_in=3, d_out=2, d_max=1)  # expects 6 source channels
-        fq = ad.tensor(rng.standard_normal((2, 3, 5)))
+        w_q, w_k = _projections(rng, d_in=3, d_out=2)  # expect 6 source channels
+        fo = ad.tensor(rng.standard_normal((2, 3, 5)))
         src = ad.tensor(rng.standard_normal((4, 3, 5)))
         with pytest.raises(ValueError):
-            attention.sca_cross_attend(fq, fq, src, src, params, "left_to_right")
+            attention.sca_cross_attend(fo, src, src, w_q, w_k, 1, "left_to_right")
 
     def test_gradcheck_through_attention(self):
         rng = np.random.default_rng(9)

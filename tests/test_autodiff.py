@@ -167,6 +167,41 @@ class TestSoftmax:
             ad.softmax(ad.tensor([1.0]), axis=3)
 
 
+class TestShiftedOps:
+    @pytest.mark.parametrize("direction", ad.DIRECTIONS)
+    @pytest.mark.parametrize("d_max", [0, 8])
+    def test_weighted_sum_is_adjoint_of_dot(self, direction, d_max):
+        # <W, shifted_dot(a, b)> = <a, shifted_weighted_sum(W, b)>
+        rng = np.random.default_rng(10)
+        c, h, w = 3, 4, 9
+        a = rng.standard_normal((c, h, w))
+        b = ad.tensor(rng.standard_normal((c, h, w)))
+        weights = rng.standard_normal((d_max + 1, h, w))
+        lhs = np.vdot(weights, ad.shifted_dot(ad.tensor(a), b, d_max, direction).data)
+        rhs = np.vdot(a, ad.shifted_weighted_sum(ad.tensor(weights), b, direction).data)
+        assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "direction, d_max", [("up_to_down", 2), ("left_to_right", 9), ("right_to_left", -1)]
+    )
+    def test_invalid_shift_rejected(self, direction, d_max):
+        x = ad.tensor(np.zeros((2, 3, 9)))
+        with pytest.raises(ValueError):
+            ad.shifted_dot(x, x, d_max, direction)
+        with pytest.raises(ValueError):
+            ad.shifted_weighted_sum(ad.tensor(np.zeros((d_max + 1, 3, 9))), x, direction)
+
+
+class TestSumFold:
+    def test_left_fold_order(self):
+        terms = [ad.tensor(np.array(v)) for v in (1.0, 1e-16, 1e-16)]
+        assert ad.add_n(terms).item() == (1.0 + 1e-16) + 1e-16
+
+    def test_empty_sum_is_zero_scalar(self):
+        out = ad.add_n([])
+        assert out.shape == () and out.item() == 0.0
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = {"w": ad.tensor([1.0, -2.0], requires_grad=True)}

@@ -90,13 +90,34 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "line",
-        ["pretrain_batch = 0", "translator_batch = -1", "adapt_batch = 0", "image_height = 60", "image_width = 100"],
+        [
+            "pretrain_batch = 0",
+            "translator_batch = -1",
+            "adapt_batch = 0",
+            "image_height = 60",
+            "image_width = 100",
+            "n_source_train = 0",
+            "n_source_val = 0",
+            "n_target_train = 0",
+            "n_target_test = -1",
+            "d_max_scene = 16",
+            "image_width = 16",
+            "image_width = 32\nd_max_full = 28\nd_max_scene = 5",
+        ],
     )
     def test_invalid_values_rejected_at_load(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
         p.write_text(f"n_scales = 3\n{line}\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_attention_range_checked_only_with_sca(self, tmp_path):
+        p = tmp_path / "coarse.cfg"
+        p.write_text("image_width = 32\nd_max_full = 28\nd_max_scene = 5\nsca_enabled = false\n")
+        config = load_config(p)
+        config.sca_enabled = True
+        with pytest.raises(ConfigError):
+            config.validate()
 
     def test_overrides_revalidate(self):
         config = RunConfig()
