@@ -1,9 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-Every operation records a backward closure on the output tensor; calling
-:func:`backward` on a scalar walks the recorded graph in reverse topological
-order and accumulates gradients with a fixed, insertion-ordered schedule so
-repeated runs are bit-identical.
+Every operation hands :func:`_result` its output and one vector-Jacobian
+product per input: ``vjps[i](g)`` maps the output gradient ``g`` to input
+i's contribution. A vjp returns ``g``, a view of ``g``, or a fresh array,
+never a view of another tensor's data; :func:`_result` alone decides which
+inputs need a gradient and accumulates every contribution, copying one that
+aliases ``g`` or is read-only. Calling :func:`backward` on a scalar walks
+the recorded graph in reverse topological order with a fixed,
+insertion-ordered schedule, so repeated runs are bit-identical.
 
 Also home to the Adam optimizer and spectral normalization, since both act
 directly on parameter tensors.
@@ -74,30 +78,34 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
-def _accumulate(t: Tensor, delta: Array) -> None:
-    if t.grad is None:
-        t.grad = np.array(delta)  # copy: delta may alias another grad or a view
-    else:
+def _accumulate(t: Tensor, delta: Array, g: Array) -> None:
+    """Add ``delta`` into ``t.grad``; on first touch keep it unless it aliases ``g`` or is read-only."""
+    if t.grad is not None:
         t.grad += delta
-
-
-def _accumulate_owned(t: Tensor, delta: Array) -> None:
-    """Accumulate a freshly computed array the caller will not reuse.
-
-    Skips the zero-init allocation on first touch; callers must never pass a
-    view of another tensor's data or gradient.
-    """
-    if t.grad is None:
+    elif np.may_share_memory(delta, g) or not delta.flags.writeable:
+        t.grad = np.array(delta)  # later += must neither write into g nor fail
+    else:
         t.grad = delta
-    else:
-        t.grad += delta
 
 
-def _result(data, parents, backward_fn) -> Tensor:
-    """Wrap op output; record the tape node only if some parent needs grads."""
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
-    return Tensor(data)
+def _result(data, parents, vjps) -> Tensor:
+    """Wrap op output; record the tape node only if some parent needs grads.
+
+    ``vjps[i](g)`` returns parent i's gradient contribution for output
+    gradient ``g``: ``g`` itself, a view of ``g``, or a fresh array, never a
+    view of another tensor's data. The node calls only the vjps of parents
+    that require grad, in parent order.
+    """
+    parents = tuple(parents)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(data)
+
+    def backward_fn(g):
+        for p, vjp in zip(parents, vjps):
+            if p.requires_grad:
+                _accumulate(p, vjp(g), g)
+
+    return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
 
 
 def backward(loss: Tensor) -> None:
@@ -145,141 +153,69 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
-
-    return _result(a.data + b.data, (a, b), bwd)
+    return _result(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    return _result(a.data - b.data, (a, b), bwd)
+    return _result(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * b.data)
-        if b.requires_grad:
-            _accumulate_owned(b, g * a.data)
-
-    return _result(a.data * b.data, (a, b), bwd)
+    return _result(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "div")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g / b.data)
-        if b.requires_grad:
-            _accumulate_owned(b, -g * a.data / (b.data * b.data))
-
-    return _result(a.data / b.data, (a, b), bwd)
+    return _result(a.data / b.data, (a, b), (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def addc(a: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-
-    return _result(a.data + c, (a,), bwd)
+    return _result(a.data + c, (a,), (lambda g: g,))
 
 
 def mulc(a: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * c)
-
-    return _result(a.data * c, (a,), bwd)
+    return _result(a.data * c, (a,), (lambda g: g * c,))
 
 
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * sign)
-
-    return _result(np.abs(a.data), (a,), bwd)
+    return _result(np.abs(a.data), (a,), (lambda g: g * sign,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * mask)
-
-    return _result(np.where(mask, a.data, 0.0), (a,), bwd)
+    return _result(np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     factor = np.where(a.data > 0, 1.0, slope)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * factor)
-
-    return _result(a.data * factor, (a,), bwd)
+    return _result(a.data * factor, (a,), (lambda g: g * factor,))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * (1.0 - out * out))
-
-    return _result(out, (a,), bwd)
+    return _result(out, (a,), (lambda g: g * (1.0 - out * out),))
 
 
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
     sigmoid = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * sigmoid)
-
-    return _result(out, (a,), bwd)
+    return _result(out, (a,), (lambda g: g * sigmoid,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * 0.5 / out)
-
-    return _result(out, (a,), bwd)
+    return _result(out, (a,), (lambda g: g * 0.5 / out,))
 
 
 def sdiv(a: Tensor, s: Tensor) -> Tensor:
     """Divide a tensor by a scalar tensor (shape ``()``)."""
     if s.data.shape != ():
         raise ValueError(f"sdiv: scalar operand must have shape (), got {s.data.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g / s.data)
-        if s.requires_grad:
-            _accumulate(s, np.array(-(g * a.data).sum() / (s.data * s.data)))
-
-    return _result(a.data / s.data, (a, s), bwd)
+    vjps = (lambda g: g / s.data, lambda g: np.array(-(g * a.data).sum() / (s.data * s.data)))
+    return _result(a.data / s.data, (a, s), vjps)
 
 
 def add_n(terms: list[Tensor]) -> Tensor:
@@ -299,48 +235,28 @@ def mean_n(terms: list[Tensor]) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     src_shape = a.shape
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(src_shape))
-
-    return _result(a.data.reshape(shape), (a,), bwd)
+    return _result(a.data.reshape(shape), (a,), (lambda g: g.reshape(src_shape),))
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
     """Concatenate [C,H,W] tensors along the channel axis."""
     sizes = [p.shape[0] for p in parts]
     offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[lo:hi])
-
-    return _result(np.concatenate([p.data for p in parts], axis=0), tuple(parts), bwd)
+    vjps = [lambda g, lo=lo, hi=hi: g[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return _result(np.concatenate([p.data for p in parts], axis=0), parts, vjps)
 
 
 def flip_horizontal(a: Tensor) -> Tensor:
     """Reverse the last (column) axis."""
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g[..., ::-1])
-
-    return _result(np.ascontiguousarray(a.data[..., ::-1]), (a,), bwd)
+    return _result(np.ascontiguousarray(a.data[..., ::-1]), (a,), (lambda g: g[..., ::-1],))
 
 
 def broadcast_chan(v: Tensor, height: int, width: int) -> Tensor:
     """Broadcast a [C] vector to a constant-per-channel [C,H,W] map."""
     if v.ndim != 1:
         raise ValueError(f"broadcast_chan expects a 1-D tensor, got shape {v.shape}")
-
-    def bwd(g):
-        if v.requires_grad:
-            _accumulate_owned(v, g.sum(axis=(1, 2)))
-
     data = np.broadcast_to(v.data[:, None, None], (v.shape[0], height, width)).copy()
-    return _result(data, (v,), bwd)
+    return _result(data, (v,), (lambda g: g.sum(axis=(1, 2)),))
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +265,12 @@ def broadcast_chan(v: Tensor, height: int, width: int) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, np.full_like(a.data, float(g)))
-
-    return _result(np.array(a.data.sum()), (a,), bwd)
+    return _result(np.array(a.data.sum()), (a,), (lambda g: np.full_like(a.data, float(g)),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.size
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, np.full_like(a.data, float(g) / n))
-
-    return _result(np.array(a.data.mean()), (a,), bwd)
+    return _result(np.array(a.data.mean()), (a,), (lambda g: np.full_like(a.data, float(g) / n),))
 
 
 def channel_mean(a: Tensor) -> Tensor:
@@ -371,38 +278,21 @@ def channel_mean(a: Tensor) -> Tensor:
     if a.ndim != 3:
         raise ValueError(f"channel_mean expects [C,H,W], got shape {a.shape}")
     n = a.shape[1] * a.shape[2]
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g[:, None, None] / n, a.shape))
-
-    return _result(a.data.mean(axis=(1, 2)), (a,), bwd)
+    return _result(a.data.mean(axis=(1, 2)), (a,), (lambda g: np.broadcast_to(g[:, None, None] / n, a.shape),))
 
 
 def sum_channels(a: Tensor) -> Tensor:
     """Per-pixel sum over the channel axis of a [C,H,W] tensor, shape [H,W]."""
     if a.ndim != 3:
         raise ValueError(f"sum_channels expects [C,H,W], got shape {a.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g[None, :, :], a.shape))
-
-    return _result(a.data.sum(axis=0), (a,), bwd)
+    return _result(a.data.sum(axis=0), (a,), (lambda g: np.broadcast_to(g[None, :, :], a.shape),))
 
 
 def mul_spatial(a: Tensor, s: Tensor) -> Tensor:
     """Scale every channel of [C,H,W] ``a`` by the [H,W] map ``s``."""
     if a.ndim != 3 or s.shape != a.shape[1:]:
         raise ValueError(f"mul_spatial: incompatible shapes {a.shape} and {s.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g * s.data[None])
-        if s.requires_grad:
-            _accumulate_owned(s, (g * a.data).sum(axis=0))
-
-    return _result(a.data * s.data[None], (a, s), bwd)
+    return _result(a.data * s.data[None], (a, s), (lambda g: g * s.data[None], lambda g: (g * a.data).sum(axis=0)))
 
 
 def pixel_norm(a: Tensor, eps: float = 1e-8) -> Tensor:
@@ -430,13 +320,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     e = np.exp(a.data - m_safe)
     denom = e.sum(axis=axis, keepdims=True)
     out = np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0)
-
-    def bwd(g):
-        if a.requires_grad:
-            inner = (g * out).sum(axis=axis, keepdims=True)
-            _accumulate_owned(a, out * (g - inner))
-
-    return _result(out, (a,), bwd)
+    return _result(out, (a,), (lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +384,8 @@ def shifted_dot(a: Tensor, b: Tensor, d_max: int, direction: str) -> Tensor:
     if a.ndim != 3 or a.shape != b.shape:
         raise ValueError(f"shifted_dot: expected two equal [C,H,W] shapes, got {a.shape} and {b.shape}")
     _check_shift("shifted_dot", d_max, a.shape[2], direction)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, _shifted_gather(g, b.data, direction))
-        if b.requires_grad:
-            _accumulate_owned(b, _shifted_scatter(g, a.data, direction))
-
-    return _result(_shifted_dot(a.data, b.data, d_max, direction), (a, b), bwd)
+    vjps = (lambda g: _shifted_gather(g, b.data, direction), lambda g: _shifted_scatter(g, a.data, direction))
+    return _result(_shifted_dot(a.data, b.data, d_max, direction), (a, b), vjps)
 
 
 def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Tensor:
@@ -522,14 +400,11 @@ def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Ten
         raise ValueError(f"shifted_weighted_sum: incompatible shapes {weights.shape} and {values.shape}")
     d_max = weights.shape[0] - 1
     _check_shift("shifted_weighted_sum", d_max, values.shape[2], direction)
-
-    def bwd(g):
-        if weights.requires_grad:
-            _accumulate_owned(weights, _shifted_dot(g, values.data, d_max, direction))
-        if values.requires_grad:
-            _accumulate_owned(values, _shifted_scatter(weights.data, g, direction))
-
-    return _result(_shifted_gather(weights.data, values.data, direction), (weights, values), bwd)
+    vjps = (
+        lambda g: _shifted_dot(g, values.data, d_max, direction),
+        lambda g: _shifted_scatter(weights.data, g, direction),
+    )
+    return _result(_shifted_gather(weights.data, values.data, direction), (weights, values), vjps)
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +415,7 @@ def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Ten
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate_owned(b, a.data.T @ g)
-
-    return _result(a.data @ b.data, (a, b), bwd)
+    return _result(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +436,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
     reads phase (di % stride, dj % stride) at the constant flat offset
     (di//stride)*wq + dj//stride, and its H'*wq-long window is a plain view.
     The forward is one matmul per tap on that view; the ``wq - W'`` spare
-    columns of each output row read the next row and are dropped. The
-    backward runs the same loop with zeros in the spare columns of the
-    output gradient, so the kernel gradient is one matmul per tap and the
-    input gradient is added into the phase images at the same views.
+    columns of each output row read the next row and are dropped. Each vjp
+    runs the same loop with zeros in the spare columns of the output
+    gradient, so the kernel gradient is one matmul per tap and the input
+    gradient is added into the phase images at the same views.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d: expected [C,H,W] and [O,C,kh,kw], got {x.shape}, {kernel.shape}")
@@ -612,28 +480,31 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
     out = acc.reshape(c_out, h_out, wq)[:, :, :w_out]
     out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
 
-    def bwd(g):
-        if bias is not None and bias.requires_grad:
-            _accumulate_owned(bias, g.sum(axis=(1, 2)))
+    def pad(g):
         g_pad = np.zeros((c_out, h_out, wq), dtype=np.float64)
         g_pad[:, :, :w_out] = g
-        g_pad = g_pad.reshape(c_out, n)
-        if kernel.requires_grad:
-            dk = np.empty((kh * kw, c_out, c_in), dtype=np.float64)
-            for dk_tap, tap in zip(dk, taps):
-                np.matmul(g_pad, flat[tap].T, out=dk_tap)
-            _accumulate_owned(kernel, np.ascontiguousarray(dk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1)))
-        if x.requires_grad:
-            dflat = np.zeros_like(flat)
-            for k_tap, tap in zip(k_taps, taps):
-                dflat[tap] += k_tap.T @ g_pad
-            dxp = dflat.reshape(s, s, c_in, hq + 1, wq).transpose(2, 3, 0, 4, 1).reshape(c_in, s * (hq + 1), s * wq)
-            dx = np.zeros_like(x.data)
-            dx[:, :, : s * wq - padding] = dxp[:, padding : padding + h, padding : padding + w]
-            _accumulate_owned(x, dx)
+        return g_pad.reshape(c_out, n)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _result(out, parents, bwd)
+    def vjp_x(g):
+        g_pad = pad(g)
+        dflat = np.zeros_like(flat)
+        for k_tap, tap in zip(k_taps, taps):
+            dflat[tap] += k_tap.T @ g_pad
+        dxp = dflat.reshape(s, s, c_in, hq + 1, wq).transpose(2, 3, 0, 4, 1).reshape(c_in, s * (hq + 1), s * wq)
+        dx = np.zeros_like(x.data)
+        dx[:, :, : s * wq - padding] = dxp[:, padding : padding + h, padding : padding + w]
+        return dx
+
+    def vjp_kernel(g):
+        g_pad = pad(g)
+        dk = np.empty((kh * kw, c_out, c_in), dtype=np.float64)
+        for dk_tap, tap in zip(dk, taps):
+            np.matmul(g_pad, flat[tap].T, out=dk_tap)
+        return np.ascontiguousarray(dk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
+
+    if bias is None:
+        return _result(out, (x, kernel), (vjp_x, vjp_kernel))
+    return _result(out, (x, kernel, bias), (vjp_x, vjp_kernel, lambda g: g.sum(axis=(1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +526,7 @@ def box_filter3(a: Tensor) -> Tensor:
     counts_sum = _boxsum(counts[None, :, :])[0]
 
     out = _boxsum(a.data) / counts_sum
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, _boxsum(g / counts_sum))
-
-    return _result(out, (a,), bwd)
+    return _result(out, (a,), (lambda g: _boxsum(g / counts_sum),))
 
 
 def _boxsum(x: Array) -> Array:
@@ -709,12 +575,7 @@ def upsample_bilinear2(a: Tensor) -> Tensor:
     if a.ndim != 3:
         raise ValueError(f"upsample_bilinear2 expects [C,H,W], got shape {a.shape}")
     out = _lerp_up_axis(_lerp_up_axis(a.data, 1), 2)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate_owned(a, _lerp_up_axis_transpose(_lerp_up_axis_transpose(g, 2), 1))
-
-    return _result(out, (a,), bwd)
+    return _result(out, (a,), (lambda g: _lerp_up_axis_transpose(_lerp_up_axis_transpose(g, 2), 1),))
 
 
 def upsample_pow2(a: Tensor, factor: int) -> Tensor:

@@ -2,7 +2,9 @@
 
 The binary file at ``path`` holds the raw little-endian float64 payloads
 back to back; ``path.manifest`` lists one ``name<TAB>shape<TAB>offset`` line
-per array. Round-trips are bit-exact.
+per array. Round-trips are bit-exact. The reader accepts only that layout:
+unique names, each array starting where the previous one ends (the first at
+0), and the last ending at the end of the file.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def load_arrays(path: Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         blob = f.read()
     arrays: dict[str, np.ndarray] = {}
+    end = 0
     with open(manifest_path(path)) as f:
         for line in f:
             line = line.rstrip("\n")
@@ -51,11 +54,17 @@ def load_arrays(path: Path) -> dict[str, np.ndarray]:
                 raise FormatError(f"array {name!r}: shape and offset must be non-negative integers", 0)
             shape = tuple(int(t) for t in shape_tokens)
             offset = int(offset_str)
+            if name in arrays:
+                raise FormatError(f"array {name!r} is listed twice", offset)
+            if offset != end:
+                raise FormatError(f"array {name!r} must start where the previous array ends, at {end}", offset)
             count = int(np.prod(shape)) if shape else 1
             end = offset + 8 * count
             if end > len(blob):
                 raise FormatError(f"array {name!r} extends past end of checkpoint", offset)
             arrays[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
+    if end != len(blob):
+        raise FormatError(f"checkpoint has {len(blob) - end} bytes after the last array", end)
     return arrays
 
 

@@ -82,10 +82,12 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Raise ConfigError for settings that would fail only once a stage runs."""
         counts = ("pretrain_batch", "translator_batch", "adapt_batch")
-        counts += ("n_source_train", "n_source_val", "n_target_train", "n_target_test")
+        counts += ("n_source_train", "n_source_val", "n_target_train", "n_target_test", "num_layers")
         for name in counts:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.d_min <= self.d_max_scene:
+            raise ConfigError(f"d_min {self.d_min} must be positive and at most d_max_scene {self.d_max_scene}")
         if self.image_height % 2**self.n_scales or self.image_width % 2**self.n_scales:
             raise ConfigError(f"image size {self.image_height}x{self.image_width} not divisible by 2**n_scales")
         if self.d_max_scene >= self.d_max_full:

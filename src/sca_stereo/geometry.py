@@ -161,18 +161,17 @@ def backward_warp(feature: Tensor, offset: Tensor) -> Tensor:
     f1 = np.take(flat, idx1, axis=1).reshape(c, h, w)
     out = w0[None] * f0 + w1[None] * f1
 
-    def bwd(g):
-        if feature.requires_grad:
-            # per channel, one sequential scatter over both taps: the sums of
-            # np.add.at over idx0 then idx1, in the same order, bit for bit
-            idx, w0f, w1f = np.concatenate([idx0, idx1]), w0.ravel(), w1.ravel()
-            dflat = [np.bincount(idx, np.concatenate([gc * w0f, gc * w1f]), h * w) for gc in g.reshape(c, h * w)]
-            ad._accumulate_owned(feature, np.stack(dflat).reshape(c, h, w))
-        if offset.requires_grad:
-            d_off = (g * (f1 * in1[None] - f0 * in0[None])).sum(axis=0)
-            ad._accumulate(offset, d_off)
+    def vjp_feature(g):
+        # per channel, one sequential scatter over both taps: the sums of
+        # np.add.at over idx0 then idx1, in the same order, bit for bit
+        idx, w0f, w1f = np.concatenate([idx0, idx1]), w0.ravel(), w1.ravel()
+        dflat = [np.bincount(idx, np.concatenate([gc * w0f, gc * w1f]), h * w) for gc in g.reshape(c, h * w)]
+        return np.stack(dflat).reshape(c, h, w)
 
-    return ad._result(out, (feature, offset), bwd)
+    def vjp_offset(g):
+        return (g * (f1 * in1[None] - f0 * in0[None])).sum(axis=0)
+
+    return ad._result(out, (feature, offset), (vjp_feature, vjp_offset))
 
 
 def warp_map(values: Tensor, offset: Tensor) -> Tensor:

@@ -120,12 +120,7 @@ def smooth_l1(x: Tensor) -> Tensor:
     inner = np.abs(x.data) < 1.0
     out = np.where(inner, 0.5 * x.data * x.data, np.abs(x.data) - 0.5)
     dfactor = np.where(inner, x.data, np.sign(x.data))
-
-    def bwd(g):
-        if x.requires_grad:
-            ad._accumulate(x, g * dfactor)
-
-    return ad._result(out, (x,), bwd)
+    return ad._result(out, (x,), (lambda g: g * dfactor,))
 
 
 def disparity_loss(

@@ -140,7 +140,7 @@ def _save_params(path: Path, params: dict[str, Tensor], extra: dict[str, np.ndar
     checkpoint.save_arrays(path, arrays)
 
 
-def _load_params(path: Path, params: dict[str, Tensor], context: str) -> None:
+def _load_params(path: Path, params: dict[str, Tensor], context: str, trainable: bool) -> None:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{context} checkpoint not found: {path}")
@@ -159,6 +159,7 @@ def _load_params(path: Path, params: dict[str, Tensor], context: str) -> None:
                 f"{arrays[name].shape} vs {p.data.shape}"
             )
         p.data = arrays[name]
+        p.requires_grad = trainable
 
 
 def _init_matcher(config: RunConfig) -> matcher.MatcherParams:
@@ -186,20 +187,26 @@ def _init_discriminator(config: RunConfig) -> translation.DiscriminatorParams:
 
 def load_matcher(config: RunConfig, path: Path, trainable: bool = True) -> matcher.MatcherParams:
     mparams = _init_matcher(config)
-    _load_params(path, mparams.params, "matcher")
-    if not trainable:
-        for p in mparams.params.values():
-            p.requires_grad = False
+    _load_params(path, mparams.params, "matcher", trainable)
     return mparams
 
 
 def load_translator(config: RunConfig, path: Path, trainable: bool = True) -> translation.TranslatorParams:
     tparams = _init_translator(config)
-    _load_params(path, tparams.params, "translator")
-    if not trainable:
-        for p in tparams.params.values():
-            p.requires_grad = False
+    _load_params(path, tparams.params, "translator", trainable)
     return tparams
+
+
+def _descend(loss: Tensor, params: dict[str, Tensor], state: AdamState) -> None:
+    """One Adam step on ``params`` along the gradient of ``loss``."""
+    zero_grads(params)
+    backward(loss)
+    adam_step(params, collect_grads(params), state)
+
+
+def _left_disparity(mparams: matcher.MatcherParams):
+    """Predictor for :func:`evaluate_samples`: the matcher's left-view disparity."""
+    return lambda s: matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +221,6 @@ def _l1_disparity_loss(pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
     return ad.mulc(ad.sum_all(ad.mul(diff, ad.constant(valid))), 1.0 / n)
 
 
-def _val_epe(split: LoadedSplit, mparams: matcher.MatcherParams) -> float:
-    errs = []
-    for s in split.samples:
-        pred = matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
-        errs.append(geometry.epe(pred, s.disparities["left"]))
-    return float(np.mean(errs))
-
-
 def pretrain(config: RunConfig) -> Path:
     """Stage 1: train the matcher on source pairs with L1; returns ckpt path."""
     train = load_split(config, "source_train")
@@ -234,18 +233,16 @@ def pretrain(config: RunConfig) -> Path:
     loss_rows, val_rows = [], []
     for it in range(1, config.pretrain_iters + 1):
         batch = rng.integers(0, len(train), size=config.pretrain_batch)
-        zero_grads(mparams.params)
         terms = []
         for idx in batch:
             s = train.samples[idx]
             pred = matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
             terms.append(_l1_disparity_loss(pred, s.disparities["left"]))
         loss = ad.mean_n(terms)
-        backward(loss)
-        adam_step(mparams.params, collect_grads(mparams.params), state)
+        _descend(loss, mparams.params, state)
         loss_rows.append([it, _fmt(loss.item())])
         if it % config.val_interval == 0 or it == config.pretrain_iters:
-            val_rows.append([it, _fmt(_val_epe(val, mparams))])
+            val_rows.append([it, _fmt(evaluate_samples(val, _left_disparity(mparams))[1])])
     out_dir = Path(config.output_dir)
     _write_csv(out_dir / "pretrain_loss.csv", ["iteration", "l1"], loss_rows)
     _write_csv(out_dir / "pretrain_val.csv", ["iteration", "epe"], val_rows)
@@ -321,9 +318,7 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
             "stereo": ad.mean_n(stereo_terms),
         }
         loss_g = losses.full_objective(components, weights)["loss_G"]
-        zero_grads(tparams.params)
-        backward(loss_g)
-        adam_step(tparams.params, collect_grads(tparams.params), g_state)
+        _descend(loss_g, tparams.params, g_state)
 
         # discriminator step on pre-step fakes
         _advance_spectral(dparams)
@@ -336,9 +331,7 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
             rt = {v: translation.discriminate(tgt.images[v], dparams)[0] for v in VIEWS}
             adv_c_terms.append(losses.adv_loss_discriminator(fl, rs, rt))
         loss_c = ad.mean_n(adv_c_terms)
-        zero_grads(dparams.params)
-        backward(loss_c)
-        adam_step(dparams.params, collect_grads(dparams.params), c_state)
+        _descend(loss_c, dparams.params, c_state)
 
         rows.append(
             [
@@ -408,9 +401,7 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
             )
         components = {"disp": ad.mean_n(disp_terms), "reproj": ad.mean_n(reproj_terms)}
         loss_e = losses.full_objective(components, weights)["loss_E"]
-        zero_grads(mparams.params)
-        backward(loss_e)
-        adam_step(mparams.params, collect_grads(mparams.params), state)
+        _descend(loss_e, mparams.params, state)
         rows.append(
             [it, _fmt(components["disp"].item()), _fmt(components["reproj"].item()), _fmt(loss_e.item())]
         )
@@ -448,11 +439,7 @@ def evaluate(config: RunConfig, matcher_ckpt: Path, split: str) -> dict[str, flo
     """Write per-sample metrics CSV for a split; returns the aggregates."""
     data = load_split(config, split)
     mparams = load_matcher(config, matcher_ckpt, trainable=False)
-
-    def predict(sample: synth.StereoSample) -> Tensor:
-        return matcher.predict_disparity(sample.images["left"], sample.images["right"], mparams)
-
-    rows, mean_epe, mean_d1 = evaluate_samples(data, predict)
+    rows, mean_epe, mean_d1 = evaluate_samples(data, _left_disparity(mparams))
     rows.append(["mean", _fmt(mean_epe), _fmt(mean_d1)])
     _write_csv(
         Path(config.output_dir) / f"evaluate_{split}.csv", ["sample", "epe", "d1_all"], rows

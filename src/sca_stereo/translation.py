@@ -325,17 +325,16 @@ def downsample_avg2(x: Tensor) -> Tensor:
     d = x.data
     out = 0.25 * (d[:, 0::2, 0::2] + d[:, 1::2, 0::2] + d[:, 0::2, 1::2] + d[:, 1::2, 1::2])
 
-    def bwd(g):
-        if x.requires_grad:
-            dx = np.empty_like(d)
-            gq = 0.25 * g
-            dx[:, 0::2, 0::2] = gq
-            dx[:, 1::2, 0::2] = gq
-            dx[:, 0::2, 1::2] = gq
-            dx[:, 1::2, 1::2] = gq
-            ad._accumulate(x, dx)
+    def vjp(g):
+        dx = np.empty_like(d)
+        gq = 0.25 * g
+        dx[:, 0::2, 0::2] = gq
+        dx[:, 1::2, 0::2] = gq
+        dx[:, 0::2, 1::2] = gq
+        dx[:, 1::2, 1::2] = gq
+        return dx
 
-    return ad._result(out, (x,), bwd)
+    return ad._result(out, (x,), (vjp,))
 
 
 def _sn_conv(

@@ -67,6 +67,27 @@ class TestBackward:
 
         assert np.array_equal(run(), run())
 
+    def test_sibling_gradients_do_not_alias(self):
+        # add's contribution reaches a first; both siblings receive the same g
+        rng = np.random.default_rng(1)
+        a = ad.tensor(rng.standard_normal(5), requires_grad=True)
+        b = ad.tensor(rng.standard_normal(5), requires_grad=True)
+        v, w = rng.standard_normal(5), rng.standard_normal(5)
+        sibling_term = ad.sum_all(ad.mul(ad.add(a, b), ad.constant(w)))
+        ad.backward(ad.add(ad.sum_all(ad.mul(a, ad.constant(v))), sibling_term))
+        assert np.array_equal(b.grad, w)
+        assert np.array_equal(a.grad, v + w)
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_read_only_first_contribution_is_copied(self):
+        # channel_mean's contribution (a broadcast view) reaches a before mul's
+        rng = np.random.default_rng(2)
+        a = ad.tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        v, w = rng.standard_normal((2, 3, 4)), rng.standard_normal(2)
+        mean_term = ad.sum_all(ad.mul(ad.channel_mean(a), ad.constant(w)))
+        ad.backward(ad.add(ad.sum_all(ad.mul(a, ad.constant(v))), mean_term))
+        assert np.array_equal(a.grad, v + w[:, None, None] / 12)
+
 
 class TestConv2d:
     def test_identity_kernel(self):

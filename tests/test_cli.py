@@ -103,6 +103,9 @@ class TestConfig:
             "d_max_scene = 16",
             "image_width = 16",
             "image_width = 32\nd_max_full = 28\nd_max_scene = 5",
+            "d_min = 0",
+            "d_min = 14.5",
+            "num_layers = 0",
         ],
     )
     def test_invalid_values_rejected_at_load(self, tmp_path, line):
@@ -164,6 +167,24 @@ class TestCheckpointContainer:
         path = tmp_path / "net.ckpt"
         checkpoint.save_arrays(path, {"x": np.zeros(12)})
         checkpoint.manifest_path(path).write_text(f"x\t{shape}\t{offset}\n")
+        with pytest.raises(FormatError):
+            checkpoint.load_arrays(path)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            "x\t4\t4\n",  # shifted start
+            "x\t4\t0\ny\t4\t0\n",  # overlap
+            "x\t4\t0\ny\t4\t40\n",  # gap
+            "x\t4\t0\nx\t8\t32\n",  # repeated name
+            "x\t8\t0\n",  # bytes left after the last array
+        ],
+        ids=["shifted", "overlap", "gap", "repeated", "trailing"],
+    )
+    def test_arrays_not_back_to_back_rejected(self, tmp_path, manifest):
+        path = tmp_path / "net.ckpt"
+        checkpoint.save_arrays(path, {"x": np.zeros(12)})
+        checkpoint.manifest_path(path).write_text(manifest)
         with pytest.raises(FormatError):
             checkpoint.load_arrays(path)
 

@@ -25,6 +25,15 @@ def _result_callers() -> set[tuple[str, str]]:
     return callers
 
 
+def test_only_autodiff_accumulates_gradients():
+    referrers = set()
+    for path in sorted(Path(sca_stereo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if getattr(node, "id", getattr(node, "attr", "")).startswith("_accumulate"):
+                referrers.add(path.name)
+    assert referrers == {"autodiff.py"}
+
+
 def test_battery_reaches_every_op_that_records_a_tape_node(monkeypatch):
     built = [case.build(0) for case in gradcheck.registered_cases()]
     reached = set()
