@@ -594,22 +594,25 @@ def upsample_pow2(a: Tensor, factor: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _moments(a: Tensor, eps: float) -> tuple[Tensor, Tensor, Tensor]:
+    """Per-channel mean, the centred input and sqrt(var + eps) of a [C,H,W] tensor."""
+    _, h, w = a.shape
+    mu = channel_mean(a)
+    centered = sub(a, broadcast_chan(mu, h, w))
+    return mu, centered, sqrt(addc(channel_mean(mul(centered, centered)), eps))
+
+
 def instance_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-channel zero-mean unit-variance normalization over H,W."""
     c, h, w = a.shape
-    mu = channel_mean(a)
-    centered = sub(a, broadcast_chan(mu, h, w))
-    var = channel_mean(mul(centered, centered))
-    inv_std = div(constant(np.ones(c)), sqrt(addc(var, eps)))
-    return mul(centered, broadcast_chan(inv_std, h, w))
+    _, centered, std = _moments(a, eps)
+    return mul(centered, broadcast_chan(div(constant(np.ones(c)), std), h, w))
 
 
 def channel_stats(a: Tensor, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
     """Per-channel (mean, std) over H,W; std includes ``eps`` under the root."""
-    mu = channel_mean(a)
-    centered = sub(a, broadcast_chan(mu, a.shape[1], a.shape[2]))
-    var = channel_mean(mul(centered, centered))
-    return mu, sqrt(addc(var, eps))
+    mu, _, std = _moments(a, eps)
+    return mu, std
 
 
 # ---------------------------------------------------------------------------
@@ -678,50 +681,43 @@ def collect_grads(params: dict[str, Tensor]) -> dict[str, Array]:
 class SpectralNormState:
     """Persistent left singular-vector estimate for one kernel."""
 
-    def __init__(self, u_vector: Array, power_iterations_per_step: int = 1):
-        if power_iterations_per_step < 1:
-            raise ValueError("power_iterations_per_step must be positive")
+    def __init__(self, u_vector: Array):
         norm = np.linalg.norm(u_vector)
         if norm == 0:
             raise ValueError("u_vector must be nonzero")
         self.u_vector = np.asarray(u_vector, dtype=np.float64) / norm
-        self.power_iterations_per_step = power_iterations_per_step
 
     @classmethod
-    def for_kernel(cls, kernel_shape, rng: np.random.Generator, power_iterations_per_step: int = 1):
-        u = rng.standard_normal(kernel_shape[0])
-        return cls(u, power_iterations_per_step)
+    def for_kernel(cls, kernel_shape, rng: np.random.Generator):
+        return cls(rng.standard_normal(kernel_shape[0]))
+
+
+def _unit(x: Array) -> Array | None:
+    n = np.linalg.norm(x)
+    return None if n < 1e-30 else x / n
 
 
 def spectral_normalize(kernel: Tensor, state: SpectralNormState, update: bool = True) -> Tensor:
     """Divide ``kernel`` by its power-iteration largest singular value.
 
-    The kernel is viewed as a (out-channels x rest) matrix. The singular
-    vectors act as constants on the tape, so gradients see sigma as the
-    linear form u^T W v. A zero kernel is returned unchanged.
+    The kernel is viewed as a (out-channels x rest) matrix. ``update`` runs
+    one power iteration and stores the new ``u`` in ``state`` first. The
+    singular vectors act as constants on the tape, so gradients see sigma as
+    the linear form u^T W v. A zero kernel is returned unchanged.
     """
     mat = kernel.data.reshape(kernel.shape[0], -1)
     if not np.any(mat):
         return kernel
     u = state.u_vector
     if update:
-        for _ in range(state.power_iterations_per_step):
-            v = mat.T @ u
-            nv = np.linalg.norm(v)
-            if nv < 1e-30:
-                return kernel
-            v /= nv
-            u = mat @ v
-            nu = np.linalg.norm(u)
-            if nu < 1e-30:
-                return kernel
-            u /= nu
+        v = _unit(mat.T @ u)
+        u = None if v is None else _unit(mat @ v)
+        if u is None:
+            return kernel
         state.u_vector = u
-    v = mat.T @ u
-    nv = np.linalg.norm(v)
-    if nv < 1e-30:
+    v = _unit(mat.T @ u)
+    if v is None:
         return kernel
-    v /= nv
     rank1 = np.outer(u, v).reshape(kernel.shape)
     sigma = sum_all(mul(kernel, constant(rank1)))
     return sdiv(kernel, sigma)

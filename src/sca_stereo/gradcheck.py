@@ -480,6 +480,22 @@ def _ensure_registry() -> None:
         w = ad.constant(rng.standard_normal((2, 2, 3)))
         return lambda x: ad.sum_all(ad.mul(translation.downsample_avg2(x), w)), [x]
 
+    @register("discriminate_shared_weights")
+    def _(seed):
+        # one normalized weight dict feeds two calls, so each sigma node has several consumers
+        rng = np.random.default_rng(seed)
+        dparams = translation.DiscriminatorParams(np.random.default_rng(seed + 1), base_channels=2)
+        images = [ad.constant(rng.uniform(0, 1, (3, 8, 8))) for _ in range(2)]
+        ws = [ad.constant(rng.standard_normal((1, 2, 2))), ad.constant(rng.standard_normal((1, 1, 1)))]
+
+        def fn(*_):
+            weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=False)
+            logits = [translation.discriminate(img, weights, dparams.n_scales)[0] for img in images]
+            return ad.add_n([ad.sum_all(ad.mul(x, w)) for pair in logits for x, w in zip(pair, ws)])
+
+        inputs = [dparams.params["disc0.conv2.w"], dparams.params["disc1.conv1.b"]]
+        return fn, inputs, {"max_entries_per_input": 12, "rng": np.random.default_rng(seed + 2)}
+
     @register("fadain")
     def _(seed):
         rng = np.random.default_rng(seed)

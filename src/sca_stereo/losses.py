@@ -242,27 +242,23 @@ def feature_matching_loss(
     return ad.mean_n(terms)
 
 
-def full_objective(components: dict[str, Tensor], weights: LossWeights) -> dict[str, Tensor]:
-    """Combine component losses into per-role objectives.
-
-    ``loss_G`` collects the generator-facing terms, ``loss_C`` the
-    discriminator hinge, ``loss_E`` the matcher terms. Missing components
-    count as zero.
-    """
-    zero = ad.constant(np.zeros(()))
-    get = lambda key: components.get(key, zero)
-    loss_g = ad.add(
-        get("adv_g"),
+def generator_objective(components: dict[str, Tensor], weights: LossWeights) -> Tensor:
+    """The translator's objective: adv_g + perc + feat + stereo, each weighted."""
+    return ad.add(
+        components["adv_g"],
         ad.add(
-            ad.mulc(get("perc"), weights.lambda_perc),
+            ad.mulc(components["perc"], weights.lambda_perc),
             ad.add(
-                ad.mulc(get("feat"), weights.lambda_feat),
-                ad.mulc(get("stereo"), weights.lambda_stereo),
+                ad.mulc(components["feat"], weights.lambda_feat),
+                ad.mulc(components["stereo"], weights.lambda_stereo),
             ),
         ),
     )
-    loss_e = ad.add(
-        ad.mulc(get("disp"), weights.lambda_disp),
-        ad.mulc(get("reproj"), weights.lambda_reproj),
+
+
+def matcher_objective(components: dict[str, Tensor], weights: LossWeights) -> Tensor:
+    """The adapted matcher's objective: disp + reproj, each weighted."""
+    return ad.add(
+        ad.mulc(components["disp"], weights.lambda_disp),
+        ad.mulc(components["reproj"], weights.lambda_reproj),
     )
-    return {"loss_G": loss_g, "loss_C": get("adv_c"), "loss_E": loss_e}

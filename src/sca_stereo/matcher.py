@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .translation import conv, init_conv
 
 
 def correlation_1d(f_left: Tensor, f_right: Tensor, d_max: int) -> Tensor:
@@ -28,8 +29,6 @@ class MatcherParams:
     """Named parameters: siamese extractor, post-correlation encoder-decoder, head."""
 
     def __init__(self, rng: np.random.Generator, channels: int = 16, d_max: int = 16):
-        from .translation import init_conv  # shared initializer
-
         self.channels = channels
         self.d_max = d_max
         p: dict[str, Tensor] = {}
@@ -47,8 +46,6 @@ class MatcherParams:
 
 
 def _extract(image: Tensor, mparams: MatcherParams) -> Tensor:
-    from .translation import conv
-
     p = mparams.params
     f = ad.leaky_relu(conv(image, p, "matcher.feat1"))
     return ad.leaky_relu(conv(f, p, "matcher.feat2"))
@@ -56,8 +53,6 @@ def _extract(image: Tensor, mparams: MatcherParams) -> Tensor:
 
 def predict_disparity(left: Tensor, right: Tensor, mparams: MatcherParams) -> Tensor:
     """Dense non-negative disparity of the left view, shape [H,W]."""
-    from .translation import conv
-
     if left.shape != right.shape:
         raise ValueError(f"predict_disparity: shape mismatch {left.shape} vs {right.shape}")
     if left.ndim != 3 or left.shape[0] != 3:

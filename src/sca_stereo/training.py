@@ -256,12 +256,6 @@ def pretrain(config: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _advance_spectral(dparams: translation.DiscriminatorParams) -> None:
-    # one power iteration per kernel per training step
-    for name, state in dparams.sn_states.items():
-        ad.spectral_normalize(dparams.params[name], state, update=True)
-
-
 def train_translator(config: RunConfig) -> tuple[Path, Path]:
     """Stage 2: adversarial translator training; returns (G, C) ckpt paths."""
     source = load_split(config, "source_train")
@@ -283,8 +277,10 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
         tgt_idx = rng.integers(0, len(target), size=config.translator_batch)
         z_batch = [ad.constant(rng.standard_normal(config.z_channels)) for _ in src_idx]
 
-        # generator step (discriminator parameters detached)
-        det = translation.detach_params(dparams.params)
+        # generator step on detached discriminator kernels, normalized with the current u
+        det = translation.spectral_weights(
+            translation.detach_params(dparams.params), dparams.sn_states, update=False
+        )
         adv_terms, perc_terms, feat_terms, stereo_terms = [], [], [], []
         fakes_batch = []
         for z, si, ti in zip(z_batch, src_idx, tgt_idx):
@@ -296,12 +292,12 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
             fakes_batch.append(fakes)
             fake_logits, fake_hidden = {}, []
             for v in VIEWS:
-                logits, hidden = translation.discriminate(fakes[v], dparams, det)
+                logits, hidden = translation.discriminate(fakes[v], det, dparams.n_scales)
                 fake_logits[v] = logits
                 fake_hidden.extend(hidden)
             real_hidden = []
             for v in VIEWS:
-                _, hidden = translation.discriminate(tgt.images[v], dparams, det)
+                _, hidden = translation.discriminate(tgt.images[v], det, dparams.n_scales)
                 real_hidden.extend(hidden)
             adv_terms.append(losses.adv_loss_generator(fake_logits))
             perc_terms.append(
@@ -317,18 +313,18 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
             "feat": ad.mean_n(feat_terms),
             "stereo": ad.mean_n(stereo_terms),
         }
-        loss_g = losses.full_objective(components, weights)["loss_G"]
+        loss_g = losses.generator_objective(components, weights)
         _descend(loss_g, tparams.params, g_state)
 
-        # discriminator step on pre-step fakes
-        _advance_spectral(dparams)
+        # discriminator step on pre-step fakes; one power iteration per kernel
+        d_weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=True)
         adv_c_terms = []
         for fakes, si, ti in zip(fakes_batch, src_idx, tgt_idx):
             src = source.samples[si]
             tgt = target.samples[ti]
-            fl = {v: translation.discriminate(fakes[v].detach(), dparams)[0] for v in VIEWS}
-            rs = {v: translation.discriminate(src.images[v], dparams)[0] for v in VIEWS}
-            rt = {v: translation.discriminate(tgt.images[v], dparams)[0] for v in VIEWS}
+            fl = {v: translation.discriminate(fakes[v].detach(), d_weights, dparams.n_scales)[0] for v in VIEWS}
+            rs = {v: translation.discriminate(src.images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
+            rt = {v: translation.discriminate(tgt.images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
             adv_c_terms.append(losses.adv_loss_discriminator(fl, rs, rt))
         loss_c = ad.mean_n(adv_c_terms)
         _descend(loss_c, dparams.params, c_state)
@@ -400,7 +396,7 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
                 losses.reprojection_loss(tgt.images, tpreds, alpha=weights.alpha)
             )
         components = {"disp": ad.mean_n(disp_terms), "reproj": ad.mean_n(reproj_terms)}
-        loss_e = losses.full_objective(components, weights)["loss_E"]
+        loss_e = losses.matcher_objective(components, weights)
         _descend(loss_e, mparams.params, state)
         rows.append(
             [it, _fmt(components["disp"].item()), _fmt(components["reproj"].item()), _fmt(loss_e.item())]

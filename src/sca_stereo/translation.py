@@ -14,8 +14,10 @@ full-resolution image. This keeps the heavy convolutions off the full
 pixel grid.
 
 The discriminator is a small strided patch classifier applied at two image
-scales with spectral-normalized kernels, returning raw logit maps and the
-hidden activations used for feature matching.
+scales, returning raw logit maps and the hidden activations used for feature
+matching. Its kernels are spectral-normalized once per training step by
+:func:`spectral_weights`, and every :func:`discriminate` call of that step
+convolves with the same normalized weight dict.
 """
 
 from __future__ import annotations
@@ -337,42 +339,40 @@ def downsample_avg2(x: Tensor) -> Tensor:
     return ad._result(out, (x,), (vjp,))
 
 
-def _sn_conv(
-    x: Tensor,
-    dparams: DiscriminatorParams,
-    params: dict[str, Tensor],
-    name: str,
-    stride: int,
-    update_u: bool,
-) -> Tensor:
-    kernel = ad.spectral_normalize(params[name + ".w"], dparams.sn_states[name + ".w"], update=update_u)
-    return ad.conv2d(x, kernel, stride=stride, padding=1, bias=params[name + ".b"])
+def spectral_weights(
+    params: dict[str, Tensor], sn_states: dict[str, SpectralNormState], update: bool
+) -> dict[str, Tensor]:
+    """``params`` with each kernel named in ``sn_states`` divided by its spectral norm.
+
+    Biases pass through. ``update`` advances every power-iteration state once,
+    so call it with ``update=True`` on exactly one weight dict per step.
+    """
+    return {
+        name: ad.spectral_normalize(p, sn_states[name], update=update) if name in sn_states else p
+        for name, p in params.items()
+    }
 
 
 def discriminate(
-    image: Tensor,
-    dparams: DiscriminatorParams,
-    params: dict[str, Tensor] | None = None,
-    update_u: bool = False,
+    image: Tensor, weights: dict[str, Tensor], n_scales: int
 ) -> tuple[list[Tensor], list[list[Tensor]]]:
-    """Raw patch logit maps and hidden activations at every scale.
+    """Raw patch logit maps and hidden activations at each of ``n_scales`` scales.
 
-    Pass a detached parameter dict via ``params`` to keep the call off the
-    discriminator's own tape (used for generator updates). ``update_u``
-    advances the power-iteration state and should be set on exactly one
-    forward per training step.
+    ``weights`` is a :func:`spectral_weights` dict, built once per training
+    step and shared by all of that step's calls; build it from detached
+    parameters to keep the calls off the discriminator's own tape (used for
+    generator updates).
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"image must be [3,H,W], got shape {image.shape}")
-    p = dparams.params if params is None else params
     logits: list[Tensor] = []
     hidden: list[list[Tensor]] = []
     x_scale = image
-    for s in range(dparams.n_scales):
-        h1 = ad.leaky_relu(_sn_conv(x_scale, dparams, p, f"disc{s}.conv1", 2, update_u))
-        h2 = ad.leaky_relu(_sn_conv(h1, dparams, p, f"disc{s}.conv2", 2, update_u))
-        logits.append(_sn_conv(h2, dparams, p, f"disc{s}.logit", 1, update_u))
+    for s in range(n_scales):
+        h1 = ad.leaky_relu(conv(x_scale, weights, f"disc{s}.conv1", stride=2))
+        h2 = ad.leaky_relu(conv(h1, weights, f"disc{s}.conv2", stride=2))
+        logits.append(conv(h2, weights, f"disc{s}.logit"))
         hidden.append([h1, h2])
-        if s + 1 < dparams.n_scales:
+        if s + 1 < n_scales:
             x_scale = downsample_avg2(x_scale)
     return logits, hidden

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sca_stereo import autodiff as ad
 from sca_stereo import checkpoint, training
 from sca_stereo.cli import main
 from sca_stereo.config import RunConfig, apply_overrides, load_config
@@ -367,6 +368,23 @@ class TestPipelineCommands:
         main(["--config", str(cfg_path), "--no-sca", "train-translator"])
         arrays = checkpoint.load_arrays(base / "ckpt" / "translator.ckpt")
         assert not any(".wq" in k for k in arrays)
+
+    def test_translator_normalizes_each_kernel_once_per_step(self, tiny_env, monkeypatch):
+        # 6 kernels, normalized once in the generator step and once in the
+        # discriminator step, however many discriminate calls a batch makes
+        _, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        calls = []
+        original = ad.spectral_normalize
+        monkeypatch.setattr(ad, "spectral_normalize", lambda *a, **k: calls.append(1) or original(*a, **k))
+        counts = []
+        for iters in (1, 2):
+            config = load_config(cfg_path)
+            config.translator_iters, config.translator_batch = iters, 2
+            calls.clear()
+            training.train_translator(config)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 12
 
     def test_adapt_checkpoint_mismatch_is_config_error(self, tiny_env):
         base, cfg_path = tiny_env

@@ -335,7 +335,6 @@ class TestFullObjective:
     def _components(self):
         return {
             "adv_g": ad.constant(np.array(2.0)),
-            "adv_c": ad.constant(np.array(3.0)),
             "perc": ad.constant(np.array(0.5)),
             "feat": ad.constant(np.array(0.25)),
             "stereo": ad.constant(np.array(0.1)),
@@ -345,16 +344,15 @@ class TestFullObjective:
 
     def test_paper_weights_arithmetic(self):
         weights = losses.LossWeights()  # 1.0, 1.0, 10.0, 0.1, 1.0, alpha 0.85
-        out = losses.full_objective(self._components(), weights)
-        assert out["loss_G"].item() == pytest.approx(2.0 + 0.5 + 0.25 + 1.0, abs=1e-12)
-        assert out["loss_C"].item() == pytest.approx(3.0)
-        assert out["loss_E"].item() == pytest.approx(0.1 * 4.0 + 1.5, abs=1e-12)
+        loss_g = losses.generator_objective(self._components(), weights)
+        loss_e = losses.matcher_objective(self._components(), weights)
+        assert loss_g.item() == pytest.approx(2.0 + 0.5 + 0.25 + 1.0, abs=1e-12)
+        assert loss_e.item() == pytest.approx(0.1 * 4.0 + 1.5, abs=1e-12)
 
     def test_zero_weights_endpoint(self):
         weights = losses.LossWeights(0.0, 0.0, 0.0, 0.0, 0.0, alpha=0.85)
-        out = losses.full_objective(self._components(), weights)
-        assert out["loss_E"].item() == 0.0
-        assert out["loss_G"].item() == pytest.approx(2.0)
+        assert losses.matcher_objective(self._components(), weights).item() == 0.0
+        assert losses.generator_objective(self._components(), weights).item() == pytest.approx(2.0)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

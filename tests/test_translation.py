@@ -236,40 +236,76 @@ class TestGenerate:
         assert err <= 1e-5
 
 
+def tiny_discriminator(seed, n_scales=2):
+    return translation.DiscriminatorParams(np.random.default_rng(seed), base_channels=4, n_scales=n_scales)
+
+
 class TestDiscriminator:
     def test_logit_shapes_follow_stride_formula(self):
-        dparams = translation.DiscriminatorParams(np.random.default_rng(0), base_channels=4, n_scales=2)
+        dparams = tiny_discriminator(0)
         img = ad.constant(np.random.default_rng(1).uniform(0, 1, (3, 16, 32)))
-        logits, hidden = translation.discriminate(img, dparams)
+        weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=False)
+        logits, hidden = translation.discriminate(img, weights, dparams.n_scales)
         assert logits[0].shape == (1, 4, 8)  # 16 -> 8 -> 4 via two stride-2 convs
         assert logits[1].shape == (1, 2, 4)  # half-size input
         assert len(hidden) == 2 and len(hidden[0]) == 2
 
     def test_deterministic(self):
-        dparams = translation.DiscriminatorParams(np.random.default_rng(0), base_channels=4)
+        dparams = tiny_discriminator(0)
         img = ad.constant(np.random.default_rng(2).uniform(0, 1, (3, 8, 8)))
-        a, _ = translation.discriminate(img, dparams)
-        b, _ = translation.discriminate(img, dparams)
-        for x, y in zip(a, b):
+        run = lambda: translation.discriminate(
+            img, translation.spectral_weights(dparams.params, dparams.sn_states, update=False), dparams.n_scales
+        )[0]
+        for x, y in zip(run(), run()):
             assert np.array_equal(x.data, y.data)
 
     def test_effective_kernels_unit_spectral_norm(self):
-        dparams = translation.DiscriminatorParams(np.random.default_rng(3), base_channels=4)
-        img = ad.constant(np.random.default_rng(4).uniform(0, 1, (3, 8, 8)))
+        dparams = tiny_discriminator(3)
         for _ in range(100):
-            translation.discriminate(img, dparams, update_u=True)
-        for name, state in dparams.sn_states.items():
-            eff = ad.spectral_normalize(dparams.params[name], state, update=False).data
-            mat = eff.reshape(eff.shape[0], -1)
-            sigma = np.linalg.svd(mat, compute_uv=False)[0]  # oracle
-            assert sigma <= 1.0 + 1e-3
+            weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=True)
+        assert set(weights) == set(dparams.params)
+        for name, p in dparams.params.items():
+            if name in dparams.sn_states:
+                mat = weights[name].data.reshape(p.shape[0], -1)
+                sigma = np.linalg.svd(mat, compute_uv=False)[0]  # oracle
+                assert sigma <= 1.0 + 1e-3
+            else:
+                assert weights[name] is p  # biases pass through
 
     def test_detached_params_carry_no_grads(self):
-        dparams = translation.DiscriminatorParams(np.random.default_rng(5), base_channels=4)
-        det = translation.detach_params(dparams.params)
+        dparams = tiny_discriminator(5)
+        det = translation.spectral_weights(
+            translation.detach_params(dparams.params), dparams.sn_states, update=False
+        )
         img = ad.constant(np.random.default_rng(6).uniform(0, 1, (3, 8, 8)))
-        logits, _ = translation.discriminate(img, dparams, det)
+        logits, _ = translation.discriminate(img, det, dparams.n_scales)
         assert not logits[0].requires_grad
+
+    def test_shared_weights_gradient_matches_per_call_weights(self):
+        # one normalized weight dict shared by all calls of a step must give
+        # the gradient of normalizing the kernels anew in every call
+        rng = np.random.default_rng(7)
+        images = [ad.constant(rng.uniform(0, 1, (3, 8, 16))) for _ in range(6)]
+
+        def kernel_grads(per_call):
+            dparams = tiny_discriminator(8)
+            shared = translation.spectral_weights(dparams.params, dparams.sn_states, update=True)
+            logits = []
+            for img in images:
+                if per_call:
+                    weights = {}
+                    for name, p in dparams.params.items():
+                        state = dparams.sn_states.get(name)
+                        weights[name] = p if state is None else ad.spectral_normalize(p, state, update=False)
+                else:
+                    weights = shared
+                logits.extend(translation.discriminate(img, weights, dparams.n_scales)[0])
+            ad.backward(ad.add_n([ad.mean_all(ad.tanh(x)) for x in logits]))
+            return {name: dparams.params[name].grad_array() for name in dparams.sn_states}
+
+        shared, reference = kernel_grads(False), kernel_grads(True)
+        for name, g in reference.items():
+            assert np.max(np.abs(shared[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
 
 class TestCheckpointRoundTrip:
