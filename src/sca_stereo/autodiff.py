@@ -330,41 +330,51 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 DIRECTIONS = ("left_to_right", "right_to_left")
 
 
-def _offset_slices(width: int, d: int, direction: str):
-    """(query columns, candidate columns) slices for offset ``d``."""
+def _diagonal(width: int, d: int, direction: str):
+    """(query columns, flat positions in a row-major [W,W] matrix) of offset ``d``'s entries."""
     if direction == "left_to_right":
-        return slice(d, width), slice(0, width - d)  # candidate i - d
-    return slice(0, width - d), slice(d, width)  # candidate i + d
+        return slice(d, width), slice(d * width, width * width, width + 1)  # (i, i-d)
+    # (i, i+d) for i < W-d; further on the stride wraps to (i+1, i+d-W), so stop there
+    return slice(0, width - d), slice(d, (width - d) * width, width + 1)
+
+
+def _band_matmul(weights: Array, x: Array, direction: str, transpose: bool) -> Array:
+    """[C,H,W]: each row's [C,W] slice of ``x`` times that row's band, or its transpose.
+
+    ``band[j, i, cand(i, d)] = weights[d, j, i]``. The transpose of one
+    direction's diagonal lies where the other direction's does, so either
+    layout is filled directly.
+    """
+    _, h, w = weights.shape
+    layout = DIRECTIONS[DIRECTIONS.index(direction) ^ transpose]
+    band = np.zeros((h, w * w), dtype=np.float64)
+    for d in range(weights.shape[0]):
+        band[:, _diagonal(w, d, layout)[1]] = weights[d, :, _diagonal(w, d, direction)[0]]
+    out = np.empty(x.shape, dtype=np.float64)
+    np.matmul(np.ascontiguousarray(x.transpose(1, 0, 2)), band.reshape(h, w, w), out=out.transpose(1, 0, 2))
+    return out
 
 
 def _shifted_dot(a: Array, b: Array, d_max: int, direction: str) -> Array:
     """[d_max+1,H,W]: channel dot product of each query with each candidate."""
     _, h, w = a.shape
+    rows_a, rows_b = np.ascontiguousarray(a.transpose(1, 2, 0)), np.ascontiguousarray(b.transpose(1, 0, 2))
+    dots = np.matmul(rows_a, rows_b).reshape(h, w * w)
     out = np.zeros((d_max + 1, h, w), dtype=np.float64)
     for d in range(d_max + 1):
-        qs, cs = _offset_slices(w, d, direction)
-        out[d, :, qs] = (a[:, :, qs] * b[:, :, cs]).sum(axis=0)
+        qs, flat = _diagonal(w, d, direction)
+        out[d, :, qs] = dots[:, flat]
     return out
 
 
 def _shifted_gather(weights: Array, values: Array, direction: str) -> Array:
     """[C,H,W]: each query's candidate values summed with per-offset weights."""
-    w = values.shape[2]
-    out = np.zeros_like(values)
-    for d in range(weights.shape[0]):
-        qs, cs = _offset_slices(w, d, direction)
-        out[:, :, qs] += weights[d, :, qs][None] * values[:, :, cs]
-    return out
+    return _band_matmul(weights, values, direction, transpose=True)
 
 
 def _shifted_scatter(weights: Array, x: Array, direction: str) -> Array:
     """[C,H,W]: each query's ``x`` added into its candidates with per-offset weights."""
-    w = x.shape[2]
-    out = np.zeros_like(x)
-    for d in range(weights.shape[0]):
-        qs, cs = _offset_slices(w, d, direction)
-        out[:, :, cs] += weights[d, :, qs][None] * x[:, :, qs]
-    return out
+    return _band_matmul(weights, x, direction, transpose=False)
 
 
 def _check_shift(op: str, d_max: int, width: int, direction: str) -> None:
@@ -380,6 +390,13 @@ def shifted_dot(a: Tensor, b: Tensor, d_max: int, direction: str) -> Tensor:
     Output is [d_max+1,H,W] with ``out(d,j,i) = sum_c a(c,j,i) b(c,j,i-d)``
     for ``left_to_right`` and ``b(c,j,i+d)`` for ``right_to_left``.
     Candidates outside the image give 0.
+
+    The forward is one batched [H,W,C] @ [H,C,W] matmul, all query-candidate
+    dot products of each row, read off on its d_max+1 diagonals. Both vjps
+    place their weights on the diagonals of an [H,W,W] band, one [W,W]
+    matrix per row, and multiply each row's [C,W] input by it or its
+    transpose. The band (H*W*W floats, 8.4 MB at 64x128) lives only during
+    the call and is never kept on the tape.
     """
     if a.ndim != 3 or a.shape != b.shape:
         raise ValueError(f"shifted_dot: expected two equal [C,H,W] shapes, got {a.shape} and {b.shape}")
@@ -394,7 +411,9 @@ def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Ten
     ``weights`` is [n_d,H,W] and ``values`` [C,H,W]; output is [C,H,W] with
     ``out(c,j,i) = sum_d weights(d,j,i) values(c,j,i-d)`` (``i+d`` for
     ``right_to_left``), candidates outside the image skipped. This is the
-    adjoint of ``shifted_dot(., values)``.
+    adjoint of ``shifted_dot(., values)``: each row's [C,W] values times the
+    transpose of its band, one batched matmul against the transient [H,W,W]
+    band that :func:`shifted_dot` describes.
     """
     if weights.ndim != 3 or values.ndim != 3 or weights.shape[1:] != values.shape[1:]:
         raise ValueError(f"shifted_weighted_sum: incompatible shapes {weights.shape} and {values.shape}")
@@ -489,7 +508,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
         g_pad = pad(g)
         dflat = np.zeros_like(flat)
         for k_tap, tap in zip(k_taps, taps):
-            dflat[tap] += k_tap.T @ g_pad
+            # one output channel: an outer product, far slower as a matmul
+            dflat[tap] += k_tap.T * g_pad if c_out == 1 else k_tap.T @ g_pad
         dxp = dflat.reshape(s, s, c_in, hq + 1, wq).transpose(2, 3, 0, 4, 1).reshape(c_in, s * (hq + 1), s * wq)
         dx = np.zeros_like(x.data)
         dx[:, :, : s * wq - padding] = dxp[:, padding : padding + h, padding : padding + w]
@@ -540,53 +560,48 @@ def _boxsum(x: Array) -> Array:
     return out
 
 
-def _lerp_up_axis(x: Array, axis: int) -> Array:
-    """Double one axis with weights (0.25, 0.75) / (0.75, 0.25), clamped borders.
+def _lerp_up_axis(x: Array) -> Array:
+    """Double axis 0 with weights (0.25, 0.75) / (0.75, 0.25), clamped borders.
 
     Output o samples the input at (o + 0.5)/2 - 0.5, the half-pixel-centred
     bilinear grid: out[2i] = 0.25 x[i-1] + 0.75 x[i], out[2i+1] = 0.75 x[i]
     + 0.25 x[i+1].
     """
-    x = np.moveaxis(x, axis, -1)
-    prev = np.concatenate([x[..., :1], x[..., :-1]], axis=-1)
-    nxt = np.concatenate([x[..., 1:], x[..., -1:]], axis=-1)
-    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = 0.75 * x + 0.25 * prev
-    out[..., 1::2] = 0.75 * x + 0.25 * nxt
-    return np.moveaxis(out, -1, axis)
+    prev = np.concatenate([x[:1], x[:-1]])
+    nxt = np.concatenate([x[1:], x[-1:]])
+    out = np.empty((2 * len(x),) + x.shape[1:], dtype=np.float64)
+    out[0::2] = 0.75 * x + 0.25 * prev
+    out[1::2] = 0.75 * x + 0.25 * nxt
+    return out
 
 
-def _lerp_up_axis_transpose(g: Array, axis: int) -> Array:
-    """Adjoint of :func:`_lerp_up_axis` along ``axis``."""
-    g = np.moveaxis(g, axis, -1)
-    ge = g[..., 0::2]
-    go = g[..., 1::2]
-    dx = 0.75 * (ge + go)
-    # x[i] also feeds out[2(i+1)] with 0.25 (as prev) and out[2(i-1)+1] (as nxt)
-    dx[..., :-1] += 0.25 * ge[..., 1:]
-    dx[..., 0] += 0.25 * ge[..., 0]
-    dx[..., 1:] += 0.25 * go[..., :-1]
-    dx[..., -1] += 0.25 * go[..., -1]
-    return np.moveaxis(dx, -1, axis)
+@functools.lru_cache(maxsize=None)
+def _upsample_matrix(n: int, factor: int) -> Array:
+    """Read-only [n*factor, n] matrix of log2(factor) :func:`_lerp_up_axis` steps."""
+    u = np.eye(n)
+    while len(u) < n * factor:
+        u = _lerp_up_axis(u)
+    u.flags.writeable = False
+    return u
 
 
-def upsample_bilinear2(a: Tensor) -> Tensor:
-    """Bilinear 2x upsample of a [C,H,W] tensor (half-pixel-centred grid)."""
+def upsample_bilinear2(a: Tensor, factor: int = 2) -> Tensor:
+    """Bilinear upsample of a [C,H,W] tensor by a power-of-two ``factor``.
+
+    The result equals log2(factor) repeated 2x steps on the half-pixel-centred
+    grid with clamped borders. Each step is linear along one axis, so the
+    chain is one matrix per axis: the output is ``Uh a Uw^T`` per channel and
+    the vjp ``Uh^T g Uw``, two matmuls each way. ``U`` is cached per
+    (size, factor); its entries are exact dyadic rationals.
+    """
     if a.ndim != 3:
         raise ValueError(f"upsample_bilinear2 expects [C,H,W], got shape {a.shape}")
-    out = _lerp_up_axis(_lerp_up_axis(a.data, 1), 2)
-    return _result(out, (a,), (lambda g: _lerp_up_axis_transpose(_lerp_up_axis_transpose(g, 2), 1),))
-
-
-def upsample_pow2(a: Tensor, factor: int) -> Tensor:
-    """Repeated bilinear 2x upsampling for a power-of-two ``factor``."""
     if factor < 1 or (factor & (factor - 1)) != 0:
         raise ValueError(f"upsample factor must be a positive power of two, got {factor}")
-    out = a
-    while factor > 1:
-        out = upsample_bilinear2(out)
-        factor //= 2
-    return out
+    c, h, w = a.shape
+    uh, uw = _upsample_matrix(h, factor), _upsample_matrix(w, factor)
+    out = np.matmul(uh, (a.data.reshape(c * h, w) @ uw.T).reshape(c, h, w * factor))
+    return _result(out, (a,), (lambda g: (np.matmul(uh.T, g).reshape(c * h, -1) @ uw).reshape(c, h, w),))
 
 
 # ---------------------------------------------------------------------------

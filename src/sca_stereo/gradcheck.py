@@ -81,8 +81,10 @@ _REGISTRY: list[GradCheckCase] = []
 
 
 def register(name: str):
+    """Add a case; its builder gets one generator seeded with the run's seed."""
+
     def deco(build):
-        _REGISTRY.append(GradCheckCase(name, build))
+        _REGISTRY.append(GradCheckCase(name, lambda seed: build(np.random.default_rng(seed))))
         return build
 
     return deco
@@ -123,88 +125,75 @@ def _ensure_registry() -> None:
     from . import attention, geometry, losses, matcher, translation
 
     @register("add")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a, b = _rand(rng, 4, 5), _rand(rng, 4, 5)
         return lambda a, b: ad.mean_all(ad.add(a, b)), [a, b]
 
     @register("sub")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a, b = _rand(rng, 3, 7), _rand(rng, 3, 7)
         return lambda a, b: ad.mean_all(ad.mul(ad.sub(a, b), ad.sub(a, b))), [a, b]
 
     @register("mul")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a, b = _rand(rng, 6,), _rand(rng, 6)
         return lambda a, b: ad.sum_all(ad.mul(a, b)), [a, b]
 
     @register("div")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a = _rand(rng, 5)
         b = ad.tensor(rng.uniform(0.5, 2.0, 5), requires_grad=True)
         return lambda a, b: ad.mean_all(ad.div(a, b)), [a, b]
 
     @register("abs")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         # keep entries away from the kink at zero
         data = rng.uniform(0.2, 1.0, (4, 4)) * rng.choice([-1.0, 1.0], (4, 4))
         a = ad.tensor(data, requires_grad=True)
         return lambda a: ad.mean_all(ad.absolute(a)), [a]
 
     @register("matmul")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a, b = _rand(rng, 3, 4), _rand(rng, 4, 5)
         return lambda a, b: ad.mean_all(ad.matmul(a, b)), [a, b]
 
     @register("leaky_relu")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         data = rng.standard_normal((5, 5))
         data[np.abs(data) < 1e-2] += 0.1
         a = ad.tensor(data, requires_grad=True)
         return lambda a: ad.mean_all(ad.leaky_relu(a, 0.2)), [a]
 
     @register("relu")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         data = rng.standard_normal((4, 6))
         data[np.abs(data) < 1e-2] += 0.1
         a = ad.tensor(data, requires_grad=True)
         return lambda a: ad.mean_all(ad.relu(a)), [a]
 
     @register("tanh")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a = _rand(rng, 3, 4)
         return lambda a: ad.mean_all(ad.tanh(a)), [a]
 
     @register("softplus")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a = _rand(rng, 8)
         return lambda a: ad.mean_all(ad.softplus(a)), [a]
 
     @register("sqrt")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a = ad.tensor(rng.uniform(0.5, 3.0, 6), requires_grad=True)
         return lambda a: ad.mean_all(ad.sqrt(a)), [a]
 
     @register("softmax")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a = _rand(rng, 5)
         w = ad.constant(rng.standard_normal(5))
         return lambda a: ad.sum_all(ad.mul(ad.softmax(a, 0), w)), [a]
 
     @register("softmax_masked")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         data = rng.standard_normal((3, 4))
         a = ad.tensor(data, requires_grad=True)
         mask = np.zeros((3, 4))
@@ -214,22 +203,19 @@ def _ensure_registry() -> None:
         return lambda a: ad.sum_all(ad.mul(ad.softmax(ad.add(a, mask_t), 1), w)), [a]
 
     @register("conv2d")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 2, 6, 7)
         k = _rand(rng, 3, 2, 3, 3)
         return lambda x, k: ad.mean_all(ad.conv2d(x, k, stride=1, padding=1)), [x, k]
 
     @register("conv2d_strided")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 2, 8, 8)
         k = _rand(rng, 2, 2, 3, 3)
         return lambda x, k: ad.mean_all(ad.conv2d(x, k, stride=2, padding=1)), [x, k]
 
     @register("conv2d_bias")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 3, 7, 5)
         k = _rand(rng, 2, 3, 3, 3)
         b = _rand(rng, 2)
@@ -237,49 +223,49 @@ def _ensure_registry() -> None:
         return lambda x, k, b: ad.sum_all(ad.mul(ad.conv2d(x, k, stride=2, padding=1, bias=b), w)), [x, k, b]
 
     @register("box_filter3")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 2, 5, 6)
         w = ad.constant(rng.standard_normal((2, 5, 6)))
         return lambda x: ad.sum_all(ad.mul(ad.box_filter3(x), w)), [x]
 
     @register("upsample_bilinear2")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 2, 3, 4)
-        w = ad.constant(rng.standard_normal((2, 6, 8)))
-        return lambda x: ad.sum_all(ad.mul(ad.upsample_bilinear2(x), w)), [x]
+        w2 = ad.constant(rng.standard_normal((2, 6, 8)))
+        w8 = ad.constant(rng.standard_normal((2, 24, 32)))
+        return (
+            lambda x: ad.add(
+                ad.sum_all(ad.mul(ad.upsample_bilinear2(x), w2)),
+                ad.sum_all(ad.mul(ad.upsample_bilinear2(x, 8), w8)),
+            ),
+            [x],
+        )
 
     @register("flip_horizontal")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 2, 3, 5)
         w = ad.constant(rng.standard_normal((2, 3, 5)))
         return lambda x: ad.sum_all(ad.mul(ad.flip_horizontal(x), w)), [x]
 
     @register("concat_channels")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a, b = _rand(rng, 2, 3, 3), _rand(rng, 1, 3, 3)
         w = ad.constant(rng.standard_normal((3, 3, 3)))
         return lambda a, b: ad.sum_all(ad.mul(ad.concat_channels([a, b]), w)), [a, b]
 
     @register("instance_norm")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 2, 4, 5)
         w = ad.constant(rng.standard_normal((2, 4, 5)))
         return lambda x: ad.sum_all(ad.mul(ad.instance_norm(x), w)), [x]
 
     @register("mean_sum_reductions")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a = _rand(rng, 4, 3)
         return lambda a: ad.add(ad.mean_all(ad.mul(a, a)), ad.mulc(ad.sum_all(a), 0.1)), [a]
 
     @register("channel_mean_broadcast")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 3, 4, 4)
         w = ad.constant(rng.standard_normal((3, 4, 4)))
         return (
@@ -288,8 +274,7 @@ def _ensure_registry() -> None:
         )
 
     @register("sum_channels_mul_spatial")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 3, 4, 5)
         s = _rand(rng, 4, 5)
         w = ad.constant(rng.standard_normal((4, 5)))
@@ -299,15 +284,13 @@ def _ensure_registry() -> None:
         )
 
     @register("pixel_norm")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = ad.tensor(rng.standard_normal((3, 4, 5)) + 0.5, requires_grad=True)
         w = ad.constant(rng.standard_normal((3, 4, 5)))
         return lambda x: ad.sum_all(ad.mul(ad.pixel_norm(x), w)), [x]
 
     @register("spectral_normalize")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         k = _rand(rng, 3, 2, 3, 3)
         state = ad.SpectralNormState.for_kernel(k.shape, rng)
         for _ in range(30):
@@ -319,8 +302,7 @@ def _ensure_registry() -> None:
         )
 
     @register("backward_warp_features")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         f = _rand(rng, 2, 4, 8)
         # offsets away from integers so the tent kernel is smooth locally
         d = ad.tensor(rng.uniform(-2.3, 2.3, (4, 8)).round() + 0.37, requires_grad=True)
@@ -331,24 +313,38 @@ def _ensure_registry() -> None:
         )
 
     @register("shifted_dot")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a = _rand(rng, 3, 4, 7)
         b = _rand(rng, 3, 4, 7)
-        w = ad.constant(rng.standard_normal((4, 4, 7)))
-        return lambda a, b: ad.sum_all(ad.mul(ad.shifted_dot(a, b, 3, "right_to_left"), w)), [a, b]
+        # both directions, and the widest band d_max = W-1
+        terms = [(3, "right_to_left"), (3, "left_to_right"), (6, "right_to_left")]
+        ws = [ad.constant(rng.standard_normal((d_max + 1, 4, 7))) for d_max, _ in terms]
+
+        def fn(a, b):
+            outs = [ad.shifted_dot(a, b, d_max, direction) for d_max, direction in terms]
+            return ad.add_n([ad.sum_all(ad.mul(out, w)) for out, w in zip(outs, ws)])
+
+        return fn, [a, b]
 
     @register("shifted_weighted_sum")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         weights = _rand(rng, 3, 4, 7)
+        widest = _rand(rng, 7, 4, 7)  # d_max = W-1
         values = _rand(rng, 2, 4, 7)
-        w = ad.constant(rng.standard_normal((2, 4, 7)))
-        return lambda p, v: ad.sum_all(ad.mul(ad.shifted_weighted_sum(p, v, "left_to_right"), w)), [weights, values]
+        ws = [ad.constant(rng.standard_normal((2, 4, 7))) for _ in range(3)]
+
+        def fn(p, p_widest, v):
+            outs = [
+                ad.shifted_weighted_sum(p, v, "left_to_right"),
+                ad.shifted_weighted_sum(p, v, "right_to_left"),
+                ad.shifted_weighted_sum(p_widest, v, "left_to_right"),
+            ]
+            return ad.add_n([ad.sum_all(ad.mul(out, w)) for out, w in zip(outs, ws)])
+
+        return fn, [weights, widest, values]
 
     @register("epipolar_attention")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         q = _rand(rng, 3, 3, 6)
         k = _rand(rng, 3, 3, 6)
         f = _rand(rng, 2, 3, 6)
@@ -359,8 +355,7 @@ def _ensure_registry() -> None:
         )
 
     @register("sca_cross_attend_weights")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         d_in = 2
         fo = ad.constant(rng.standard_normal((d_in, 3, 5)))
         qsrc = ad.constant(rng.standard_normal((2 * d_in, 3, 5)))
@@ -376,30 +371,26 @@ def _ensure_registry() -> None:
         return fn, [wq, wk]
 
     @register("ssim")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         a = ad.tensor(rng.uniform(0.1, 0.9, (1, 5, 6)), requires_grad=True)
         b = ad.tensor(rng.uniform(0.1, 0.9, (1, 5, 6)), requires_grad=True)
         return lambda a, b: ad.mean_all(losses.ssim(a, b)), [a, b]
 
     @register("smooth_l1")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         data = rng.uniform(-2.0, 2.0, (4, 5))
         data[np.abs(np.abs(data) - 1.0) < 5e-2] += 0.2  # keep away from |x| = 1
         x = ad.tensor(data, requires_grad=True)
         return lambda x: ad.mean_all(losses.smooth_l1(x)), [x]
 
     @register("hinge_adv_generator")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         fl = _rand(rng, 1, 3, 4)
         fr = _rand(rng, 1, 3, 4)
         return lambda fl, fr: losses.adv_loss_generator({"left": [fl], "right": [fr]}), [fl, fr]
 
     @register("hinge_adv_discriminator")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         # shift logits away from the hinge kink at -1 / +1
         mk = lambda: ad.tensor(rng.uniform(-0.6, 0.6, (1, 3, 4)), requires_grad=True)
         fk, rs, rt = mk(), mk(), mk()
@@ -412,8 +403,7 @@ def _ensure_registry() -> None:
         return fn, [fk, rs, rt]
 
     @register("stereo_consistency_loss")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         h, w = 4, 8
         fl = _rand(rng, 2, h, w)
         fr = _rand(rng, 2, h, w)
@@ -434,8 +424,7 @@ def _ensure_registry() -> None:
         return fn, [fl, fr]
 
     @register("disparity_loss")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         h, w = 4, 6
         pl = ad.tensor(rng.uniform(1.0, 6.0, (h, w)), requires_grad=True)
         pr = ad.tensor(rng.uniform(1.0, 6.0, (h, w)), requires_grad=True)
@@ -449,8 +438,7 @@ def _ensure_registry() -> None:
         return fn, [pl, pr]
 
     @register("reprojection_loss")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         h, w = 4, 8
         il = ad.constant(rng.uniform(0.1, 0.9, (3, h, w)))
         ir = ad.constant(rng.uniform(0.1, 0.9, (3, h, w)))
@@ -463,8 +451,7 @@ def _ensure_registry() -> None:
         return fn, [pl, pr]
 
     @register("feature_matching_loss")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         fa = [_rand(rng, 2, 3, 3), _rand(rng, 3, 2, 2)]
         fb = [ad.constant(rng.standard_normal((2, 3, 3))), ad.constant(rng.standard_normal((3, 2, 2)))]
 
@@ -474,17 +461,15 @@ def _ensure_registry() -> None:
         return fn, fa
 
     @register("downsample_avg2")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         x = _rand(rng, 2, 4, 6)
         w = ad.constant(rng.standard_normal((2, 2, 3)))
         return lambda x: ad.sum_all(ad.mul(translation.downsample_avg2(x), w)), [x]
 
     @register("discriminate_shared_weights")
-    def _(seed):
+    def _(rng):
         # one normalized weight dict feeds two calls, so each sigma node has several consumers
-        rng = np.random.default_rng(seed)
-        dparams = translation.DiscriminatorParams(np.random.default_rng(seed + 1), base_channels=2)
+        dparams = translation.DiscriminatorParams(rng, base_channels=2)
         images = [ad.constant(rng.uniform(0, 1, (3, 8, 8))) for _ in range(2)]
         ws = [ad.constant(rng.standard_normal((1, 2, 2))), ad.constant(rng.standard_normal((1, 1, 1)))]
 
@@ -494,23 +479,21 @@ def _ensure_registry() -> None:
             return ad.add_n([ad.sum_all(ad.mul(x, w)) for pair in logits for x, w in zip(pair, ws)])
 
         inputs = [dparams.params["disc0.conv2.w"], dparams.params["disc1.conv1.b"]]
-        return fn, inputs, {"max_entries_per_input": 12, "rng": np.random.default_rng(seed + 2)}
+        return fn, inputs, {"max_entries_per_input": 12, "rng": rng}
 
     @register("fadain")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         fg = _rand(rng, 2, 4, 5)
         ft = _rand(rng, 2, 4, 5)
         w = ad.constant(rng.standard_normal((2, 4, 5)))
         return lambda fg, ft: ad.sum_all(ad.mul(translation.fadain(fg, ft), w)), [fg, ft]
 
     @register("fade_modulation")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         c = 2
         x = _rand(rng, c, 4, 5)
         content = ad.constant(rng.standard_normal((c, 4, 5)))
-        params = translation.init_fade_params(np.random.default_rng(seed + 1), "fade", c, c)
+        params = translation.init_fade_params(rng, "fade", c, c)
         w = ad.constant(rng.standard_normal((c, 4, 5)))
         tensors = [x] + [params[k] for k in sorted(params)]
 
@@ -520,12 +503,11 @@ def _ensure_registry() -> None:
         return fn, tensors
 
     @register("fade_resblock")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         c = 2
         x = _rand(rng, c, 4, 5)
         content = ad.constant(rng.standard_normal((c, 4, 5)))
-        params = translation.init_fade_resblock_params(np.random.default_rng(seed + 1), "rb", c, c)
+        params = translation.init_fade_resblock_params(rng, "rb", c, c)
         w = ad.constant(rng.standard_normal((c, 4, 5)))
         keys = sorted(params)
         tensors = [x] + [params[k] for k in keys]
@@ -533,11 +515,10 @@ def _ensure_registry() -> None:
         def fn(x, *_):
             return ad.sum_all(ad.mul(translation.fade_resblock(x, content, params, "rb"), w))
 
-        return fn, tensors, {"max_entries_per_input": 24, "rng": np.random.default_rng(seed + 2)}
+        return fn, tensors, {"max_entries_per_input": 24, "rng": rng}
 
     @register("sca_block_wq")
-    def _(seed):
-        rng = np.random.default_rng(seed)
+    def _(rng):
         c = 2
         fg = {
             "left": ad.constant(rng.standard_normal((c, 4, 6))),
@@ -547,7 +528,7 @@ def _ensure_registry() -> None:
             "left": ad.constant(rng.standard_normal((c, 4, 6))),
             "right": ad.constant(rng.standard_normal((c, 4, 6))),
         }
-        params = translation.init_sca_block_params(np.random.default_rng(seed + 1), "sca", c, d_max=2)
+        params = translation.init_sca_block_params(rng, "sca", c, d_max=2)
         w = ad.constant(rng.standard_normal((c, 4, 6)))
 
         def fn(wq):
@@ -557,9 +538,8 @@ def _ensure_registry() -> None:
         return fn, [params["sca.wq"]]
 
     @register("matcher_head")
-    def _(seed):
-        rng = np.random.default_rng(seed)
-        p = matcher.MatcherParams(np.random.default_rng(seed), channels=4, d_max=4)
+    def _(rng):
+        p = matcher.MatcherParams(rng, channels=4, d_max=4)
         il = ad.constant(rng.uniform(0, 1, (3, 8, 16)))
         ir = ad.constant(rng.uniform(0, 1, (3, 8, 16)))
         w = ad.constant(rng.standard_normal((8, 16)))
@@ -568,4 +548,4 @@ def _ensure_registry() -> None:
         def fn(_k):
             return ad.sum_all(ad.mul(matcher.predict_disparity(il, ir, p), w))
 
-        return fn, [p.params[key]], {"max_entries_per_input": 16, "rng": np.random.default_rng(seed + 2)}
+        return fn, [p.params[key]], {"max_entries_per_input": 16, "rng": rng}

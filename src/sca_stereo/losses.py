@@ -87,17 +87,18 @@ def stereo_consistency_loss(
 ) -> Tensor:
     """Occlusion-masked L1 between each view and the warp of the other view.
 
-    Applied per scale on generator features upsampled back to full
-    resolution (the translated images participate with factor 1), warped
-    under the ground-truth disparity of the base view, normalized by the
-    unoccluded pixel count, and summed over scales and both view orderings.
+    Applied per scale on generator features brought back to full resolution
+    by one :func:`autodiff.upsample_bilinear2` call at their factor (the
+    translated images participate as they are), warped under the
+    ground-truth disparity of the base view, normalized by the unoccluded
+    pixel count, and summed over scales and both view orderings.
     """
     full_res: dict[str, list[Tensor]] = {}
     for v in VIEWS:
         factors = [factor for _, factor in gen_feats[v]]
         if factors != [factor for _, factor in gen_feats[geometry.other_view(v)]]:
             raise ValueError("mismatched upsampling factors between views")
-        full_res[v] = [ad.upsample_pow2(f, factor) for f, factor in gen_feats[v]]
+        full_res[v] = [ad.upsample_bilinear2(f, factor) for f, factor in gen_feats[v]]
         if images is not None:
             full_res[v].append(images[v])
     terms = []

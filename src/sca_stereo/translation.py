@@ -251,7 +251,8 @@ def generate(
     top = tparams.n_scales - 1
     hc, wc = content_feats["left"][top].shape[1:]
     z_map = ad.broadcast_chan(z, hc, wc)
-    f_g = {v: ad.leaky_relu(conv(z_map, p, "gen.from_z")) for v in VIEWS}
+    f_z = ad.leaky_relu(conv(z_map, p, "gen.from_z"))  # one map for both views
+    f_g = {v: f_z for v in VIEWS}
     feats: dict[str, list[tuple[Tensor, int]]] = {v: [] for v in VIEWS}
     for k in range(top, -1, -1):
         f_g = {v: fadain(f_g[v], style_feats[v][k]) for v in VIEWS}

@@ -42,6 +42,25 @@ def backward_warp_oracle(feature, offset):
     return out
 
 
+def upsample_oracle(x, factor):
+    """Repeated 2x bilinear steps: output o samples (o + 0.5)/2 - 0.5, borders clamped."""
+    out = x
+    while factor > 1:
+        c, h, w = out.shape
+        up = np.zeros((c, 2 * h, 2 * w))
+        for oj in range(2 * h):
+            for oi in range(2 * w):
+                sj = (oj + 0.5) / 2 - 0.5
+                si = (oi + 0.5) / 2 - 0.5
+                j0, i0 = int(np.floor(sj)), int(np.floor(si))
+                for j, wj in ((j0, 1 - (sj - j0)), (j0 + 1, sj - j0)):
+                    for i, wi in ((i0, 1 - (si - i0)), (i0 + 1, si - i0)):
+                        up[:, oj, oi] += wj * wi * out[:, min(max(j, 0), h - 1), min(max(i, 0), w - 1)]
+        out = up
+        factor //= 2
+    return out
+
+
 def lr_occlusion_oracle(d_base, d_match, base_view):
     """Consistency mask: 1 where |D_b - warp(D_m, signed(D_b))| < 1."""
     h, w = d_base.shape

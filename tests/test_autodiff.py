@@ -5,7 +5,7 @@ from sca_stereo import autodiff as ad
 from sca_stereo.errors import NumericError
 from sca_stereo.gradcheck import check_gradients
 
-from oracles import conv2d_oracle
+from oracles import conv2d_oracle, upsample_oracle
 
 
 class TestTensor:
@@ -130,6 +130,21 @@ class TestConv2d:
             expected += b.data[:, None, None]
         assert np.max(np.abs(out.data - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_output_channel_input_gradient(self, stride):
+        # the C_out = 1 input vjp multiplies instead of calling matmul; pad
+        # the kernel with a zero channel to take the matmul path
+        rng = np.random.default_rng(15)
+        x1 = ad.tensor(rng.standard_normal((3, 7, 9)), requires_grad=True)
+        x2 = ad.tensor(x1.data.copy(), requires_grad=True)
+        k = rng.standard_normal((1, 3, 3, 3))
+        out1 = ad.conv2d(x1, ad.tensor(k), stride=stride, padding=1)
+        g = rng.standard_normal(out1.shape)
+        ad.backward(ad.sum_all(ad.mul(out1, ad.constant(g))))
+        out2 = ad.conv2d(x2, ad.tensor(np.concatenate([k, np.zeros_like(k)])), stride=stride, padding=1)
+        ad.backward(ad.sum_all(ad.mul(out2, ad.constant(np.concatenate([g, np.zeros_like(g)])))))
+        assert np.max(np.abs(x1.grad - x2.grad)) <= 1e-14
+
     def test_bias_shape_rejected(self):
         x = ad.tensor(np.zeros((2, 4, 4)))
         k = ad.tensor(np.zeros((3, 2, 3, 3)))
@@ -201,6 +216,26 @@ class TestShiftedOps:
         lhs = np.vdot(weights, ad.shifted_dot(ad.tensor(a), b, d_max, direction).data)
         rhs = np.vdot(a, ad.shifted_weighted_sum(ad.tensor(weights), b, direction).data)
         assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("direction", ad.DIRECTIONS)
+    def test_rerun_bit_identical(self, direction):
+        rng = np.random.default_rng(11)
+        a = ad.tensor(rng.standard_normal((3, 4, 9)), requires_grad=True)
+        b = ad.tensor(rng.standard_normal((3, 4, 9)), requires_grad=True)
+        weights = ad.tensor(rng.standard_normal((9, 4, 9)), requires_grad=True)
+        g_dot = rng.standard_normal((9, 4, 9))
+        g_sum = rng.standard_normal((3, 4, 9))
+
+        def run():
+            a.grad = b.grad = weights.grad = None
+            dot = ad.shifted_dot(a, b, 8, direction)
+            mixed = ad.shifted_weighted_sum(weights, b, direction)
+            loss = ad.add(ad.sum_all(ad.mul(dot, ad.constant(g_dot))), ad.sum_all(ad.mul(mixed, ad.constant(g_sum))))
+            ad.backward(loss)
+            return [dot.data, mixed.data, a.grad.copy(), b.grad.copy(), weights.grad.copy()]
+
+        first, second = run(), run()
+        assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
     @pytest.mark.parametrize(
         "direction, d_max", [("up_to_down", 2), ("left_to_right", 9), ("right_to_left", -1)]
@@ -334,3 +369,41 @@ class TestPlumbingValues:
         rng = np.random.default_rng(6)
         x = ad.tensor(rng.standard_normal((2, 3, 5)))
         assert np.array_equal(ad.flip_horizontal(ad.flip_horizontal(x)).data, x.data)
+
+
+class TestUpsample:
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    def test_matches_oracle(self, factor):
+        x = np.random.default_rng(12).standard_normal((2, 3, 5))
+        out = ad.upsample_bilinear2(ad.tensor(x), factor).data
+        assert out.shape == (2, 3 * factor, 5 * factor)
+        assert np.max(np.abs(out - upsample_oracle(x, factor))) <= 1e-12
+
+    @pytest.mark.parametrize("factor", [2, 8])
+    def test_vjp_is_adjoint(self, factor):
+        # <U x, y> = <x, U^T y>
+        rng = np.random.default_rng(13)
+        x = ad.tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+        y = rng.standard_normal((2, 3 * factor, 5 * factor))
+        up = ad.upsample_bilinear2(x, factor)
+        ad.backward(ad.sum_all(ad.mul(up, ad.constant(y))))
+        assert abs(np.vdot(up.data, y) - np.vdot(x.data, x.grad)) <= 1e-12
+
+    def test_rerun_bit_identical(self):
+        rng = np.random.default_rng(14)
+        x = ad.tensor(rng.standard_normal((3, 5, 7)), requires_grad=True)
+        y = ad.constant(rng.standard_normal((3, 20, 28)))
+
+        def run():
+            x.grad = None
+            up = ad.upsample_bilinear2(x, 4)
+            ad.backward(ad.sum_all(ad.mul(up, y)))
+            return up.data, x.grad.copy()
+
+        (out_a, grad_a), (out_b, grad_b) = run(), run()
+        assert np.array_equal(out_a, out_b) and np.array_equal(grad_a, grad_b)
+
+    @pytest.mark.parametrize("factor", [0, 3])
+    def test_rejects_factor_not_a_power_of_two(self, factor):
+        with pytest.raises(ValueError):
+            ad.upsample_bilinear2(ad.tensor(np.zeros((1, 2, 2))), factor)
