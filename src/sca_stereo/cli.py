@@ -42,7 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translator-ckpt", type=Path, required=True)
     p.add_argument("--sample-ids", type=int, nargs="*", default=None)
 
-    sub.add_parser("gradcheck", help="finite-difference battery over all registered ops")
+    sub.add_parser(
+        "gradcheck", help="finite-difference battery of all ops on random output gradients: constant ones hide bad vjps"
+    )
     return parser
 
 

@@ -45,16 +45,22 @@ def init_conv(
     c_out: int,
     k: int = 3,
     weight_scale: float = 1.0,
-    bias_init: float = 0.0,
+    bias_init: float | None = 0.0,
 ) -> None:
+    """Add ``name.w`` and, unless ``bias_init`` is None, ``name.b``.
+
+    Leave out the bias of a conv whose output feeds an instance norm: the
+    norm removes any per-channel constant, so that bias gets no gradient.
+    """
     fan_in = c_in * k * k
     std = weight_scale * np.sqrt(2.0 / fan_in)
     params[name + ".w"] = ad.tensor(rng.standard_normal((c_out, c_in, k, k)) * std, requires_grad=True)
-    params[name + ".b"] = ad.tensor(np.full(c_out, bias_init), requires_grad=True)
+    if bias_init is not None:
+        params[name + ".b"] = ad.tensor(np.full(c_out, bias_init), requires_grad=True)
 
 
 def conv(x: Tensor, params: dict[str, Tensor], name: str, stride: int = 1, padding: int = 1) -> Tensor:
-    return ad.conv2d(x, params[name + ".w"], stride=stride, padding=padding, bias=params[name + ".b"])
+    return ad.conv2d(x, params[name + ".w"], stride=stride, padding=padding, bias=params.get(name + ".b"))
 
 
 def detach_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -100,7 +106,7 @@ def init_fade_resblock_params(
     params: dict[str, Tensor] = {}
     params.update(init_fade_params(rng, prefix + ".fade1", channels, content_channels))
     params.update(init_fade_params(rng, prefix + ".fade2", channels, content_channels))
-    init_conv(params, rng, prefix + ".conv1", channels, channels)
+    init_conv(params, rng, prefix + ".conv1", channels, channels, bias_init=None)  # feeds fade2's instance norm
     init_conv(params, rng, prefix + ".conv2", channels, channels)
     return params
 
@@ -121,7 +127,8 @@ def init_sca_block_params(rng: np.random.Generator, prefix: str, channels: int, 
     std = np.sqrt(1.0 / (2 * channels))
     params[prefix + ".wq"] = ad.tensor(rng.standard_normal((channels, 2 * channels)) * std, requires_grad=True)
     params[prefix + ".wk"] = ad.tensor(rng.standard_normal((channels, 2 * channels)) * std, requires_grad=True)
-    init_conv(params, rng, prefix + ".res", channels, channels, weight_scale=0.1)
+    # the residual sum feeds the fade's instance norm
+    init_conv(params, rng, prefix + ".res", channels, channels, weight_scale=0.1, bias_init=None)
     params.update(init_fade_params(rng, prefix + ".fade", channels, channels))
     return params
 

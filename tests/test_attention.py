@@ -3,7 +3,6 @@ import pytest
 
 from sca_stereo import attention
 from sca_stereo import autodiff as ad
-from sca_stereo.gradcheck import check_gradients
 
 from oracles import sca_oracle
 
@@ -123,20 +122,6 @@ class TestCrossAttend:
         src = ad.tensor(rng.standard_normal((4, 3, 5)))
         with pytest.raises(ValueError):
             attention.sca_cross_attend(fo, src, src, w_q, w_k, 1, "left_to_right")
-
-    def test_gradcheck_through_attention(self):
-        rng = np.random.default_rng(9)
-        q = ad.tensor(rng.standard_normal((2, 3, 7)), requires_grad=True)
-        k = ad.tensor(rng.standard_normal((2, 3, 7)), requires_grad=True)
-        v = ad.tensor(rng.standard_normal((2, 3, 7)), requires_grad=True)
-        wgt = ad.constant(rng.standard_normal((2, 3, 7)))
-        err = check_gradients(
-            lambda q, k, v: ad.sum_all(
-                ad.mul(attention.epipolar_attention(q, k, v, 3, "right_to_left"), wgt)
-            ),
-            [q, k, v],
-        )
-        assert err <= 1e-5
 
 
 class TestScaledDmax:

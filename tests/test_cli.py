@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import checkpoint, training
+from sca_stereo import checkpoint, gradcheck, training
 from sca_stereo.cli import main
 from sca_stereo.config import RunConfig, apply_overrides, load_config
 from sca_stereo.errors import ConfigError, FormatError
@@ -435,5 +435,7 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l.startswith("ok") or l.startswith("FAIL")]
         ops = {l.split()[1] for l in lines}
-        assert len(ops) >= 15
+        assert ops == set(gradcheck.CASES)
+        assert len(ops) == 46
+        assert len(lines) == 46 * 3
         assert all(l.startswith("ok") for l in lines)

@@ -4,7 +4,6 @@ import pytest
 from sca_stereo import autodiff as ad
 from sca_stereo import geometry
 from sca_stereo.errors import UndefinedMetricError
-from sca_stereo.gradcheck import check_gradients
 
 from oracles import backward_warp_oracle, lr_occlusion_oracle
 
@@ -94,16 +93,6 @@ class TestBackwardWarp:
             ad.tensor(g), offset
         ).data
         assert np.max(np.abs(combined - separate)) <= 1e-12
-
-    def test_gradients_at_interior(self):
-        rng = np.random.default_rng(5)
-        f = ad.tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
-        offset = ad.tensor(rng.uniform(-1.0, 1.0, (3, 8)) + 0.29, requires_grad=True)
-        w = ad.constant(rng.standard_normal((2, 3, 8)))
-        err = check_gradients(
-            lambda f, o: ad.sum_all(ad.mul(geometry.backward_warp(f, o), w)), [f, offset]
-        )
-        assert err <= 1e-5
 
     def test_feature_gradient_matches_add_at_bitwise(self):
         rng = np.random.default_rng(6)

@@ -2,6 +2,9 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sca_stereo
 from sca_stereo import autodiff as ad
 from sca_stereo import gradcheck
@@ -35,7 +38,7 @@ def test_only_autodiff_accumulates_gradients():
 
 
 def test_battery_reaches_every_op_that_records_a_tape_node(monkeypatch):
-    built = [case.build(0) for case in gradcheck.registered_cases()]
+    checks = [make(np.random.default_rng(0)) for make in gradcheck.CASES.values()]
     reached = set()
     original = ad._result
 
@@ -45,9 +48,52 @@ def test_battery_reaches_every_op_that_records_a_tape_node(monkeypatch):
         return original(data, parents, backward_fn)
 
     monkeypatch.setattr(ad, "_result", recording)
-    for fn, inputs, *_ in built:
-        fn(*inputs)
+    for op, inputs, _ in checks:
+        op(*inputs)
     callers = _result_callers()
     assert ("autodiff.py", "shifted_dot") in callers  # the scan finds both call styles
     assert ("translation.py", "downsample_avg2") in callers
     assert callers - reached == set()
+
+
+# Each mutant below is a wrong vjp that is right whenever the output gradient
+# is constant, so only a random cotangent tells it from the real op.
+
+
+def _row_averaging_matmul(a, b):
+    """``matmul`` whose input vjp averages the output gradient over rows."""
+    vjp_a = lambda g: np.broadcast_to(g.mean(axis=0), g.shape) @ b.data.T
+    return ad._result(a.data @ b.data, (a, b), (vjp_a, lambda g: a.data.T @ g))
+
+
+def _reversed_output_grad(op, axes):
+    """``op`` with the gradient of each of its outputs reversed along ``axes`` before its vjps."""
+
+    def mutant(*inputs):
+        outs = op(*inputs)
+        reverse = lambda out: ad._result(out.data, (out,), (lambda g: np.flip(g, axes),))
+        return [reverse(o) for o in outs] if isinstance(outs, list) else reverse(outs)
+
+    return mutant
+
+
+MUTANTS = [
+    ("matmul", lambda op: _row_averaging_matmul),
+    ("conv2d", lambda op: _reversed_output_grad(op, (1, 2))),
+    ("conv2d_strided", lambda op: _reversed_output_grad(op, (1, 2))),
+    ("shifted_dot", lambda op: _reversed_output_grad(op, 1)),
+    ("shifted_weighted_sum", lambda op: _reversed_output_grad(op, 1)),
+]
+
+
+@pytest.mark.parametrize("name, mutate", MUTANTS, ids=[name for name, _ in MUTANTS])
+def test_row_fails_a_mutant_right_only_for_constant_gradients(name, mutate):
+    make = gradcheck.CASES[name]
+
+    def mutated(rng):
+        check = make(rng)
+        return check._replace(op=mutate(check.op))
+
+    for seed in (0, 1, 2):
+        assert gradcheck.run_case(make, seed) <= 1e-5
+        assert gradcheck.run_case(mutated, seed) > 1e-5

@@ -97,7 +97,7 @@ class TestPredictDisparity:
         right = ad.constant(rng.uniform(0, 1, (3, 8, 16)))
 
         def fn(_w):
-            return ad.mean_all(matcher.predict_disparity(left, right, m))
+            return matcher.predict_disparity(left, right, m)
 
         err = check_gradients(
             fn, [m.params["matcher.feat1.w"]], max_entries_per_input=12,

@@ -81,24 +81,10 @@ class TestFadeResblock:
         rng = np.random.default_rng(4)
         c = 2
         params = translation.init_fade_resblock_params(np.random.default_rng(1), "rb", c, c)
-        params["rb.conv1.b"].data[:] = 0.0
         x = ad.tensor(rng.standard_normal((c, 4, 4)))
         single = ad.conv2d(x, params["rb.conv1.w"], stride=1, padding=1)
         double = ad.conv2d(ad.mulc(x, 2.0), params["rb.conv1.w"], stride=1, padding=1)
         assert np.max(np.abs(double.data - 2.0 * single.data)) <= 1e-12
-
-    def test_modulation_gradcheck(self):
-        params = translation.init_fade_resblock_params(np.random.default_rng(2), "rb", 2, 2)
-        rng = np.random.default_rng(5)
-        x = ad.constant(rng.standard_normal((2, 4, 5)))
-        content = ad.constant(rng.standard_normal((2, 4, 5)))
-        w = ad.constant(rng.standard_normal((2, 4, 5)))
-        inputs = [params["rb.fade1.gamma.w"], params["rb.fade1.beta.w"]]
-
-        def fn(*_):
-            return ad.sum_all(ad.mul(translation.fade_resblock(x, content, params, "rb"), w))
-
-        assert check_gradients(fn, inputs) <= 1e-5
 
 
 class TestScaBlock:
@@ -116,27 +102,12 @@ class TestScaBlock:
         c = 2
         params = translation.init_sca_block_params(np.random.default_rng(4), "sca", c, d_max=2)
         params["sca.res.w"].data[:] = 0.0
-        params["sca.res.b"].data[:] = 0.0
         fg = {v: ad.tensor(rng.standard_normal((c, 4, 6))) for v in VIEWS}
         fc = {v: ad.tensor(rng.standard_normal((c, 4, 6))) for v in VIEWS}
         out = translation.sca_block(fg, fc, params, "sca", 2)
         for v in VIEWS:
             expected = translation.fade_modulation(fg[v], fc[v], params, "sca.fade")
             assert np.array_equal(out[v].data, expected.data)
-
-    def test_wq_gradcheck(self):
-        c = 2
-        params = translation.init_sca_block_params(np.random.default_rng(5), "sca", c, d_max=2)
-        rng = np.random.default_rng(8)
-        fg = {v: ad.constant(rng.standard_normal((c, 4, 6))) for v in VIEWS}
-        fc = {v: ad.constant(rng.standard_normal((c, 4, 6))) for v in VIEWS}
-        w = ad.constant(rng.standard_normal((c, 4, 6)))
-
-        def fn(_wq):
-            out = translation.sca_block(fg, fc, params, "sca", 2)
-            return ad.sum_all(ad.mul(ad.add(out["left"], out["right"]), w))
-
-        assert check_gradients(fn, [params["sca.wq"]]) <= 1e-5
 
 
 class TestStreams:
@@ -228,12 +199,25 @@ class TestGenerate:
             images, _ = translation.translate(
                 src.images, src.disparities, tgt.images, z, tparams, src.rig
             )
-            return ad.mean_all(ad.add(images["left"], images["right"]))
+            return [images["left"], images["right"]]
 
         err = check_gradients(
             fn, [wq], max_entries_per_input=8, rng=np.random.default_rng(2)
         )
         assert err <= 1e-5
+
+
+class TestParameters:
+    def test_no_bias_feeds_an_instance_norm(self):
+        # such a bias adds a per-channel constant that the norm removes, so its gradient is zero
+        tparams = tiny_translator(sca=True, seed=5)
+        src, tgt = scene_inputs(4)
+        z = ad.constant(np.random.default_rng(1).standard_normal(tparams.z_channels))
+        images, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+        cotangent = ad.constant(np.random.default_rng(3).standard_normal((6, 16, 32)))
+        ad.backward(ad.sum_all(ad.mul(ad.concat_channels([images["left"], images["right"]]), cotangent)))
+        grads = {k: np.abs(p.grad_array()).max() for k, p in tparams.params.items() if k.endswith(".b")}
+        assert {k for k, g in grads.items() if g < 1e-8 * max(grads.values())} == set()
 
 
 def tiny_discriminator(seed, n_scales=2):
