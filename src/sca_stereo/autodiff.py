@@ -9,6 +9,12 @@ aliases ``g`` or is read-only. Calling :func:`backward` on a scalar walks
 the recorded graph in reverse topological order with a fixed,
 insertion-ordered schedule, so repeated runs are bit-identical.
 
+Backward consumes the graph; ``detach()`` to reuse an output. Only leaves
+(parameters and inputs that require grad) keep a gradient, and once the
+walk ends every op output it visited drops its parents and its vjps, so
+the saved arrays die with the caller's last reference. A second backward
+through a consumed output raises ``ValueError``.
+
 Also home to the Adam optimizer and spectral normalization, since both act
 directly on parameter tensors.
 """
@@ -108,12 +114,27 @@ def _result(data, parents, vjps) -> Tensor:
     return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
 
 
+_CONSUMED = "graph already consumed by backward; detach() an output to reuse it"
+
+
+def _consumed(g):
+    raise ValueError(_CONSUMED)
+
+
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every reachable requires_grad tensor.
+    """Populate ``grad`` on every reachable leaf, then free the graph.
 
     ``loss`` must be a scalar (shape ``()``). Accumulation order is the
     reverse of a depth-first post-order over parents in insertion order,
     which makes gradient values bit-reproducible across runs.
+
+    Backward consumes the graph; ``detach()`` to reuse an output. Each op
+    output's ``grad`` is dropped as soon as its vjps have run, so only leaves
+    (tensors that require grad and have no ``_backward``) keep a gradient.
+    When the walk ends every op output it visited loses its parents and its
+    backward closure, whose saved arrays die with the caller's last
+    reference. Walking a consumed node again raises ``ValueError`` before
+    any gradient is touched.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -129,6 +150,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _consumed:
+            raise ValueError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
         # reversed so that parents are visited in insertion order
@@ -139,6 +162,11 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
+    for node in order:
+        if node._backward is not None:
+            node._backward = _consumed
+            node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +218,15 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    factor = np.where(a.data > 0, 1.0, slope)
-    return _result(a.data * factor, (a,), (lambda g: g * factor,))
+    """``a`` where positive, else ``slope * a``.
+
+    For ``slope`` in (0, 1] that is ``max(a, slope * a)``, infinities
+    included; slope 0 is :func:`relu`.
+    """
+    if not 0.0 < slope <= 1.0:
+        raise ValueError(f"leaky_relu: slope must be in (0, 1], got {slope}")
+    mask = a.data > 0
+    return _result(np.maximum(a.data, slope * a.data), (a,), (lambda g: np.where(mask, g, g * slope),))
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -63,26 +63,34 @@ def check_gradients(
     def contracted() -> float:
         return sum(float(np.sum(o.data * c)) for o, c in zip(_outputs(fn, inputs), cotangents))
 
+    # the differences only read values, so the inputs record no tape meanwhile
+    checked = [t.requires_grad for t in inputs]
     worst = 0.0
-    for t, g in zip(inputs, grads):
-        if not t.requires_grad:
-            continue
-        flat = t.data.ravel()
-        n = flat.size
-        if max_entries_per_input is not None and n > max_entries_per_input:
-            indices = rng.choice(n, size=max_entries_per_input, replace=False)
-        else:
-            indices = range(n)
-        g_flat = g.ravel()
-        for idx in indices:
-            orig = flat[idx]
-            flat[idx] = orig + h
-            f_plus = contracted()
-            flat[idx] = orig - h
-            f_minus = contracted()
-            flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            worst = max(worst, relative_error(g_flat[idx], numeric))
+    try:
+        for t in inputs:
+            t.requires_grad = False
+        for t, g, check in zip(inputs, grads, checked):
+            if not check:
+                continue
+            flat = t.data.ravel()
+            n = flat.size
+            if max_entries_per_input is not None and n > max_entries_per_input:
+                indices = rng.choice(n, size=max_entries_per_input, replace=False)
+            else:
+                indices = range(n)
+            g_flat = g.ravel()
+            for idx in indices:
+                orig = flat[idx]
+                flat[idx] = orig + h
+                f_plus = contracted()
+                flat[idx] = orig - h
+                f_minus = contracted()
+                flat[idx] = orig
+                numeric = (f_plus - f_minus) / (2.0 * h)
+                worst = max(worst, relative_error(g_flat[idx], numeric))
+    finally:
+        for t, check in zip(inputs, checked):
+            t.requires_grad = check
     return worst
 
 

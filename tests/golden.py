@@ -1,0 +1,82 @@
+"""Golden outputs of the tiny CLI pipeline that ``test_cli`` runs.
+
+``tiny_pipeline.json`` holds the exact text of every loss log, the evaluate
+CSV and ``consistency.csv``, with the numpy and BLAS versions that wrote
+them. Low-order bits depend on both, so a run under other versions is not
+compared. A change that moves low-order bits on purpose regenerates the
+file, and the drift shows in the diff:
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from sca_stereo.cli import main
+
+GOLDEN = Path(__file__).with_name("tiny_pipeline.json")
+
+FILES = (
+    "pretrain_loss.csv",
+    "pretrain_val.csv",
+    "translator_loss.csv",
+    "adapt_loss.csv",
+    "evaluate_target_test.csv",
+    "consistency.csv",
+)
+
+
+def versions() -> dict[str, str]:
+    blas = {}
+    with contextlib.suppress(Exception):  # the config API differs across numpy versions
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()}
+
+
+def load() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def version_mismatch(golden: dict) -> str | None:
+    """Why a run here cannot be compared with ``golden``, or None if it can."""
+    here = versions()
+    diff = [f"{k} {golden[k]!r} (golden) vs {here[k]!r}" for k in here if golden[k] != here[k]]
+    return "golden values were made under other versions: " + "; ".join(diff) if diff else None
+
+
+def run_pipeline(cfg_path: Path) -> dict[str, str]:
+    """Every CLI stage once on the config at ``cfg_path``, whose directories lie beside it; the text of each of FILES."""
+    base = cfg_path.parent
+    cfg = ["--config", str(cfg_path)]
+    g_ckpt = str(base / "ckpt" / "translator.ckpt")
+    for args in (
+        ["gen-data"],
+        ["pretrain"],
+        ["train-translator"],
+        ["adapt", "--translator-ckpt", g_ckpt, "--matcher-ckpt", str(base / "ckpt" / "matcher.ckpt")],
+        ["evaluate", "--matcher-ckpt", str(base / "ckpt" / "matcher_adapted.ckpt"), "--split", "target_test"],
+        ["translate", "--translator-ckpt", g_ckpt, "--sample-ids", "0", "2"],
+    ):
+        if main(cfg + args) != 0:
+            raise RuntimeError(f"stage {args[0]} failed")
+    return {name: (base / "out" / name).read_text() for name in FILES}
+
+
+def regenerate() -> None:
+    from test_cli import tiny_config_text
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "run.cfg"
+        cfg_path.write_text(tiny_config_text(tmp))
+        files = run_pipeline(cfg_path)
+    GOLDEN.write_text(json.dumps({**versions(), "files": files}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,58 @@ class TestBackward:
         mean_term = ad.sum_all(ad.mul(ad.channel_mean(a), ad.constant(w)))
         ad.backward(ad.add(ad.sum_all(ad.mul(a, ad.constant(v))), mean_term))
         assert np.array_equal(a.grad, v + w[:, None, None] / 12)
+
+
+class TestGraphLifetime:
+    def test_backward_frees_gradients_and_graph(self):
+        # 20 ops over [8,32,32]: keeping every op output's gradient costs about
+        # one array per op during the walk, and an unlinked tape stays alive
+        rng = np.random.default_rng(3)
+        x = ad.tensor(rng.standard_normal((8, 32, 32)), requires_grad=True)
+        ops = (ad.tanh, lambda a: ad.mulc(a, 0.9), ad.softplus, ad.leaky_relu)
+        tracemalloc.start()
+        try:
+            y = x
+            for k in range(20):
+                y = ops[k % 4](y)
+            loss = ad.sum_all(y)
+            del y
+            tape = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - tape) / x.data.nbytes <= 5
+        # only x.grad outlives the walk while the caller still holds loss
+        assert held / x.data.nbytes <= 1.5
+        assert loss._parents == () and loss.grad is None
+        assert x.grad is not None
+
+    def test_second_backward_raises_and_keeps_leaf_gradients(self):
+        x = ad.tensor([1.0, -2.0], requires_grad=True)
+        loss = ad.sum_all(ad.mul(x, x))
+        ad.backward(loss)
+        assert np.array_equal(x.grad, [2.0, -4.0])
+        with pytest.raises(ValueError, match="consumed"):
+            ad.backward(loss)
+        assert np.array_equal(x.grad, [2.0, -4.0])
+
+    def test_reused_output_needs_detach(self):
+        x = ad.tensor([1.0, -2.0], requires_grad=True)
+        w = ad.tensor([0.5, 3.0], requires_grad=True)
+        y = ad.mul(x, x)
+        ad.backward(ad.sum_all(y))
+        with pytest.raises(ValueError, match="detach"):
+            ad.backward(ad.sum_all(ad.mul(y, w)))
+        assert w.grad is None and np.array_equal(x.grad, [2.0, -4.0])
+        ad.backward(ad.sum_all(ad.mul(y.detach(), w)))
+        assert np.array_equal(w.grad, [1.0, 4.0])
+
+    def test_leaf_loss_keeps_its_gradient(self):
+        x = ad.tensor(2.0, requires_grad=True)
+        ad.backward(x)
+        assert x.grad == 1.0
 
 
 class TestConv2d:
@@ -369,6 +423,28 @@ class TestPlumbingValues:
         rng = np.random.default_rng(6)
         x = ad.tensor(rng.standard_normal((2, 3, 5)))
         assert np.array_equal(ad.flip_horizontal(ad.flip_horizontal(x)).data, x.data)
+
+
+class TestLeakyRelu:
+    @pytest.mark.parametrize("slope", [0.2, 1.0])
+    def test_matches_factor_form_bit_for_bit(self, slope):
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((3, 5, 7))
+        data[0, 0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        x = ad.tensor(data, requires_grad=True)
+        g = rng.standard_normal(data.shape)
+        g[0, 0, 2:4] = [1.0, -1.0]  # both infinities contract to +inf, not nan
+        out = ad.leaky_relu(x, slope)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        factor = np.where(data > 0, 1.0, slope)
+        assert np.array_equal(out.data, data * factor, equal_nan=True)
+        assert np.array_equal(x.grad, g * factor)
+
+    # at slope 0, max(a, 0 * a) is nan at +inf
+    @pytest.mark.parametrize("slope", [-0.1, 0.0, 1.5])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            ad.leaky_relu(ad.tensor([1.0]), slope)
 
 
 class TestUpsample:
