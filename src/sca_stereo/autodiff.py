@@ -208,8 +208,7 @@ def mulc(a: Tensor, c: float) -> Tensor:
 
 
 def absolute(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)
-    return _result(np.abs(a.data), (a,), (lambda g: g * sign,))
+    return _result(np.abs(a.data), (a,), (lambda g: g * np.sign(a.data),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -225,8 +224,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     """
     if not 0.0 < slope <= 1.0:
         raise ValueError(f"leaky_relu: slope must be in (0, 1], got {slope}")
-    mask = a.data > 0
-    return _result(np.maximum(a.data, slope * a.data), (a,), (lambda g: np.where(mask, g, g * slope),))
+    return _result(np.maximum(a.data, slope * a.data), (a,), (lambda g: np.where(a.data > 0, g, g * slope),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -235,9 +233,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, a.data)
-    sigmoid = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    return _result(out, (a,), (lambda g: g * sigmoid,))
+    return _result(np.logaddexp(0.0, a.data), (a,), (lambda g: g * (0.5 * (1.0 + np.tanh(0.5 * a.data))),))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -476,6 +472,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
+_STACK_BELOW_C_IN = 8  # fewer input channels: the forward stacks its tap windows into one GEMM
+
+
+def _phase_axis(s: int, padding: int, n_in: int, n_phase: int) -> list[tuple[slice, slice]]:
+    """(positions r < n_phase, input positions) of each phase a < s: r holds input a + s*r - padding."""
+    pairs = []
+    for a in range(s):
+        r0 = (padding - a + s - 1) // s
+        r1 = max(r0, min(n_phase, (n_in - 1 + padding - a) // s + 1))
+        pairs.append((slice(r0, r1), slice(a + s * r0 - padding, a + s * r1 - padding, s)))
+    return pairs
+
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw], zero padding.
@@ -489,11 +497,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
     stored flat with row pitch ``wq = W' + (kw-1)//stride``, so tap (di, dj)
     reads phase (di % stride, dj % stride) at the constant flat offset
     (di//stride)*wq + dj//stride, and its H'*wq-long window is a plain view.
-    The forward is one matmul per tap on that view; the ``wq - W'`` spare
-    columns of each output row read the next row and are dropped. Each vjp
-    runs the same loop with zeros in the spare columns of the output
-    gradient, so the kernel gradient is one matmul per tap and the input
-    gradient is added into the phase images at the same views.
+    One zeroed buffer takes a strided copy of the input per phase; an
+    unpadded stride-1 1x1 input is its own phase image. The forward is one
+    matmul per tap on its window or, below ``_STACK_BELOW_C_IN`` input
+    channels, one matmul on the windows stacked into a transient matrix. The
+    ``wq - W'`` spare columns of each output row read the next row and are
+    dropped. Both vjps run the per-tap loop on one shared output gradient
+    with zeros in the spare columns: the kernel gradient is one matmul per
+    tap, and the input gradient is added into phase images at the same views
+    and copied back strided.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d: expected [C,H,W] and [O,C,kh,kw], got {x.shape}, {kernel.shape}")
@@ -513,14 +525,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
         raise ValueError(f"conv2d: empty output for input {x.shape} and kernel {kernel.shape}")
 
     s = stride
-    hq = h_out + (kh - 1) // s
-    wq = w_out + (kw - 1) // s
+    hq, wq = h_out + (kh - 1) // s, w_out + (kw - 1) // s
     n = h_out * wq
-    # phase (a, b) of the padded input xp is xp[:, a::s, b::s]; one spare phase
-    # row holds the last tap's window, which runs (kw-1)//s past row hq-1
-    xp = np.zeros((c_in, s * (hq + 1), s * wq), dtype=np.float64)
-    xp[:, padding : padding + h, padding : padding + w] = x.data[:, :, : s * wq - padding]
-    flat = xp.reshape(c_in, hq + 1, s, wq, s).transpose(2, 4, 0, 1, 3).reshape(s, s, c_in, (hq + 1) * wq)
+    own = s == 1 and padding == 0 and kh == kw == 1
+    # rows [0, hq) of each phase hold every input pixel a tap reads; a spare
+    # zero row holds the last tap's window, which runs (kw-1)//s past row hq-1
+    phases = [] if own else [
+        ((a, b, slice(None), rows, cols), (slice(None), x_rows, x_cols))
+        for a, (rows, x_rows) in enumerate(_phase_axis(s, padding, h, hq))
+        for b, (cols, x_cols) in enumerate(_phase_axis(s, padding, w, wq))
+    ]
+    flat = x.data.reshape(1, 1, c_in, n) if own else np.zeros((s, s, c_in, (hq + 1) * wq), dtype=np.float64)
+    for dst, src in phases:
+        flat.reshape(s, s, c_in, hq + 1, wq)[dst] = x.data[src]
     taps = []  # index of each tap's [C_in, n] window in flat, (di, dj) row-major
     for di in range(kh):
         for dj in range(kw):
@@ -528,30 +545,43 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
             taps.append((di % s, dj % s, slice(None), slice(off, off + n)))
     k_taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, c_in)
 
-    acc = np.zeros((c_out, n), dtype=np.float64)
-    for k_tap, tap in zip(k_taps, taps):
-        acc += k_tap @ flat[tap]
+    if c_in < _STACK_BELOW_C_IN and len(taps) > 1:
+        stacked = np.stack([flat[tap] for tap in taps]).reshape(kh * kw * c_in, n)
+        acc = k_taps.transpose(1, 0, 2).reshape(c_out, kh * kw * c_in) @ stacked
+    else:
+        acc = k_taps[0] @ flat[taps[0]]
+        for k_tap, tap in zip(k_taps[1:], taps[1:]):
+            acc += k_tap @ flat[tap]
     out = acc.reshape(c_out, h_out, wq)[:, :, :w_out]
     out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
 
+    shared = []  # vjp_x hands its padded gradient to vjp_kernel, which drops it
+
     def pad(g):
+        if wq == w_out:
+            return g.reshape(c_out, n)
         g_pad = np.zeros((c_out, h_out, wq), dtype=np.float64)
         g_pad[:, :, :w_out] = g
         return g_pad.reshape(c_out, n)
 
     def vjp_x(g):
         g_pad = pad(g)
+        if kernel.requires_grad:
+            shared.append(g_pad)
+        # one output channel: an outer product, far slower as a matmul
+        back = (lambda k_tap: k_tap.T * g_pad) if c_out == 1 else (lambda k_tap: k_tap.T @ g_pad)
+        if own:
+            return back(k_taps[0]).reshape(x.shape)
         dflat = np.zeros_like(flat)
         for k_tap, tap in zip(k_taps, taps):
-            # one output channel: an outer product, far slower as a matmul
-            dflat[tap] += k_tap.T * g_pad if c_out == 1 else k_tap.T @ g_pad
-        dxp = dflat.reshape(s, s, c_in, hq + 1, wq).transpose(2, 3, 0, 4, 1).reshape(c_in, s * (hq + 1), s * wq)
+            dflat[tap] += back(k_tap)
         dx = np.zeros_like(x.data)
-        dx[:, :, : s * wq - padding] = dxp[:, padding : padding + h, padding : padding + w]
+        for dst, src in phases:
+            dx[src] = dflat.reshape(s, s, c_in, hq + 1, wq)[dst]
         return dx
 
     def vjp_kernel(g):
-        g_pad = pad(g)
+        g_pad = shared.pop() if shared else pad(g)
         dk = np.empty((kh * kw, c_out, c_in), dtype=np.float64)
         for dk_tap, tap in zip(dk, taps):
             np.matmul(g_pad, flat[tap].T, out=dk_tap)

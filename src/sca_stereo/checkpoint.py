@@ -9,6 +9,7 @@ unique names, each array starting where the previous one ends (the first at
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +59,13 @@ def load_arrays(path: Path) -> dict[str, np.ndarray]:
                 raise FormatError(f"array {name!r} is listed twice", offset)
             if offset != end:
                 raise FormatError(f"array {name!r} must start where the previous array ends, at {end}", offset)
-            count = int(np.prod(shape)) if shape else 1
-            end = offset + 8 * count
+            end = offset + 8 * math.prod(shape)  # Python ints: no overflow
             if end > len(blob):
                 raise FormatError(f"array {name!r} extends past end of checkpoint", offset)
-            arrays[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
+            try:
+                arrays[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
+            except ValueError:  # an empty array with a dimension numpy cannot index
+                raise FormatError(f"array {name!r}: shape {shape_str} is too large", offset) from None
     if end != len(blob):
         raise FormatError(f"checkpoint has {len(blob) - end} bytes after the last array", end)
     return arrays

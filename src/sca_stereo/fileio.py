@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -33,6 +35,13 @@ def _next_token(blob: bytes, pos: int) -> tuple[bytes, int]:
     return blob[start:pos], pos
 
 
+def _header_int(tok: bytes, pos: int) -> int:
+    """A header integer: plain ASCII digits only, so no sign, underscore or space."""
+    if not tok.isdigit():
+        raise FormatError(f"header integer must be ASCII digits, got {tok!r}", pos)
+    return int(tok)
+
+
 def read_pfm(path) -> Tensor:
     """Read a grayscale PFM; the scale line's sign selects endianness."""
     with open(path, "rb") as f:
@@ -43,15 +52,15 @@ def read_pfm(path) -> Tensor:
     w_tok, pos = _next_token(blob, pos)
     h_tok, pos = _next_token(blob, pos)
     scale_tok, pos = _next_token(blob, pos)
+    w, h = _header_int(w_tok, pos), _header_int(h_tok, pos)
     try:
-        w, h = int(w_tok), int(h_tok)
         scale = float(scale_tok)
     except ValueError:
-        raise FormatError("malformed PFM dimension or scale token", pos) from None
+        raise FormatError("malformed PFM scale token", pos) from None
     if w <= 0 or h <= 0:
         raise FormatError(f"invalid PFM dimensions {w}x{h}", pos)
-    if scale == 0.0:
-        raise FormatError("PFM scale must be nonzero", pos)
+    if scale == 0.0 or not math.isfinite(scale) or b"_" in scale_tok:  # float() reads -1_0 as -10
+        raise FormatError(f"PFM scale must be a finite nonzero decimal, got {scale_tok!r}", pos)
     pos += 1  # exactly one whitespace byte separates header and payload
     payload = blob[pos : pos + 4 * w * h]
     if len(payload) < 4 * w * h:
@@ -60,8 +69,11 @@ def read_pfm(path) -> Tensor:
             pos + len(payload),
         )
     dtype = "<f4" if scale < 0 else ">f4"
-    data = np.frombuffer(payload, dtype=dtype).reshape(h, w)[::-1]
-    return ad.constant(data.astype(np.float64))
+    data = np.frombuffer(payload, dtype=dtype)
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise FormatError("PFM payload holds a non-finite value", pos + 4 * int(np.argmin(finite)))
+    return ad.constant(data.reshape(h, w)[::-1].astype(np.float64))
 
 
 def write_ppm(image: Tensor | np.ndarray, path) -> None:
@@ -86,10 +98,9 @@ def read_ppm(path) -> Tensor:
     w_tok, pos = _next_token(blob, pos)
     h_tok, pos = _next_token(blob, pos)
     maxval_tok, pos = _next_token(blob, pos)
-    try:
-        w, h, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    except ValueError:
-        raise FormatError("malformed PPM header token", pos) from None
+    w, h, maxval = (_header_int(tok, pos) for tok in (w_tok, h_tok, maxval_tok))
+    if w <= 0 or h <= 0:
+        raise FormatError(f"invalid PPM dimensions {w}x{h}", pos)
     if maxval != 255:
         raise FormatError(f"unsupported PPM maxval {maxval}", pos)
     pos += 1

@@ -162,6 +162,8 @@ def _row(op, *builders):
 # ---------------------------------------------------------------------------
 
 
+_STACKED, _PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d input channels
+
 _MASK = ad.constant(np.where(np.arange(12).reshape(3, 4) == 2, -np.inf, 0.0))
 
 
@@ -279,6 +281,25 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     "conv2d_strided": _row(lambda x, k: ad.conv2d(x, k, stride=2, padding=1), _normal(2, 8, 8), _normal(2, 2, 3, 3)),
     "conv2d_bias": _row(
         lambda x, k, b: ad.conv2d(x, k, stride=2, padding=1, bias=b), _normal(3, 7, 5), _normal(2, 3, 3, 3), _normal(2)
+    ),
+    # either side of the input-channel count below which the forward stacks its taps into one GEMM
+    "conv2d_stacked": _row(
+        lambda x, k: ad.conv2d(x, k, stride=1, padding=1), _normal(_STACKED, 4, 5), _normal(2, _STACKED, 3, 3)
+    ),
+    "conv2d_per_tap": _row(
+        lambda x, k: ad.conv2d(x, k, stride=1, padding=1), _normal(_PER_TAP, 4, 5), _normal(3, _PER_TAP, 3, 3)
+    ),
+    "conv2d_per_tap_strided": _row(
+        lambda x, k, b: ad.conv2d(x, k, stride=2, padding=1, bias=b),
+        _normal(_PER_TAP, 5, 6),
+        _normal(2, _PER_TAP, 3, 3),
+        _normal(2),
+    ),
+    # the input is its own phase image, and its gradient is one matmul
+    "conv2d_1x1": _row(lambda x, k: ad.conv2d(x, k), _normal(3, 4, 5), _normal(2, 3, 1, 1)),
+    # the last two rows and columns are read by no tap
+    "conv2d_stride3_unread_tail": _row(
+        lambda x, k: ad.conv2d(x, k, stride=3, padding=0), _normal(2, 8, 8), _normal(2, 2, 3, 3)
     ),
     "box_filter3": _row(ad.box_filter3, _normal(2, 5, 6)),
     "upsample_bilinear2": _row(lambda x: [ad.upsample_bilinear2(x), ad.upsample_bilinear2(x, 8)], _normal(2, 3, 4)),

@@ -143,6 +143,9 @@ class TestGraphLifetime:
         assert x.grad == 1.0
 
 
+STACKED, PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d input channels either side of the rule
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
@@ -171,6 +174,13 @@ class TestConv2d:
             pytest.param(3, 0, (3, 8, 8), 3, False, id="3-0-unread-tail"),
             pytest.param(1, 0, (5, 6, 7), 1, False, id="1x1"),
             pytest.param(2, 1, (3, 7, 9), 3, True, id="2-1-bias"),
+            pytest.param(1, 1, (STACKED, 8, 8), 3, False, id="1-1-stacked-widest"),
+            pytest.param(1, 1, (PER_TAP, 8, 8), 3, False, id="1-1-per-tap"),
+            pytest.param(2, 1, (PER_TAP, 9, 7), 3, True, id="2-1-odd-bias-per-tap"),
+            pytest.param(3, 2, (PER_TAP, 8, 8), 3, False, id="3-2-per-tap"),
+            pytest.param(3, 0, (PER_TAP, 8, 8), 3, False, id="3-0-unread-tail-per-tap"),
+            pytest.param(1, 0, (PER_TAP, 6, 7), 1, False, id="1x1-per-tap"),
+            pytest.param(2, 0, (PER_TAP, 6, 7), 1, False, id="1x1-strided-per-tap"),
         ],
     )
     def test_matches_nested_loop_oracle(self, stride, padding, shape, ksize, with_bias):
@@ -198,6 +208,24 @@ class TestConv2d:
         out2 = ad.conv2d(x2, ad.tensor(np.concatenate([k, np.zeros_like(k)])), stride=stride, padding=1)
         ad.backward(ad.sum_all(ad.mul(out2, ad.constant(np.concatenate([g, np.zeros_like(g)])))))
         assert np.max(np.abs(x1.grad - x2.grad)) <= 1e-14
+
+    @pytest.mark.parametrize("c_in", [STACKED, PER_TAP])
+    @pytest.mark.parametrize("stride,padding,ksize", [(1, 1, 3), (2, 1, 3), (1, 0, 1)])
+    def test_gradients_do_not_depend_on_which_inputs_need_them(self, c_in, stride, padding, ksize):
+        # the input and kernel vjps share one padded output gradient when both run
+        rng = np.random.default_rng(c_in)
+        x_data, k_data = rng.standard_normal((c_in, 7, 9)), rng.standard_normal((3, c_in, ksize, ksize))
+        g = None
+        grads = {}
+        for wants in [(True, True), (True, False), (False, True)]:
+            x, k = ad.tensor(x_data, requires_grad=wants[0]), ad.tensor(k_data, requires_grad=wants[1])
+            out = ad.conv2d(x, k, stride=stride, padding=padding)
+            g = rng.standard_normal(out.shape) if g is None else g
+            ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+            grads[wants] = (x.grad, k.grad)
+        assert np.array_equal(grads[True, False][0], grads[True, True][0])
+        assert np.array_equal(grads[False, True][1], grads[True, True][1])
+        assert grads[True, False][1] is None and grads[False, True][0] is None
 
     def test_bias_shape_rejected(self):
         x = ad.tensor(np.zeros((2, 4, 4)))

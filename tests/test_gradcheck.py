@@ -81,6 +81,7 @@ MUTANTS = [
     ("matmul", lambda op: _row_averaging_matmul),
     ("conv2d", lambda op: _reversed_output_grad(op, (1, 2))),
     ("conv2d_strided", lambda op: _reversed_output_grad(op, (1, 2))),
+    ("conv2d_per_tap", lambda op: _reversed_output_grad(op, (1, 2))),
     ("shifted_dot", lambda op: _reversed_output_grad(op, 1)),
     ("shifted_weighted_sum", lambda op: _reversed_output_grad(op, 1)),
 ]

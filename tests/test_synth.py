@@ -146,6 +146,30 @@ class TestPfm:
         with pytest.raises(ValueError):
             fileio.write_pfm(np.array([[np.inf]]), tmp_path / "x.pfm")
 
+    @pytest.mark.parametrize("dims", [b"1_0 1", b"+2 1", b"2 -1"])
+    def test_header_integers_are_ascii_digits(self, tmp_path, dims):
+        # int() alone would read 1_0 as 10 and +2 as 2
+        path = tmp_path / "dims.pfm"
+        path.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + b"\x00" * 80)
+        with pytest.raises(FormatError):
+            fileio.read_pfm(path)
+
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf", b"0.0", b"-1_0"])
+    def test_scale_must_be_finite_nonzero_decimal(self, tmp_path, scale):
+        path = tmp_path / "scale.pfm"
+        path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + b"\x00" * 4)
+        with pytest.raises(FormatError):
+            fileio.read_pfm(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected_at_its_offset(self, tmp_path, value):
+        header = b"Pf\n3 1\n-1.0\n"
+        path = tmp_path / "payload.pfm"
+        path.write_bytes(header + np.array([1.0, value, 2.0], dtype="<f4").tobytes())
+        with pytest.raises(FormatError) as exc_info:
+            fileio.read_pfm(path)
+        assert exc_info.value.offset == len(header) + 4
+
 
 class TestPpm:
     def test_round_trip_error_bound(self, tmp_path):
@@ -176,6 +200,13 @@ class TestPpm:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")
+        with pytest.raises(FormatError):
+            fileio.read_ppm(path)
+
+    @pytest.mark.parametrize("header", [b"1_0 1 255", b"+1 1 255", b"1 1 +255", b"1 1 2_55", b"0 1 255"])
+    def test_header_integers_are_positive_ascii_digits(self, tmp_path, header):
+        path = tmp_path / "header.ppm"
+        path.write_bytes(b"P6\n" + header + b"\n" + b"\x00" * 30)
         with pytest.raises(FormatError):
             fileio.read_ppm(path)
 
