@@ -1,75 +1,76 @@
-"""Flat binary checkpoint container: named float64 arrays + text manifest.
+"""Single-file checkpoint: named float64 arrays behind a text header.
 
-The binary file at ``path`` holds the raw little-endian float64 payloads
-back to back; ``path.manifest`` lists one ``name<TAB>shape<TAB>offset`` line
-per array. Round-trips are bit-exact. The reader accepts only that layout:
-unique names, each array starting where the previous one ends (the first at
-0), and the last ending at the end of the file.
+The file is the line ``sca-ckpt 1``, one ``name<TAB>shape`` line per array
+(comma-separated dimensions, empty for a scalar), an empty line, then the
+little-endian float64 payloads back to back in header order. Round-trips
+are bit-exact. The reader accepts exactly what :func:`save_arrays` writes
+(unique UTF-8 names, canonical decimal dimensions, no trailing bytes) and
+raises :class:`FormatError` on anything else. A save writes a temporary
+file beside the target and moves it over the target with ``os.replace``,
+so a save that fails or is killed part way leaves the previous checkpoint.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
 
+MAGIC = b"sca-ckpt 1\n"
+
 
 def save_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
     path = Path(path)
+    for name in arrays:
+        if "\t" in name or "\n" in name:
+            raise ValueError(f"array name {name!r} may not contain tabs or newlines")
+    lines = "".join(f"{name}\t{','.join(map(str, np.shape(a)))}\n" for name, a in arrays.items())
+    header = MAGIC + lines.encode() + b"\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    offset = 0
-    with open(path, "wb") as f:
-        for name in arrays:
-            if "\t" in name or "\n" in name:
-                raise ValueError(f"array name {name!r} may not contain tabs or newlines")
-            data = np.asarray(arrays[name], dtype="<f8", order="C")
-            shape = ",".join(str(s) for s in data.shape)
-            lines.append(f"{name}\t{shape}\t{offset}\n")
-            f.write(data.tobytes())
-            offset += data.nbytes
-    with open(manifest_path(path), "w") as f:
-        f.writelines(lines)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            for a in arrays.values():
+                f.write(np.asarray(a, dtype="<f8", order="C").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_arrays(path: Path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = Path(path).read_bytes()
+    end = blob.find(b"\n\n", len(MAGIC) - 1)  # the empty line that ends the header
+    if not blob.startswith(MAGIC) or end < 0:
+        raise FormatError(f"not a checkpoint: no {MAGIC!r} header ended by an empty line", 0)
     arrays: dict[str, np.ndarray] = {}
-    end = 0
-    with open(manifest_path(path)) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"malformed manifest line: {line!r}", 0)
-            name, shape_str, offset_str = parts
-            shape_tokens = shape_str.split(",") if shape_str else []
-            if not all(t.isdecimal() for t in shape_tokens + [offset_str]):
-                raise FormatError(f"array {name!r}: shape and offset must be non-negative integers", 0)
-            shape = tuple(int(t) for t in shape_tokens)
-            offset = int(offset_str)
-            if name in arrays:
-                raise FormatError(f"array {name!r} is listed twice", offset)
-            if offset != end:
-                raise FormatError(f"array {name!r} must start where the previous array ends, at {end}", offset)
-            end = offset + 8 * math.prod(shape)  # Python ints: no overflow
-            if end > len(blob):
-                raise FormatError(f"array {name!r} extends past end of checkpoint", offset)
-            try:
-                arrays[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-            except ValueError:  # an empty array with a dimension numpy cannot index
-                raise FormatError(f"array {name!r}: shape {shape_str} is too large", offset) from None
-    if end != len(blob):
-        raise FormatError(f"checkpoint has {len(blob) - end} bytes after the last array", end)
+    line_pos, pos = len(MAGIC), end + 2
+    for line in blob[line_pos : end + 1].split(b"\n")[:-1]:
+        name_bytes, tab, shape_bytes = line.partition(b"\t")
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"array name {name_bytes!r} is not UTF-8", line_pos) from None
+        tokens = shape_bytes.split(b",") if shape_bytes else []
+        # canonical ASCII decimals, as the writer prints them; no real dimension reaches 10**18
+        if not tab or not all(t.isdigit() and len(t) < 19 and str(int(t)).encode() == t for t in tokens):
+            raise FormatError(f"header line {line!r} is not name<TAB>shape", line_pos)
+        if name in arrays:
+            raise FormatError(f"array {name!r} is listed twice", line_pos)
+        shape = tuple(int(t) for t in tokens)
+        stop = pos + 8 * math.prod(shape)  # Python ints: no overflow
+        if stop > len(blob):
+            raise FormatError(f"array {name!r} extends past end of checkpoint", pos)
+        try:
+            arrays[name] = np.frombuffer(blob[pos:stop], dtype="<f8").reshape(shape).copy()
+        except ValueError:  # an empty array with a dimension numpy cannot index
+            raise FormatError(f"array {name!r}: shape {shape} is too large", line_pos) from None
+        line_pos, pos = line_pos + len(line) + 1, stop
+    if pos != len(blob):
+        raise FormatError(f"checkpoint has {len(blob) - pos} bytes after the last array", pos)
     return arrays
-
-
-def manifest_path(path: Path) -> Path:
-    return Path(str(path) + ".manifest")

@@ -81,11 +81,27 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Raise ConfigError for settings that would fail only once a stage runs."""
-        counts = ("pretrain_batch", "translator_batch", "adapt_batch")
-        counts += ("n_source_train", "n_source_val", "n_target_train", "n_target_test", "num_layers")
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+
+        def check(names, ok, rule: str) -> None:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+
+        stages = ("pretrain", "translator", "adapt")
+        counts = [f"{stage}_batch" for stage in stages] + ["val_interval", "num_layers"]
+        counts += ["n_source_train", "n_source_val", "n_target_train", "n_target_test"]
+        counts += ["base_channels", "z_channels", "matcher_channels"]
+        check(counts, lambda v: v >= 1, "at least 1")
+        check(["n_scales"], lambda v: v >= 2, "at least 2")
+        check([f"{stage}_iters" for stage in stages], lambda v: v >= 0, "non-negative")
+        positives = ["pretrain_lr", "translator_lr_g", "translator_lr_c", "adapt_lr", "cloud_scale"]
+        check(positives, lambda v: v > 0, "positive")
+        betas = [f"{stage}_{beta}" for stage in stages for beta in ("beta1", "beta2")]
+        check(betas, lambda v: 0 <= v < 1, "in [0, 1)")
+        try:
+            self.loss_weights()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if not 0 < self.d_min <= self.d_max_scene:
             raise ConfigError(f"d_min {self.d_min} must be positive and at most d_max_scene {self.d_max_scene}")
         if self.image_height % 2**self.n_scales or self.image_width % 2**self.n_scales:

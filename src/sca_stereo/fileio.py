@@ -36,9 +36,12 @@ def _next_token(blob: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _header_int(tok: bytes, pos: int) -> int:
-    """A header integer: plain ASCII digits only, so no sign, underscore or space."""
-    if not tok.isdigit():
-        raise FormatError(f"header integer must be ASCII digits, got {tok!r}", pos)
+    """A header integer: plain ASCII digits only, so no sign, underscore or space.
+
+    Past 18 digits no image fits in memory, and int() refuses past 4300.
+    """
+    if not tok.isdigit() or len(tok) > 18:
+        raise FormatError(f"header integer must be at most 18 ASCII digits, got {tok[:20]!r}", pos)
     return int(tok)
 
 

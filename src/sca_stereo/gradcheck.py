@@ -21,7 +21,7 @@ import numpy as np
 from . import attention, geometry, losses, matcher, translation
 from . import autodiff as ad
 from .autodiff import Tensor
-from .translation import VIEWS
+from .geometry import VIEWS
 
 Outputs = Tensor | list[Tensor]
 

@@ -16,8 +16,7 @@ from . import autodiff as ad
 from . import geometry
 from .autodiff import Tensor
 from .errors import UndefinedMetricError
-
-VIEWS = ("left", "right")
+from .geometry import VIEWS
 
 _SSIM_C1 = 0.01**2
 _SSIM_C2 = 0.03**2
@@ -36,7 +35,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_perc", "lambda_feat", "lambda_stereo", "lambda_disp", "lambda_reproj"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN too
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
@@ -124,20 +123,26 @@ def smooth_l1(x: Tensor) -> Tensor:
     return ad._result(out, (x,), (lambda g: g * dfactor,))
 
 
+def _valid_mean(penalty, pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
+    """Mean of ``penalty(pred - gt)`` over the valid pixels of ``gt``."""
+    valid = gt.valid_mask.data
+    n = float(valid.sum())
+    if n == 0:
+        raise UndefinedMetricError(f"disparity loss undefined: no valid pixels in {gt.view} view")
+    diff = ad.sub(pred, ad.constant(gt.values.data))
+    return ad.mulc(ad.sum_all(ad.mul(penalty(diff), ad.constant(valid))), 1.0 / n)
+
+
+def l1_disparity_loss(pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
+    """Mean absolute disparity error over the valid pixels of one view."""
+    return _valid_mean(ad.absolute, pred, gt)
+
+
 def disparity_loss(
     predictions: dict[str, Tensor], gt_disparities: dict[str, geometry.DisparityMap]
 ) -> Tensor:
     """Mean smooth-L1 disparity error over valid pixels, both views summed."""
-    terms = []
-    for v in VIEWS:
-        gt = gt_disparities[v]
-        valid = gt.valid_mask.data
-        n = float(valid.sum())
-        if n == 0:
-            raise UndefinedMetricError(f"disparity loss undefined: no valid pixels in {v} view")
-        diff = ad.sub(predictions[v], ad.constant(gt.values.data))
-        terms.append(ad.mulc(ad.sum_all(ad.mul(smooth_l1(diff), ad.constant(valid))), 1.0 / n))
-    return ad.add_n(terms)
+    return ad.add_n([_valid_mean(smooth_l1, predictions[v], gt_disparities[v]) for v in VIEWS])
 
 
 def ssim(a: Tensor, b: Tensor) -> Tensor:

@@ -7,9 +7,10 @@ generator step. Stage 3 adapts the matcher using supervised smooth-L1 on
 translated pairs plus photometric reprojection on target pairs, with the
 translator frozen.
 
-Every loop draws randomness from generators seeded by (master_seed, stage
-tag), so re-running any command with the same config and seed reproduces
-logs and checkpoints bit for bit.
+All three stages run through :func:`_fit`, the one iteration loop, which
+writes the stage's loss log. Every stage draws randomness from generators
+seeded by (master_seed, stage tag), so re-running any command with the same
+config and seed reproduces logs and checkpoints bit for bit.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import checkpoint, geometry, losses, matcher, synth, translation
+from . import checkpoint, fileio, geometry, losses, matcher, synth, translation
 from .autodiff import AdamState, Tensor, adam_step, backward, collect_grads, zero_grads
 from .config import RunConfig
 from .errors import ConfigError
-
-VIEWS = ("left", "right")
+from .geometry import VIEWS
 
 # rng stream tags
 _TAG_DATA, _TAG_PRETRAIN, _TAG_TRANSLATOR, _TAG_ADAPT, _TAG_TRANSLATE = 1, 2, 3, 4, 5
@@ -133,11 +133,11 @@ def load_split(config: RunConfig, split: str) -> LoadedSplit:
 # ---------------------------------------------------------------------------
 
 
-def _save_params(path: Path, params: dict[str, Tensor], extra: dict[str, np.ndarray] | None = None) -> None:
-    arrays = {name: p.data for name, p in params.items()}
-    if extra:
-        arrays.update(extra)
-    checkpoint.save_arrays(path, arrays)
+def _save_params(config: RunConfig, filename: str, params: dict[str, Tensor], **extra: np.ndarray) -> Path:
+    """Save ``params`` (then ``extra``) as ``<checkpoint_dir>/<filename>``; returns the path."""
+    path = Path(config.checkpoint_dir) / filename
+    checkpoint.save_arrays(path, {**{name: p.data for name, p in params.items()}, **extra})
+    return path
 
 
 def _load_params(path: Path, params: dict[str, Tensor], context: str, trainable: bool) -> None:
@@ -204,6 +204,17 @@ def _descend(loss: Tensor, params: dict[str, Tensor], state: AdamState) -> None:
     adam_step(params, collect_grads(params), state)
 
 
+def _fit(config: RunConfig, log_name: str, columns: list[str], iters: int, step) -> None:
+    """The one training loop: ``step(it)`` for it = 1..iters, then the loss log.
+
+    ``step`` runs one iteration and returns its loss tensors, one per entry of
+    ``columns``; each row of ``<output_dir>/<log_name>`` is the iteration and
+    those values.
+    """
+    rows = [[it, *(_fmt(t.item()) for t in step(it))] for it in range(1, iters + 1)]
+    _write_csv(Path(config.output_dir) / log_name, ["iteration", *columns], rows)
+
+
 def _left_disparity(mparams: matcher.MatcherParams):
     """Predictor for :func:`evaluate_samples`: the matcher's left-view disparity."""
     return lambda s: matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
@@ -212,13 +223,6 @@ def _left_disparity(mparams: matcher.MatcherParams):
 # ---------------------------------------------------------------------------
 # stage 1: source-domain pretraining
 # ---------------------------------------------------------------------------
-
-
-def _l1_disparity_loss(pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
-    valid = gt.valid_mask.data
-    n = float(valid.sum())
-    diff = ad.absolute(ad.sub(pred, ad.constant(gt.values.data)))
-    return ad.mulc(ad.sum_all(ad.mul(diff, ad.constant(valid))), 1.0 / n)
 
 
 def pretrain(config: RunConfig) -> Path:
@@ -230,25 +234,23 @@ def pretrain(config: RunConfig) -> Path:
         mparams.params, config.pretrain_lr, config.pretrain_beta1, config.pretrain_beta2
     )
     rng = _rng(config, _TAG_PRETRAIN)
-    loss_rows, val_rows = [], []
-    for it in range(1, config.pretrain_iters + 1):
-        batch = rng.integers(0, len(train), size=config.pretrain_batch)
+    val_rows = []
+
+    def step(it: int) -> tuple[Tensor]:
         terms = []
-        for idx in batch:
+        for idx in rng.integers(0, len(train), size=config.pretrain_batch):
             s = train.samples[idx]
             pred = matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
-            terms.append(_l1_disparity_loss(pred, s.disparities["left"]))
+            terms.append(losses.l1_disparity_loss(pred, s.disparities["left"]))
         loss = ad.mean_n(terms)
         _descend(loss, mparams.params, state)
-        loss_rows.append([it, _fmt(loss.item())])
         if it % config.val_interval == 0 or it == config.pretrain_iters:
             val_rows.append([it, _fmt(evaluate_samples(val, _left_disparity(mparams))[1])])
-    out_dir = Path(config.output_dir)
-    _write_csv(out_dir / "pretrain_loss.csv", ["iteration", "l1"], loss_rows)
-    _write_csv(out_dir / "pretrain_val.csv", ["iteration", "epe"], val_rows)
-    ckpt = Path(config.checkpoint_dir) / "matcher.ckpt"
-    _save_params(ckpt, mparams.params)
-    return ckpt
+        return (loss,)
+
+    _fit(config, "pretrain_loss.csv", ["l1"], config.pretrain_iters, step)
+    _write_csv(Path(config.output_dir) / "pretrain_val.csv", ["iteration", "epe"], val_rows)
+    return _save_params(config, "matcher.ckpt", mparams.params)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +273,8 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
     )
     rng = _rng(config, _TAG_TRANSLATOR)
     rig = synth.default_rig(config.image_height, config.image_width)
-    rows = []
-    for it in range(1, config.translator_iters + 1):
+
+    def step(it: int) -> tuple[Tensor, ...]:
         src_idx = rng.integers(0, len(source), size=config.translator_batch)
         tgt_idx = rng.integers(0, len(target), size=config.translator_batch)
         z_batch = [ad.constant(rng.standard_normal(config.z_channels)) for _ in src_idx]
@@ -329,31 +331,15 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
         loss_c = ad.mean_n(adv_c_terms)
         _descend(loss_c, dparams.params, c_state)
 
-        rows.append(
-            [
-                it,
-                _fmt(components["adv_g"].item()),
-                _fmt(loss_c.item()),
-                _fmt(components["perc"].item()),
-                _fmt(components["feat"].item()),
-                _fmt(components["stereo"].item()),
-            ]
-        )
-    _write_csv(
-        Path(config.output_dir) / "translator_loss.csv",
-        ["iteration", "adv_g", "adv_c", "perc", "feat", "stereo"],
-        rows,
+        return components["adv_g"], loss_c, components["perc"], components["feat"], components["stereo"]
+
+    columns = ["adv_g", "adv_c", "perc", "feat", "stereo"]
+    _fit(config, "translator_loss.csv", columns, config.translator_iters, step)
+    u_vectors = {f"sn:{name}": state.u_vector for name, state in dparams.sn_states.items()}
+    return (
+        _save_params(config, "translator.ckpt", tparams.params),
+        _save_params(config, "discriminator.ckpt", dparams.params, **u_vectors),
     )
-    ckpt_dir = Path(config.checkpoint_dir)
-    g_ckpt = ckpt_dir / "translator.ckpt"
-    c_ckpt = ckpt_dir / "discriminator.ckpt"
-    _save_params(g_ckpt, tparams.params)
-    _save_params(
-        c_ckpt,
-        dparams.params,
-        extra={f"sn:{name}": state.u_vector for name, state in dparams.sn_states.items()},
-    )
-    return g_ckpt, c_ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +366,7 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
         fakes, _ = translation.translate(s.images, s.disparities, style.images, z, tparams, rig)
         translated.append({v: fakes[v].detach() for v in VIEWS})
 
-    rows = []
-    for it in range(1, config.adapt_iters + 1):
+    def step(it: int) -> tuple[Tensor, ...]:
         src_idx = rng.integers(0, len(source), size=config.adapt_batch)
         tgt_idx = rng.integers(0, len(target), size=config.adapt_batch)
         disp_terms, reproj_terms = [], []
@@ -398,15 +383,10 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
         components = {"disp": ad.mean_n(disp_terms), "reproj": ad.mean_n(reproj_terms)}
         loss_e = losses.matcher_objective(components, weights)
         _descend(loss_e, mparams.params, state)
-        rows.append(
-            [it, _fmt(components["disp"].item()), _fmt(components["reproj"].item()), _fmt(loss_e.item())]
-        )
-    _write_csv(
-        Path(config.output_dir) / "adapt_loss.csv", ["iteration", "disp", "reproj", "loss_e"], rows
-    )
-    ckpt = Path(config.checkpoint_dir) / "matcher_adapted.ckpt"
-    _save_params(ckpt, mparams.params)
-    return ckpt
+        return components["disp"], components["reproj"], loss_e
+
+    _fit(config, "adapt_loss.csv", ["disp", "reproj", "loss_e"], config.adapt_iters, step)
+    return _save_params(config, "matcher_adapted.ckpt", mparams.params)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +452,6 @@ def translate_export(
     # z must not depend on which ids were requested
     z_all = {sid: ad.constant(rng.standard_normal(config.z_channels)) for sid in range(len(source))}
     rows = []
-    from . import fileio
-
     for sid in sample_ids:
         src = source.samples[sid]
         tgt = target.samples[sid % len(target)]

@@ -28,8 +28,7 @@ from . import autodiff as ad
 from . import geometry
 from .attention import sca_cross_attend, scaled_d_max
 from .autodiff import SpectralNormState, Tensor
-
-VIEWS = ("left", "right")
+from .geometry import VIEWS
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,28 @@ class TestConfig:
             "d_min = 0",
             "d_min = 14.5",
             "num_layers = 0",
+            "val_interval = 0",
+            "pretrain_iters = -1",
+            "translator_iters = -1",
+            "adapt_iters = -1",
+            "pretrain_lr = 0",
+            "translator_lr_g = -1e-4",
+            "translator_lr_c = 0",
+            "adapt_lr = nan",
+            "pretrain_beta2 = 1.0",
+            "translator_beta1 = -0.1",
+            "adapt_beta1 = 1.5",
+            "lambda_perc = -1",
+            "lambda_stereo = -0.5",
+            "lambda_reproj = -1",
+            "lambda_stereo = nan",
+            "ssim_alpha = 1.5",
+            "ssim_alpha = -0.1",
+            "n_scales = 1",
+            "base_channels = 0",
+            "z_channels = 0",
+            "matcher_channels = 0",
+            "cloud_scale = 0",
         ],
     )
     def test_invalid_values_rejected_at_load(self, tmp_path, line):
@@ -125,6 +147,12 @@ class TestConfig:
         p.write_text(f"n_scales = 3\n{line}\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_zero_iterations_accepted(self, tmp_path):
+        p = tmp_path / "zero.cfg"
+        p.write_text("pretrain_iters = 0\ntranslator_iters = 0\nadapt_iters = 0\n")
+        config = load_config(p)
+        assert (config.pretrain_iters, config.translator_iters, config.adapt_iters) == (0, 0, 0)
 
     def test_attention_range_checked_only_with_sca(self, tmp_path):
         p = tmp_path / "coarse.cfg"
@@ -157,12 +185,13 @@ class TestCheckpointContainer:
             assert np.array_equal(back[k], arrays[k])
             assert back[k].shape == arrays[k].shape
 
-    def test_manifest_lists_name_shape_offset(self, tmp_path):
+    def test_header_lists_names_and_shapes(self, tmp_path):
         path = tmp_path / "net.ckpt"
-        checkpoint.save_arrays(path, {"x": np.zeros((2, 3)), "y": np.ones(4)})
-        lines = checkpoint.manifest_path(path).read_text().splitlines()
-        assert lines[0] == "x\t2,3\t0"
-        assert lines[1] == "y\t4\t48"
+        x, y = np.arange(6.0).reshape(2, 3), np.ones(4)
+        checkpoint.save_arrays(path, {"x": x, "y": y, "s": np.array(3.25)})
+        header = b"sca-ckpt 1\nx\t2,3\ny\t4\ns\t\n\n"
+        assert path.read_bytes() == header + x.tobytes() + y.tobytes() + np.float64(3.25).tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]  # no sidecar, no temp file
 
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "net.ckpt"
@@ -171,47 +200,87 @@ class TestCheckpointContainer:
         with pytest.raises(FormatError):
             checkpoint.load_arrays(path)
 
+    @staticmethod
+    def _write_header(path, lines: str) -> None:
+        """A checkpoint with header ``lines`` and a payload of 12 zeros."""
+        path.write_bytes(checkpoint.MAGIC + lines.encode() + b"\n" + np.zeros(12).tobytes())
+
     @pytest.mark.parametrize(
-        "shape,offset",
+        "shape",
         [
-            ("-1,3", "0"),
-            ("2,x", "0"),
-            ("2.5", "0"),
-            ("2,,3", "0"),
-            ("1_0", "0"),
-            ("4", "-8"),
-            ("4", "0x8"),
+            "-1,3",
+            "2,x",
+            "2.5",
+            "2,,3",
+            "1_0",
+            "012",  # not as the writer prints 12
+            "\u0661\u0662",  # Arabic-Indic digits, which int() reads as 12
             # element counts past int64, and empty arrays with a dimension numpy cannot hold
-            ("9223372036854775807,2", "0"),
-            ("4611686018427387904,4", "0"),
-            ("0,9223372036854775807", "0"),
-            ("0,99999999999999999999", "0"),
+            "9223372036854775807,2",
+            "4611686018427387904,4",
+            "0,9223372036854775807",
+            "0,99999999999999999999",
+            pytest.param("0," + "9" * 5000, id="past-int-digit-limit"),
         ],
     )
-    def test_bad_manifest_tokens_rejected(self, tmp_path, shape, offset):
+    def test_bad_shape_tokens_rejected(self, tmp_path, shape):
         path = tmp_path / "net.ckpt"
-        checkpoint.save_arrays(path, {"x": np.zeros(12)})
-        checkpoint.manifest_path(path).write_text(f"x\t{shape}\t{offset}\n")
+        self._write_header(path, f"x\t{shape}\n")
         with pytest.raises(FormatError):
             checkpoint.load_arrays(path)
 
     @pytest.mark.parametrize(
-        "manifest",
-        [
-            "x\t4\t4\n",  # shifted start
-            "x\t4\t0\ny\t4\t0\n",  # overlap
-            "x\t4\t0\ny\t4\t40\n",  # gap
-            "x\t4\t0\nx\t8\t32\n",  # repeated name
-            "x\t8\t0\n",  # bytes left after the last array
-        ],
-        ids=["shifted", "overlap", "gap", "repeated", "trailing"],
+        "lines",
+        ["x\t4\nx\t8\n", "x\t8\n"],  # repeated name; bytes left after the last array
+        ids=["repeated", "trailing"],
     )
-    def test_arrays_not_back_to_back_rejected(self, tmp_path, manifest):
+    def test_arrays_not_back_to_back_rejected(self, tmp_path, lines):
         path = tmp_path / "net.ckpt"
-        checkpoint.save_arrays(path, {"x": np.zeros(12)})
-        checkpoint.manifest_path(path).write_text(manifest)
+        self._write_header(path, lines)
         with pytest.raises(FormatError):
             checkpoint.load_arrays(path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"sca-ckpt 1\n\xff\t12\n\n" + bytes(96),  # name not UTF-8
+            b"sca-ckpt 1\nx\t12\n" + bytes(96),  # no empty line ends the header
+            b"sca-ckpt 1\nx 12\n\n" + bytes(96),  # no tab
+            b"sca-ckpt 2\nx\t12\n\n" + bytes(96),  # unknown version
+        ],
+        ids=["non-utf8-name", "unterminated-header", "no-tab", "version"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, blob):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            checkpoint.load_arrays(path)
+
+    def test_two_file_format_rejected(self, tmp_path):
+        # the earlier layout: a bare payload, with name, shape and offset in a .manifest sidecar
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(np.zeros(12).tobytes())
+        (tmp_path / "net.ckpt.manifest").write_text("x\t12\t0\n")
+        with pytest.raises(FormatError):
+            checkpoint.load_arrays(path)
+
+    @pytest.mark.parametrize("failure", ["unconvertible-array", "replace-fails"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "net.ckpt"
+        checkpoint.save_arrays(path, {"x": np.arange(4.0)})
+        before = path.read_bytes()
+        arrays = {"x": np.ones(4), "y": np.ones(3)}
+        if failure == "unconvertible-array":
+            arrays["y"] = "not a number"  # fails after the header and x are written
+        else:
+            def refuse(src, dst):
+                raise OSError("replace refused")
+
+            monkeypatch.setattr(checkpoint.os, "replace", refuse)
+        with pytest.raises((ValueError, OSError)):
+            checkpoint.save_arrays(path, arrays)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
 
 class TestPipelineCommands:

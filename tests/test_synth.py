@@ -146,7 +146,9 @@ class TestPfm:
         with pytest.raises(ValueError):
             fileio.write_pfm(np.array([[np.inf]]), tmp_path / "x.pfm")
 
-    @pytest.mark.parametrize("dims", [b"1_0 1", b"+2 1", b"2 -1"])
+    @pytest.mark.parametrize(
+        "dims", [b"1_0 1", b"+2 1", b"2 -1", pytest.param(b"1" * 5000 + b" 1", id="past-int-digit-limit")]
+    )
     def test_header_integers_are_ascii_digits(self, tmp_path, dims):
         # int() alone would read 1_0 as 10 and +2 as 2
         path = tmp_path / "dims.pfm"
@@ -203,7 +205,17 @@ class TestPpm:
         with pytest.raises(FormatError):
             fileio.read_ppm(path)
 
-    @pytest.mark.parametrize("header", [b"1_0 1 255", b"+1 1 255", b"1 1 +255", b"1 1 2_55", b"0 1 255"])
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"1_0 1 255",
+            b"+1 1 255",
+            b"1 1 +255",
+            b"1 1 2_55",
+            b"0 1 255",
+            pytest.param(b"1 1 " + b"2" * 5000, id="past-int-digit-limit"),
+        ],
+    )
     def test_header_integers_are_positive_ascii_digits(self, tmp_path, header):
         path = tmp_path / "header.ppm"
         path.write_bytes(b"P6\n" + header + b"\n" + b"\x00" * 30)
