@@ -472,7 +472,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-_STACK_BELOW_C_IN = 8  # fewer input channels: the forward stacks its tap windows into one GEMM
+_STACK_BELOW_C_IN = 8  # fewer columns per tap kernel (C_in forward, C_out input vjp): one GEMM on stacked windows
 
 
 def _phase_axis(s: int, padding: int, n_in: int, n_phase: int) -> list[tuple[slice, slice]]:
@@ -485,6 +485,17 @@ def _phase_axis(s: int, padding: int, n_in: int, n_phase: int) -> list[tuple[sli
     return pairs
 
 
+def _tap_sum(k_taps: np.ndarray, windows: list[np.ndarray]) -> np.ndarray:
+    """``sum_t k_taps[t] @ windows[t]``: one matmul per tap, or one on the stacked windows for narrow taps."""
+    n_taps, rows, cols = k_taps.shape
+    if cols < _STACK_BELOW_C_IN and n_taps > 1:
+        return k_taps.transpose(1, 0, 2).reshape(rows, n_taps * cols) @ np.stack(windows).reshape(n_taps * cols, -1)
+    acc = k_taps[0] @ windows[0]
+    for k_tap, window in zip(k_taps[1:], windows[1:]):
+        acc += k_tap @ window
+    return acc
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw], zero padding.
 
@@ -495,17 +506,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
     The zero-padded input is split into ``stride**2`` phase images: phase
     (a, b) holds the padded pixels (a + stride*r, b + stride*q). Each is
     stored flat with row pitch ``wq = W' + (kw-1)//stride``, so tap (di, dj)
-    reads phase (di % stride, dj % stride) at the constant flat offset
-    (di//stride)*wq + dj//stride, and its H'*wq-long window is a plain view.
-    One zeroed buffer takes a strided copy of the input per phase; an
-    unpadded stride-1 1x1 input is its own phase image. The forward is one
-    matmul per tap on its window or, below ``_STACK_BELOW_C_IN`` input
-    channels, one matmul on the windows stacked into a transient matrix. The
-    ``wq - W'`` spare columns of each output row read the next row and are
-    dropped. Both vjps run the per-tap loop on one shared output gradient
-    with zeros in the spare columns: the kernel gradient is one matmul per
-    tap, and the input gradient is added into phase images at the same views
-    and copied back strided.
+    reads phase (di % stride, dj % stride) at the flat offset ``off =
+    (di//stride)*wq + dj//stride``, and its H'*wq-long window is a view. An
+    unpadded stride-1 1x1 input is its own phase image. The forward is the
+    tap sum ``sum_t K_t @ window_t`` (:func:`_tap_sum`); the ``wq - W'``
+    spare columns of each output row read the next row and are dropped.
+    The input gradient is the same tap sum per phase, transposed: the output
+    gradient, zero in the spare columns, sits in one buffer after ``lead``
+    (the largest ``off``) zeros, and each tap of the phase reads it at
+    ``lead - off`` with ``K_t^T``; the result is copied back strided, and a
+    phase no tap reads keeps zero gradient. The kernel gradient is one
+    matmul per tap on the same buffer at ``[lead, lead + H'*wq)``.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d: expected [C,H,W] and [O,C,kh,kw], got {x.shape}, {kernel.shape}")
@@ -526,65 +537,54 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
 
     s = stride
     hq, wq = h_out + (kh - 1) // s, w_out + (kw - 1) // s
-    n = h_out * wq
+    n, lead = h_out * wq, ((kh - 1) // s) * wq + (kw - 1) // s
     own = s == 1 and padding == 0 and kh == kw == 1
     # rows [0, hq) of each phase hold every input pixel a tap reads; a spare
     # zero row holds the last tap's window, which runs (kw-1)//s past row hq-1
     phases = [] if own else [
-        ((a, b, slice(None), rows, cols), (slice(None), x_rows, x_cols))
+        ((a, b), rows, cols, (slice(None), x_rows, x_cols))
         for a, (rows, x_rows) in enumerate(_phase_axis(s, padding, h, hq))
         for b, (cols, x_cols) in enumerate(_phase_axis(s, padding, w, wq))
     ]
     flat = x.data.reshape(1, 1, c_in, n) if own else np.zeros((s, s, c_in, (hq + 1) * wq), dtype=np.float64)
-    for dst, src in phases:
-        flat.reshape(s, s, c_in, hq + 1, wq)[dst] = x.data[src]
-    taps = []  # index of each tap's [C_in, n] window in flat, (di, dj) row-major
-    for di in range(kh):
-        for dj in range(kw):
-            off = (di // s) * wq + dj // s
-            taps.append((di % s, dj % s, slice(None), slice(off, off + n)))
+    for (a, b), rows, cols, src in phases:
+        flat[a, b].reshape(c_in, hq + 1, wq)[:, rows, cols] = x.data[src]
+    taps = [((di % s, dj % s), (di // s) * wq + dj // s) for di in range(kh) for dj in range(kw)]  # (phase, off)
     k_taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, c_in)
 
-    if c_in < _STACK_BELOW_C_IN and len(taps) > 1:
-        stacked = np.stack([flat[tap] for tap in taps]).reshape(kh * kw * c_in, n)
-        acc = k_taps.transpose(1, 0, 2).reshape(c_out, kh * kw * c_in) @ stacked
-    else:
-        acc = k_taps[0] @ flat[taps[0]]
-        for k_tap, tap in zip(k_taps[1:], taps[1:]):
-            acc += k_tap @ flat[tap]
+    acc = _tap_sum(k_taps, [flat[ab][:, off : off + n] for ab, off in taps])
     out = acc.reshape(c_out, h_out, wq)[:, :, :w_out]
     out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
 
-    shared = []  # vjp_x hands its padded gradient to vjp_kernel, which drops it
+    shared = []  # vjp_x hands its gradient buffer to vjp_kernel, which drops it
 
-    def pad(g):
-        if wq == w_out:
+    def lead_in(g):
+        """[C_out, lead + hq*wq]: ``lead`` zeros, then g with zeros in the spare columns, then zeros."""
+        if lead == 0:  # then hq == H' and wq == W'
             return g.reshape(c_out, n)
-        g_pad = np.zeros((c_out, h_out, wq), dtype=np.float64)
-        g_pad[:, :, :w_out] = g
-        return g_pad.reshape(c_out, n)
+        g_buf = np.zeros((c_out, lead + hq * wq), dtype=np.float64)
+        g_buf[:, lead : lead + n].reshape(c_out, h_out, wq)[:, :, :w_out] = g
+        return g_buf
 
     def vjp_x(g):
-        g_pad = pad(g)
+        g_buf = lead_in(g)
         if kernel.requires_grad:
-            shared.append(g_pad)
-        # one output channel: an outer product, far slower as a matmul
-        back = (lambda k_tap: k_tap.T * g_pad) if c_out == 1 else (lambda k_tap: k_tap.T @ g_pad)
+            shared.append(g_buf)
         if own:
-            return back(k_taps[0]).reshape(x.shape)
-        dflat = np.zeros_like(flat)
-        for k_tap, tap in zip(k_taps, taps):
-            dflat[tap] += back(k_tap)
+            return _tap_sum(k_taps.transpose(0, 2, 1), [g_buf]).reshape(x.shape)
         dx = np.zeros_like(x.data)
-        for dst, src in phases:
-            dx[src] = dflat.reshape(s, s, c_in, hq + 1, wq)[dst]
+        for ab, rows, cols, src in phases:
+            ts = [t for t, (tap_ab, _) in enumerate(taps) if tap_ab == ab]
+            if ts:
+                windows = [g_buf[:, lead - taps[t][1] : lead - taps[t][1] + hq * wq] for t in ts]
+                dx[src] = _tap_sum(k_taps[ts].transpose(0, 2, 1), windows).reshape(c_in, hq, wq)[:, rows, cols]
         return dx
 
     def vjp_kernel(g):
-        g_pad = shared.pop() if shared else pad(g)
+        g_pad = (shared.pop() if shared else lead_in(g))[:, lead : lead + n]
         dk = np.empty((kh * kw, c_out, c_in), dtype=np.float64)
-        for dk_tap, tap in zip(dk, taps):
-            np.matmul(g_pad, flat[tap].T, out=dk_tap)
+        for dk_tap, (ab, off) in zip(dk, taps):
+            np.matmul(g_pad, flat[ab][:, off : off + n].T, out=dk_tap)
         return np.ascontiguousarray(dk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
 
     if bias is None:

@@ -192,28 +192,27 @@ def occlusion_mask(d_base: DisparityMap, d_match: DisparityMap) -> OcclusionMask
     return OcclusionMask(ad.constant(mask), d_base.view)
 
 
-def epe(pred: Tensor, gt: DisparityMap) -> float:
-    """Mean absolute disparity error over valid pixels."""
+def _valid_errors(pred: Tensor, gt: DisparityMap, metric: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """(absolute error map, valid mask, valid count) of ``pred`` against ``gt``."""
     p = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
     if p.shape != gt.values.shape:
         raise ValueError(f"prediction shape {p.shape} != ground truth shape {gt.values.shape}")
     valid = gt.valid_mask.data > 0.5
     n = int(valid.sum())
     if n == 0:
-        raise UndefinedMetricError("EPE undefined: no valid pixels")
-    return float(np.abs(p - gt.values.data)[valid].sum() / n)
+        raise UndefinedMetricError(f"{metric} undefined: no valid pixels")
+    return np.abs(p - gt.values.data), valid, n
+
+
+def epe(pred: Tensor, gt: DisparityMap) -> float:
+    """Mean absolute disparity error over valid pixels."""
+    err, valid, n = _valid_errors(pred, gt, "EPE")
+    return float(err[valid].sum() / n)
 
 
 def d1_all(pred: Tensor, gt: DisparityMap) -> float:
     """Percentage of valid pixels with error strictly above max(3, 0.05 * gt)."""
-    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
-    if p.shape != gt.values.shape:
-        raise ValueError(f"prediction shape {p.shape} != ground truth shape {gt.values.shape}")
-    valid = gt.valid_mask.data > 0.5
-    n = int(valid.sum())
-    if n == 0:
-        raise UndefinedMetricError("D1-all undefined: no valid pixels")
-    err = np.abs(p - gt.values.data)
+    err, valid, n = _valid_errors(pred, gt, "D1-all")
     threshold = np.maximum(3.0, 0.05 * gt.values.data)
     outliers = (err > threshold) & valid
     return float(100.0 * outliers.sum() / n)

@@ -162,7 +162,7 @@ def _row(op, *builders):
 # ---------------------------------------------------------------------------
 
 
-_STACKED, _PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d input channels
+_STACKED, _PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d channel counts
 
 _MASK = ad.constant(np.where(np.arange(12).reshape(3, 4) == 2, -np.inf, 0.0))
 
@@ -282,7 +282,8 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     "conv2d_bias": _row(
         lambda x, k, b: ad.conv2d(x, k, stride=2, padding=1, bias=b), _normal(3, 7, 5), _normal(2, 3, 3, 3), _normal(2)
     ),
-    # either side of the input-channel count below which the forward stacks its taps into one GEMM
+    # either side of the channel count below which the tap sum is one GEMM on stacked windows:
+    # C_in picks it for the forward, C_out for the input vjp
     "conv2d_stacked": _row(
         lambda x, k: ad.conv2d(x, k, stride=1, padding=1), _normal(_STACKED, 4, 5), _normal(2, _STACKED, 3, 3)
     ),
@@ -294,6 +295,12 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
         _normal(_PER_TAP, 5, 6),
         _normal(2, _PER_TAP, 3, 3),
         _normal(2),
+    ),
+    # one output channel: the input vjp stacks its nine taps into a [C_in, 9] GEMM
+    "conv2d_one_output": _row(lambda x, k: ad.conv2d(x, k, stride=1, padding=1), _normal(3, 5, 6), _normal(1, 3, 3, 3)),
+    # few input and many output channels at stride 2: stacked forward, per-tap input vjp
+    "conv2d_per_tap_vjp_strided": _row(
+        lambda x, k: ad.conv2d(x, k, stride=2, padding=1), _normal(2, 7, 8), _normal(_PER_TAP, 2, 3, 3)
     ),
     # the input is its own phase image, and its gradient is one matmul
     "conv2d_1x1": _row(lambda x, k: ad.conv2d(x, k), _normal(3, 4, 5), _normal(2, 3, 1, 1)),

@@ -28,6 +28,24 @@ def conv2d_oracle(x, kernel, stride=1, padding=0):
     return out
 
 
+def conv2d_input_grad_oracle(g, kernel, x_shape, stride=1, padding=0):
+    """Gradient of sum(g * conv2d(x, kernel)) in x: each g[o,i,j] scatters K[o,c,di,dj] g[o,i,j]."""
+    c_in, h, w = x_shape
+    c_out, _, kh, kw = kernel.shape
+    dx = np.zeros(x_shape)
+    for o in range(c_out):
+        for i_out in range(g.shape[1]):
+            for j_out in range(g.shape[2]):
+                for c in range(c_in):
+                    for di in range(kh):
+                        for dj in range(kw):
+                            src_i = i_out * stride + di - padding
+                            src_j = j_out * stride + dj - padding
+                            if 0 <= src_i < h and 0 <= src_j < w:
+                                dx[c, src_i, src_j] += kernel[o, c, di, dj] * g[o, i_out, j_out]
+    return dx
+
+
 def backward_warp_oracle(feature, offset):
     """out(c,j,i) = sum_k max(0, 1 - |i + offset(j,i) - k|) feature(c,j,k)."""
     c, h, w = feature.shape

@@ -7,7 +7,7 @@ from sca_stereo import autodiff as ad
 from sca_stereo.errors import NumericError
 from sca_stereo.gradcheck import check_gradients
 
-from oracles import conv2d_oracle, upsample_oracle
+from oracles import conv2d_input_grad_oracle, conv2d_oracle, upsample_oracle
 
 
 class TestTensor:
@@ -143,7 +143,28 @@ class TestGraphLifetime:
         assert x.grad == 1.0
 
 
-STACKED, PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d input channels either side of the rule
+STACKED, PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d channel counts either side of the rule
+
+
+# (stride, padding, input shape, kernel size, bias) of the conv2d oracle tests
+CONV_CASES = [
+    pytest.param(1, 0, (3, 8, 8), 3, False, id="1-0"),
+    pytest.param(1, 1, (3, 8, 8), 3, False, id="1-1"),
+    pytest.param(2, 1, (3, 8, 8), 3, False, id="2-1"),
+    pytest.param(3, 2, (3, 8, 8), 3, False, id="3-2"),
+    pytest.param(2, 1, (3, 9, 7), 3, False, id="2-1-odd"),
+    pytest.param(2, 0, (3, 9, 11), 3, False, id="2-0-odd"),
+    pytest.param(3, 0, (3, 8, 8), 3, False, id="3-0-unread-tail"),
+    pytest.param(1, 0, (5, 6, 7), 1, False, id="1x1"),
+    pytest.param(2, 1, (3, 7, 9), 3, True, id="2-1-bias"),
+    pytest.param(1, 1, (STACKED, 8, 8), 3, False, id="1-1-stacked-widest"),
+    pytest.param(1, 1, (PER_TAP, 8, 8), 3, False, id="1-1-per-tap"),
+    pytest.param(2, 1, (PER_TAP, 9, 7), 3, True, id="2-1-odd-bias-per-tap"),
+    pytest.param(3, 2, (PER_TAP, 8, 8), 3, False, id="3-2-per-tap"),
+    pytest.param(3, 0, (PER_TAP, 8, 8), 3, False, id="3-0-unread-tail-per-tap"),
+    pytest.param(1, 0, (PER_TAP, 6, 7), 1, False, id="1x1-per-tap"),
+    pytest.param(2, 0, (PER_TAP, 6, 7), 1, False, id="1x1-strided-per-tap"),
+]
 
 
 class TestConv2d:
@@ -162,27 +183,7 @@ class TestConv2d:
         out = ad.conv2d(x, k)
         assert np.array_equal(out.data, [[[2.0, 4.0], [6.0, 8.0]]])
 
-    @pytest.mark.parametrize(
-        "stride,padding,shape,ksize,with_bias",
-        [
-            pytest.param(1, 0, (3, 8, 8), 3, False, id="1-0"),
-            pytest.param(1, 1, (3, 8, 8), 3, False, id="1-1"),
-            pytest.param(2, 1, (3, 8, 8), 3, False, id="2-1"),
-            pytest.param(3, 2, (3, 8, 8), 3, False, id="3-2"),
-            pytest.param(2, 1, (3, 9, 7), 3, False, id="2-1-odd"),
-            pytest.param(2, 0, (3, 9, 11), 3, False, id="2-0-odd"),
-            pytest.param(3, 0, (3, 8, 8), 3, False, id="3-0-unread-tail"),
-            pytest.param(1, 0, (5, 6, 7), 1, False, id="1x1"),
-            pytest.param(2, 1, (3, 7, 9), 3, True, id="2-1-bias"),
-            pytest.param(1, 1, (STACKED, 8, 8), 3, False, id="1-1-stacked-widest"),
-            pytest.param(1, 1, (PER_TAP, 8, 8), 3, False, id="1-1-per-tap"),
-            pytest.param(2, 1, (PER_TAP, 9, 7), 3, True, id="2-1-odd-bias-per-tap"),
-            pytest.param(3, 2, (PER_TAP, 8, 8), 3, False, id="3-2-per-tap"),
-            pytest.param(3, 0, (PER_TAP, 8, 8), 3, False, id="3-0-unread-tail-per-tap"),
-            pytest.param(1, 0, (PER_TAP, 6, 7), 1, False, id="1x1-per-tap"),
-            pytest.param(2, 0, (PER_TAP, 6, 7), 1, False, id="1x1-strided-per-tap"),
-        ],
-    )
+    @pytest.mark.parametrize("stride,padding,shape,ksize,with_bias", CONV_CASES)
     def test_matches_nested_loop_oracle(self, stride, padding, shape, ksize, with_bias):
         rng = np.random.default_rng(stride * 10 + padding)
         x = ad.tensor(rng.standard_normal(shape))
@@ -194,20 +195,19 @@ class TestConv2d:
             expected += b.data[:, None, None]
         assert np.max(np.abs(out.data - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_one_output_channel_input_gradient(self, stride):
-        # the C_out = 1 input vjp multiplies instead of calling matmul; pad
-        # the kernel with a zero channel to take the matmul path
-        rng = np.random.default_rng(15)
-        x1 = ad.tensor(rng.standard_normal((3, 7, 9)), requires_grad=True)
-        x2 = ad.tensor(x1.data.copy(), requires_grad=True)
-        k = rng.standard_normal((1, 3, 3, 3))
-        out1 = ad.conv2d(x1, ad.tensor(k), stride=stride, padding=1)
-        g = rng.standard_normal(out1.shape)
-        ad.backward(ad.sum_all(ad.mul(out1, ad.constant(g))))
-        out2 = ad.conv2d(x2, ad.tensor(np.concatenate([k, np.zeros_like(k)])), stride=stride, padding=1)
-        ad.backward(ad.sum_all(ad.mul(out2, ad.constant(np.concatenate([g, np.zeros_like(g)])))))
-        assert np.max(np.abs(x1.grad - x2.grad)) <= 1e-14
+    @pytest.mark.parametrize("c_out", [1, STACKED, PER_TAP], ids=lambda c: f"c_out{c}")
+    @pytest.mark.parametrize("stride,padding,shape,ksize,with_bias", CONV_CASES)
+    def test_input_gradient_matches_nested_loop_oracle(self, stride, padding, shape, ksize, with_bias, c_out):
+        # the input vjp stacks its taps into one GEMM below _STACK_BELOW_C_IN output channels
+        rng = np.random.default_rng(stride * 10 + padding + c_out)
+        x = ad.tensor(rng.standard_normal(shape), requires_grad=True)
+        k = ad.tensor(rng.standard_normal((c_out, shape[0], ksize, ksize)))
+        b = ad.tensor(rng.standard_normal(c_out)) if with_bias else None
+        out = ad.conv2d(x, k, stride=stride, padding=padding, bias=b)
+        g = rng.standard_normal(out.shape)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        expected = conv2d_input_grad_oracle(g, k.data, shape, stride=stride, padding=padding)
+        assert np.max(np.abs(x.grad - expected)) <= 1e-12
 
     @pytest.mark.parametrize("c_in", [STACKED, PER_TAP])
     @pytest.mark.parametrize("stride,padding,ksize", [(1, 1, 3), (2, 1, 3), (1, 0, 1)])

@@ -2,7 +2,10 @@
 
 Each case cuts a valid file at a drawn point and appends drawn bytes, so
 every header prefix is followed by arbitrary input: raw binary, or tokens
-the header grammar uses (tabs, newlines, digits, long digit runs).
+the header grammar uses (tabs, newlines, digits, long digit runs). The
+checkpoint reader also gets whole drawn header lines, ``name<TAB>dims``
+with the dimensions drawn as small, leading-zero or 19-and-more-digit
+runs, followed by a zero payload of a drawn length.
 """
 
 import numpy as np
@@ -17,6 +20,20 @@ _TOKENS = [b"\t", b"\n", b",", b" ", b"0", b"1", b"7", b"-", b".", b"x", b"\xff"
 _TAILS = st.one_of(
     st.binary(max_size=64),
     st.lists(st.sampled_from(_TOKENS), max_size=12).map(b"".join),
+)
+_DIMS = st.one_of(
+    st.integers(0, 3).map(lambda d: str(d).encode()),
+    st.integers(0, 3).map(lambda d: b"0" + str(d).encode()),
+    # past the reader's 18-digit cap, and past int()'s 4300-digit limit
+    st.one_of(st.integers(19, 24), st.integers(4301, 5000)).map(lambda n: b"1" * n),
+)
+_HEADER_LINES = st.one_of(
+    st.just(b""),
+    st.builds(
+        lambda name, dims: name + b"\t" + b",".join(dims),
+        st.sampled_from([b"a", b"b.w", b"\xff"]),
+        st.lists(_DIMS, max_size=3),
+    ),
 )
 _FUZZ = settings(
     max_examples=400,
@@ -51,14 +68,23 @@ def _load(read, path, blob: bytes):
         return None
 
 
-@_FUZZ
-@given(data=st.data())
-def test_checkpoint_reader(tmp_path, valid, data):
-    blob = _cut_and_extend(data, valid["ckpt"])
+def _check_checkpoint(tmp_path, blob: bytes) -> None:
     arrays = _load(checkpoint.load_arrays, tmp_path / "f.ckpt", blob)
     if arrays is not None:  # an accepted file is exactly what the writer makes of its arrays
         checkpoint.save_arrays(tmp_path / "again.ckpt", arrays)
         assert (tmp_path / "again.ckpt").read_bytes() == blob
+
+
+@_FUZZ
+@given(data=st.data())
+def test_checkpoint_reader(tmp_path, valid, data):
+    _check_checkpoint(tmp_path, _cut_and_extend(data, valid["ckpt"]))
+
+
+@_FUZZ
+@given(lines=st.lists(_HEADER_LINES, max_size=4), n_values=st.integers(0, 4))
+def test_checkpoint_header_lines(tmp_path, lines, n_values):
+    _check_checkpoint(tmp_path, checkpoint.MAGIC + b"".join(l + b"\n" for l in lines) + b"\n" + bytes(8 * n_values))
 
 
 @_FUZZ

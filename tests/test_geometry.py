@@ -210,6 +210,14 @@ class TestMetrics:
         with pytest.raises(ValueError):
             geometry.epe(ad.constant(np.ones((3, 3))), gt)
 
+    @pytest.mark.parametrize("metric, name", [(geometry.epe, "EPE"), (geometry.d1_all, "D1-all")])
+    def test_both_metrics_check_shape_and_valid_pixels(self, metric, name):
+        gt = disparity_map(np.ones((2, 2)), "left", np.zeros((2, 2)))
+        with pytest.raises(UndefinedMetricError, match=f"^{name} undefined: no valid pixels$"):
+            metric(gt.values, gt)
+        with pytest.raises(ValueError, match=r"^prediction shape \(3, 3\) != ground truth shape \(2, 2\)$"):
+            metric(ad.constant(np.ones((3, 3))), gt)
+
 
 class TestSignedOffset:
     def test_left_negates(self):

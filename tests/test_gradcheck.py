@@ -82,6 +82,7 @@ MUTANTS = [
     ("conv2d", lambda op: _reversed_output_grad(op, (1, 2))),
     ("conv2d_strided", lambda op: _reversed_output_grad(op, (1, 2))),
     ("conv2d_per_tap", lambda op: _reversed_output_grad(op, (1, 2))),
+    ("conv2d_per_tap_vjp_strided", lambda op: _reversed_output_grad(op, (1, 2))),
     ("shifted_dot", lambda op: _reversed_output_grad(op, 1)),
     ("shifted_weighted_sum", lambda op: _reversed_output_grad(op, 1)),
 ]
