@@ -13,6 +13,8 @@ candidate values.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -28,11 +30,18 @@ def epipolar_attention(q: Tensor, k: Tensor, values: Tensor, d_max: int, directi
     out-of-image candidates excluded from the softmax.
     """
     logits = ad.shifted_dot(q, k, d_max, direction)
-    ones = np.ones((1,) + q.shape[1:])
-    in_image = ad._shifted_dot(ones, ones, d_max, direction) > 0
-    outside = ad.constant(np.where(in_image, 0.0, -np.inf))
+    outside = ad.constant(_outside_image(*q.shape[1:], d_max, direction))
     weights = ad.softmax(ad.add(logits, outside), axis=0)
     return ad.shifted_weighted_sum(weights, values, direction)
+
+
+@functools.lru_cache(maxsize=None)
+def _outside_image(height: int, width: int, d_max: int, direction: str) -> np.ndarray:
+    """Read-only [d_max+1,H,W] map: -inf at candidates outside the image, 0 elsewhere."""
+    ones = np.ones((1, height, width))
+    outside = np.where(ad._shifted_dot(ones, ones, d_max, direction) > 0, 0.0, -np.inf)
+    outside.flags.writeable = False
+    return outside
 
 
 def _project(w: Tensor, source: Tensor) -> Tensor:

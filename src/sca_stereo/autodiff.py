@@ -224,7 +224,8 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     """
     if not 0.0 < slope <= 1.0:
         raise ValueError(f"leaky_relu: slope must be in (0, 1], got {slope}")
-    return _result(np.maximum(a.data, slope * a.data), (a,), (lambda g: np.where(a.data > 0, g, g * slope),))
+    # g * 1 is g and the max picks slope elsewhere: the branch-free form of where(a > 0, g, g * slope)
+    return _result(np.maximum(a.data, slope * a.data), (a,), (lambda g: g * np.maximum(a.data > 0, slope),))
 
 
 def tanh(a: Tensor) -> Tensor:

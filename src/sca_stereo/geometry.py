@@ -13,6 +13,7 @@ left view at ``i + D``; :func:`signed_offset` performs the conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +69,10 @@ class DisparityMap:
             raise ValueError(
                 f"valid_mask shape {self.valid_mask.shape} != values shape {self.values.shape}"
             )
+
+    def warp_plan(self) -> "TentPlan":
+        """The :func:`tent_plan` that warps the other view into this one."""
+        return tent_plan(signed_offset(ad.constant(self.values.data), self.view).data)
 
 
 @dataclass
@@ -128,55 +133,132 @@ def disparity_to_world_points(disparity: DisparityMap, rig: CameraRig) -> PointC
     return PointCloudImage(ad.constant(points), disparity.view)
 
 
+class TentPlan(NamedTuple):
+    """Where and how much a horizontal tent warp reads, for an [H,W] offset map.
+
+    Target pixel ``(j, i)`` samples column ``s = i + offset(j, i)`` from its
+    two taps, ``k0 = floor(s)`` and ``k0 + 1``. ``idx`` holds the flat [H*W]
+    source index of every left tap, then of every right tap, clipped into
+    the image; ``weights`` holds their tent weights in the same order,
+    ``1 - frac`` and ``frac``, zero for a tap outside the image. ``in0`` and
+    ``in1`` are the [H,W] masks of taps inside the image. All four arrays
+    are read-only, so one plan may serve any number of warps.
+    """
+
+    idx: np.ndarray
+    weights: np.ndarray
+    in0: np.ndarray
+    in1: np.ndarray
+
+
+def tent_plan(offset: np.ndarray) -> TentPlan:
+    """The :class:`TentPlan` of sampling each row at ``i + offset(j, i)``."""
+    h, w = offset.shape
+    s = np.arange(w, dtype=np.float64)[None, :] + offset
+    k0 = np.floor(s).astype(np.int64)
+    frac = s - k0
+    k1 = k0 + 1
+    in0 = (k0 >= 0) & (k0 < w)
+    in1 = (k1 >= 0) & (k1 < w)
+    rows = np.arange(h)[:, None] * w
+    idx = np.concatenate([(rows + np.clip(k0, 0, w - 1)).ravel(), (rows + np.clip(k1, 0, w - 1)).ravel()])
+    weights = np.concatenate([((1.0 - frac) * in0).ravel(), (frac * in1).ravel()])
+    for a in (idx, weights, in0, in1):
+        a.flags.writeable = False
+    return TentPlan(idx, weights, in0, in1)
+
+
+def _taps(flat: np.ndarray, plan: TentPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right tap values, [C,H*W] each, of the [C,H*W] ``flat``."""
+    hw = plan.in0.size
+    return np.take(flat, plan.idx[:hw], axis=1), np.take(flat, plan.idx[hw:], axis=1)
+
+
+def _lerp(flat: np.ndarray, plan: TentPlan) -> np.ndarray:
+    """``w0 * f0 + w1 * f1``: the warp of the [C,H*W] ``flat``, a fresh [C,H*W] array."""
+    hw = plan.in0.size
+    out, f1 = _taps(flat, plan)
+    out *= plan.weights[:hw]
+    f1 *= plan.weights[hw:]
+    out += f1
+    return out
+
+
+def _scatter(g: np.ndarray, plan: TentPlan) -> np.ndarray:
+    """Adjoint of :func:`_lerp` for a [C,H,W] gradient ``g``, as a fresh array.
+
+    Per channel, one sequential ``bincount`` over the left taps then the
+    right taps: the sums of ``np.add.at`` over each tap in turn, bit for bit.
+    """
+    c, hw = g.shape[0], plan.in0.size
+    products = np.tile(g.reshape(c, hw), 2)
+    products *= plan.weights
+    return np.stack([np.bincount(plan.idx, p, hw) for p in products]).reshape(g.shape)
+
+
+def _check_warp_shapes(op: str, feature: Tensor, **maps: tuple) -> None:
+    if feature.ndim != 3:
+        raise ValueError(f"{op} expects [C,H,W] features, got shape {feature.shape}")
+    for name, shape in maps.items():
+        if shape != feature.shape[1:]:
+            raise ValueError(f"{op}: {name} shape {shape} does not match feature {feature.shape}")
+
+
 def backward_warp(feature: Tensor, offset: Tensor) -> Tensor:
     """Sample ``feature`` horizontally at ``i + offset(j, i)`` with a tent kernel.
 
     Equivalent to ``out(j,i) = sum_k max(0, 1 - |i + offset - k|) feature(k)``
     along each row; samples falling outside the image contribute zero, so
     border pixels attenuate rather than clamp. Differentiable with respect to
-    both arguments.
+    both arguments. The tape keeps only the output and the call's
+    :class:`TentPlan`; the offset vjp gathers the taps again.
     """
-    if feature.ndim != 3:
-        raise ValueError(f"backward_warp expects [C,H,W] features, got shape {feature.shape}")
+    _check_warp_shapes("backward_warp", feature, offset=offset.shape)
     c, h, w = feature.shape
-    if offset.shape != (h, w):
-        raise ValueError(f"offset shape {offset.shape} does not match feature {feature.shape}")
-
-    cols = np.arange(w, dtype=np.float64)
-    s = cols[None, :] + offset.data
-    k0 = np.floor(s).astype(np.int64)
-    frac = s - k0
-    k1 = k0 + 1
-    in0 = (k0 >= 0) & (k0 < w)
-    in1 = (k1 >= 0) & (k1 < w)
-    k0c = np.clip(k0, 0, w - 1)
-    k1c = np.clip(k1, 0, w - 1)
-    rows = np.arange(h)[:, None]
-    w0 = (1.0 - frac) * in0
-    w1 = frac * in1
-    idx0 = (rows * w + k0c).ravel()
-    idx1 = (rows * w + k1c).ravel()
+    plan = tent_plan(offset.data)
     flat = feature.data.reshape(c, h * w)
-    f0 = np.take(flat, idx0, axis=1).reshape(c, h, w)
-    f1 = np.take(flat, idx1, axis=1).reshape(c, h, w)
-    out = w0[None] * f0 + w1[None] * f1
-
-    def vjp_feature(g):
-        # per channel, one sequential scatter over both taps: the sums of
-        # np.add.at over idx0 then idx1, in the same order, bit for bit
-        idx, w0f, w1f = np.concatenate([idx0, idx1]), w0.ravel(), w1.ravel()
-        dflat = [np.bincount(idx, np.concatenate([gc * w0f, gc * w1f]), h * w) for gc in g.reshape(c, h * w)]
-        return np.stack(dflat).reshape(c, h, w)
+    out = _lerp(flat, plan).reshape(c, h, w)
 
     def vjp_offset(g):
-        return (g * (f1 * in1[None] - f0 * in0[None])).sum(axis=0)
+        f0, f1 = (f.reshape(c, h, w) for f in _taps(flat, plan))
+        return (g * (f1 * plan.in1[None] - f0 * plan.in0[None])).sum(axis=0)
 
-    return ad._result(out, (feature, offset), (vjp_feature, vjp_offset))
+    return ad._result(out, (feature, offset), (lambda g: _scatter(g, plan), vjp_offset))
 
 
-def warp_map(values: Tensor, offset: Tensor) -> Tensor:
-    """Backward-warp a single-channel [H,W] map."""
-    return ad.reshape(backward_warp(ad.reshape(values, (1, *values.shape)), offset), values.shape)
+def warped_l1(f_base: Tensor, f_match: Tensor, plan: TentPlan, mask: np.ndarray) -> Tensor:
+    """``sum |f_base - warp(f_match)| * mask / sum(mask)`` as one tape op.
+
+    ``f_match`` is warped by ``plan`` (a constant, such as the ground-truth
+    warp of :meth:`DisparityMap.warp_plan`) and compared with ``f_base``, both
+    [C,H,W]; ``mask`` is a non-empty [H,W] {0,1} map. The value, and the
+    gradients of both features, equal bit for bit those of the composition
+    ``mulc(sum_all(mul_spatial(absolute(sub(f_base, backward_warp(f_match,
+    offset))), mask)), 1 / sum(mask))``, while the tape keeps only the
+    difference ``d``. The gradient of ``f_base`` is ``sign(d) * mask`` times
+    the scaled output gradient; that of ``f_match`` scatters its negation
+    back through the plan.
+    """
+    if f_base.shape != f_match.shape:
+        raise ValueError(f"warped_l1: shape mismatch {f_base.shape} vs {f_match.shape}")
+    _check_warp_shapes("warped_l1", f_match, plan=plan.in0.shape, mask=mask.shape)
+    c, h, w = f_match.shape
+    scale = 1.0 / float(mask.sum())
+    d = _lerp(f_match.data.reshape(c, h * w), plan).reshape(c, h, w)
+    np.subtract(f_base.data, d, out=d)
+
+    def signed_mask(factor: float) -> np.ndarray:
+        s = np.sign(d)
+        s *= mask
+        s *= factor
+        return s
+
+    # sign(d) and mask are exact in {-1, 0, 1}, so negating the factor negates every bit of the product
+    vjps = (
+        lambda g: signed_mask(float(g) * scale),
+        lambda g: _scatter(signed_mask(-(float(g) * scale)), plan),
+    )
+    return ad._result(np.array((np.abs(d) * mask).sum() * scale), (f_base, f_match), vjps)
 
 
 def occlusion_mask(d_base: DisparityMap, d_match: DisparityMap) -> OcclusionMask:
@@ -186,9 +268,11 @@ def occlusion_mask(d_base: DisparityMap, d_match: DisparityMap) -> OcclusionMask
     """
     if d_base.view == d_match.view:
         raise ValueError("occlusion_mask requires maps from opposite views")
-    offset = signed_offset(ad.constant(d_base.values.data), d_base.view)
-    warped = warp_map(ad.constant(d_match.values.data), offset)
-    mask = (np.abs(d_base.values.data - warped.data) < 1.0).astype(np.float64)
+    base = d_base.values.data
+    if d_match.values.shape != base.shape:
+        raise ValueError(f"occlusion_mask: shape mismatch {base.shape} vs {d_match.values.shape}")
+    warped = _lerp(d_match.values.data.reshape(1, base.size), d_base.warp_plan()).reshape(base.shape)
+    mask = (np.abs(base - warped) < 1.0).astype(np.float64)
     return OcclusionMask(ad.constant(mask), d_base.view)
 
 

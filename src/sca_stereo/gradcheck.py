@@ -167,6 +167,12 @@ _STACKED, _PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d ch
 _MASK = ad.constant(np.where(np.arange(12).reshape(3, 4) == 2, -np.inf, 0.0))
 
 
+# offsets fractional, integer and past both edges; a mask with an empty row
+_WARP_OFFSETS = np.array([[0.37, -1.0, 2.5, 6.2], [-4.6, 1.0, -0.75, 0.0], [3.37, -2.63, 1.5, -3.0]])
+_WARP_PLAN = geometry.tent_plan(_WARP_OFFSETS.repeat(2, axis=1))
+_L1_MASK = np.array([[1.0] * 8, [0.0] * 8, [1.0, 0.0] * 4])
+
+
 def _shifted_dots(a, b):
     # both directions, and the widest band d_max = W-1
     terms = ((3, "right_to_left"), (3, "left_to_right"), (6, "right_to_left"))
@@ -348,6 +354,9 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     # logits away from the hinge kinks at -1 and +1
     "hinge_adv_discriminator": _row(_hinge_discriminator, *[_uniform(-0.6, 0.6, 1, 3, 4)] * 3),
     "stereo_consistency_loss": _row(_stereo_consistency, _normal(2, 4, 8), _normal(2, 4, 8)),
+    "warped_l1": _row(
+        lambda fb, fm: geometry.warped_l1(fb, fm, _WARP_PLAN, _L1_MASK), _normal(2, 3, 8), _normal(2, 3, 8)
+    ),
     "disparity_loss": _row(_disparity, _uniform(1.0, 6.0, 4, 6), _uniform(1.0, 6.0, 4, 6)),
     "reprojection_loss": _row(
         lambda il, ir, pl, pr: losses.reprojection_loss({"left": il, "right": ir}, {"left": pl, "right": pr}, 0.85),

@@ -1,6 +1,8 @@
 """Loss functions: hinge adversarial terms, multi-scale stereo consistency,
 supervised disparity regression, photometric reprojection, and the frozen
-perceptual / feature-matching terms, plus the weighted full objective.
+perceptual / feature-matching terms, plus the two weighted objectives:
+:func:`generator_objective` for the translator and
+:func:`matcher_objective` for the adapted matcher.
 
 View pairs are passed as ``{"left": ..., "right": ...}`` dicts; the two
 (base, match) orderings of every symmetric loss are summed.
@@ -24,7 +26,7 @@ _SSIM_C2 = 0.03**2
 
 @dataclass
 class LossWeights:
-    """Weights of the full objective and the SSIM mixing factor."""
+    """Weights of both objectives' terms and the SSIM mixing factor."""
 
     lambda_perc: float = 1.0
     lambda_feat: float = 1.0
@@ -67,17 +69,6 @@ def adv_loss_discriminator(
     return ad.add_n([_scale_mean(group[v], transform) for group, transform in groups for v in VIEWS])
 
 
-def _masked_l1_term(f_base: Tensor, f_match: Tensor, disparity: geometry.DisparityMap, mask: np.ndarray):
-    """sum |f_base - warp(f_match)| * mask / sum(mask), or None if mask empty."""
-    mask_sum = float(mask.sum())
-    if mask_sum == 0.0:
-        return None
-    offset = geometry.signed_offset(ad.constant(disparity.values.data), disparity.view)
-    warped = geometry.backward_warp(f_match, offset)
-    diff = ad.absolute(ad.sub(f_base, warped))
-    return ad.mulc(ad.sum_all(ad.mul_spatial(diff, ad.constant(mask))), 1.0 / mask_sum)
-
-
 def stereo_consistency_loss(
     gen_feats: dict[str, list[tuple[Tensor, int]]],
     images: dict[str, Tensor] | None,
@@ -90,7 +81,10 @@ def stereo_consistency_loss(
     by one :func:`autodiff.upsample_bilinear2` call at their factor (the
     translated images participate as they are), warped under the
     ground-truth disparity of the base view, normalized by the unoccluded
-    pixel count, and summed over scales and both view orderings.
+    pixel count, and summed over scales and both view orderings. Each term
+    is one :func:`geometry.warped_l1` op; the terms of one base view share
+    one :meth:`geometry.DisparityMap.warp_plan`, which lives only as long
+    as the tape. A base view whose mask is empty adds no terms.
     """
     full_res: dict[str, list[Tensor]] = {}
     for v in VIEWS:
@@ -104,14 +98,14 @@ def stereo_consistency_loss(
     for b in VIEWS:
         m = geometry.other_view(b)
         mask = masks[b].mask.data
+        plan = gt_disparities[b].warp_plan()
         for f_b, f_m in zip(full_res[b], full_res[m]):
             if f_b.shape[1:] != mask.shape:
                 raise ValueError(
                     f"upsampled feature {f_b.shape} does not reach mask resolution {mask.shape}"
                 )
-            term = _masked_l1_term(f_b, f_m, gt_disparities[b], mask)
-            if term is not None:
-                terms.append(term)
+            if mask.any():
+                terms.append(geometry.warped_l1(f_b, f_m, plan, mask))
     return ad.add_n(terms)
 
 

@@ -16,6 +16,8 @@ config and seed reproduces logs and checkpoints bit for bit.
 from __future__ import annotations
 
 import csv
+import itertools
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +39,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write ``header``, then each row of ``rows`` as it is produced, flushed at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            writer.writerow(row)
+            f.flush()
 
 
 def _rng(config: RunConfig, tag: int) -> np.random.Generator:
@@ -205,13 +209,14 @@ def _descend(loss: Tensor, params: dict[str, Tensor], state: AdamState) -> None:
 
 
 def _fit(config: RunConfig, log_name: str, columns: list[str], iters: int, step) -> None:
-    """The one training loop: ``step(it)`` for it = 1..iters, then the loss log.
+    """The one training loop: ``step(it)`` for it = 1..iters, streamed to the loss log.
 
     ``step`` runs one iteration and returns its loss tensors, one per entry of
     ``columns``; each row of ``<output_dir>/<log_name>`` is the iteration and
-    those values.
+    those values, flushed as its iteration ends, so a run stopped at
+    iteration k keeps the header and k - 1 rows.
     """
-    rows = [[it, *(_fmt(t.item()) for t in step(it))] for it in range(1, iters + 1)]
+    rows = ([it, *(_fmt(t.item()) for t in step(it))] for it in range(1, iters + 1))
     _write_csv(Path(config.output_dir) / log_name, ["iteration", *columns], rows)
 
 

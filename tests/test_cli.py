@@ -409,6 +409,27 @@ class TestPipelineCommands:
         score = training.image_consistency(images, src.disparities, source.masks[sid])
         assert float(row["consistency"]) == pytest.approx(score, abs=0.02)
 
+    def test_loss_log_keeps_finished_iterations_when_a_step_raises(self, tiny_env, monkeypatch):
+        base, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        config = load_config(cfg_path)
+        config.pretrain_iters = 5
+        training.pretrain(config)
+        full = (base / "out" / "pretrain_loss.csv").read_text().splitlines(keepends=True)
+        steps = []
+        original = training._descend
+
+        def failing(*args):
+            steps.append(1)
+            if len(steps) == 3:
+                raise RuntimeError("stopped at iteration 3")
+            original(*args)
+
+        monkeypatch.setattr(training, "_descend", failing)
+        with pytest.raises(RuntimeError, match="iteration 3"):
+            training.pretrain(config)
+        assert (base / "out" / "pretrain_loss.csv").read_text() == "".join(full[:3])
+
     def test_adapt_with_zero_weights_keeps_checkpoint(self, tiny_env, tmp_path):
         base, cfg_path = tiny_env
         text = tiny_config_text(base) + "lambda_disp = 0.0\nlambda_reproj = 0.0\n"
@@ -503,6 +524,6 @@ class TestGradcheckCommand:
         lines = [l for l in out.splitlines() if l.startswith("ok") or l.startswith("FAIL")]
         ops = {l.split()[1] for l in lines}
         assert ops == set(gradcheck.CASES)
-        assert len(ops) == 53
-        assert len(lines) == 53 * 3
+        assert len(ops) == 54
+        assert len(lines) == 54 * 3
         assert all(l.startswith("ok") for l in lines)

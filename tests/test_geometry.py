@@ -103,7 +103,8 @@ class TestBackwardWarp:
         offset[:, -3:] = 2.4  # off the right edge; column w-3 straddles it
         offset[:, 8:14] = 8.25 - np.arange(8, 14)  # six targets sample columns 8 and 9
         g = rng.standard_normal((c, h, w))
-        out = geometry.backward_warp(f, ad.constant(offset))
+        offset_t = ad.tensor(offset, requires_grad=True)
+        out = geometry.backward_warp(f, offset_t)
         ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
 
         s = np.arange(w)[None, :] + offset
@@ -112,11 +113,17 @@ class TestBackwardWarp:
         rows = np.arange(h)[:, None]
         expected = np.zeros((c, h * w))
         chan = np.arange(c)[:, None]
+        taps = []
         for k, weight in ((k0, 1.0 - frac), (k0 + 1, frac)):
             inside = (k >= 0) & (k < w)
             idx = (rows * w + np.clip(k, 0, w - 1)).ravel()
             np.add.at(expected, (chan, idx[None, :]), (g * (weight * inside)[None]).reshape(c, h * w))
+            taps.append((weight * inside, f.data.reshape(c, h * w)[:, idx].reshape(c, h, w), inside))
         assert np.array_equal(f.grad, expected.reshape(c, h, w))
+        # the forward lerp and the offset gradient, in the order of the two-tap formula
+        (w0, f0, in0), (w1, f1, in1) = taps
+        assert np.array_equal(out.data, w0[None] * f0 + w1[None] * f1)
+        assert np.array_equal(offset_t.grad, (g * (f1 * in1[None] - f0 * in0[None])).sum(axis=0))
 
 
 class TestOcclusionMask:
@@ -157,6 +164,18 @@ class TestOcclusionMask:
         d = disparity_map(np.ones((2, 4)), "left")
         with pytest.raises(ValueError):
             geometry.occlusion_mask(d, d)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            geometry.occlusion_mask(disparity_map(np.ones((2, 8)), "left"), disparity_map(np.ones((4, 4)), "right"))
+
+
+class TestTentPlan:
+    def test_plan_is_read_only(self):
+        plan = geometry.tent_plan(np.full((2, 5), -1.5))
+        for a in plan:
+            with pytest.raises(ValueError):
+                a[...] = 0
 
 
 class TestMetrics:

@@ -145,6 +145,77 @@ class TestStereoConsistency:
         assert tight < loose
 
 
+def _composed_l1(f_base, f_match, disparity, mask):
+    """The masked L1 term as the op chain it replaced: warp, sub, abs, mask, sum, scale."""
+    offset = geometry.signed_offset(ad.constant(disparity.values.data), disparity.view)
+    diff = ad.absolute(ad.sub(f_base, geometry.backward_warp(f_match, offset)))
+    return ad.mulc(ad.sum_all(ad.mul_spatial(diff, ad.constant(mask))), 1.0 / float(mask.sum()))
+
+
+class TestWarpedL1:
+    @staticmethod
+    def _value_and_grads(term_fn, data_b, data_m, disparity, mask, term_first):
+        f_b = ad.tensor(data_b, requires_grad=True)
+        f_m = ad.tensor(data_m, requires_grad=True)
+        # a second consumer of both inputs; whichever reaches them first sets their gradient arrays
+        other = ad.sum_all(ad.mulc(ad.add(f_b, f_m), 0.5))
+        term = term_fn(f_b, f_m, disparity, mask)
+        value = term.item()
+        ad.backward(ad.add(other, term) if term_first else ad.add(term, other))
+        return value, f_b.grad, f_m.grad
+
+    @pytest.mark.parametrize("term_first", [True, False])
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("kind", ["fractional", "integer"])
+    def test_bit_equal_to_composed_chain(self, view, kind, term_first):
+        rng = np.random.default_rng(11)
+        c, h, w = 3, 5, 16
+        disp = rng.uniform(0.0, 6.0, (h, w))
+        if kind == "integer":
+            disp = np.round(disp)
+        disp[:, :2] = 7.5  # samples past the left edge from the left view, ...
+        disp[:, -2:] = 7.5  # ... past the right edge from the right view
+        mask = (rng.random((h, w)) > 0.3).astype(np.float64)
+        mask[1] = 0.0  # a zero row
+        data_b, data_m = rng.standard_normal((c, h, w)), rng.standard_normal((c, h, w))
+        data_b[:, 3, :2] = 0.0  # |d| at its kink: the left view reads zeros past the edge there
+        results = []
+        for term_fn in (_composed_l1, lambda fb, fm, d, m: geometry.warped_l1(fb, fm, d.warp_plan(), m)):
+            disparity = geometry.DisparityMap(ad.constant(disp), view)
+            results.append(self._value_and_grads(term_fn, data_b, data_m, disparity, mask, term_first))
+        (value, grad_b, grad_m), (fused_value, fused_b, fused_m) = results
+        assert fused_value == value
+        assert np.array_equal(fused_b.view(np.int64), grad_b.view(np.int64))
+        assert np.array_equal(fused_m.view(np.int64), grad_m.view(np.int64))
+
+    def test_shape_mismatch(self):
+        plan = geometry.tent_plan(np.zeros((2, 5)))
+        f = ad.constant(np.zeros((1, 2, 5)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            geometry.warped_l1(f, ad.constant(np.zeros((2, 2, 5))), plan, np.ones((2, 5)))
+        with pytest.raises(ValueError, match="mask shape"):
+            geometry.warped_l1(f, f, plan, np.ones((2, 4)))
+        with pytest.raises(ValueError, match="plan shape"):
+            geometry.warped_l1(f, f, geometry.tent_plan(np.zeros((2, 4))), np.ones((2, 5)))
+
+    def test_one_plan_per_base_view(self, monkeypatch):
+        calls = []
+        for name in ("tent_plan", "warped_l1"):
+            original = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *a, name=name, op=original: calls.append(name) or op(*a))
+        rng = np.random.default_rng(5)
+        h, w = 4, 12
+        disp = {v: geometry.DisparityMap(ad.constant(rng.uniform(1.0, 3.0, (h, w))), v) for v in VIEWS}
+        masks = {v: geometry.occlusion_mask(disp[v], disp[geometry.other_view(v)]) for v in VIEWS}
+        calls.clear()
+        # three feature scales and the images: four terms per base view
+        scales = [(2, 1), (3, 2), (4, 4)]
+        feats = {v: [(ad.tensor(rng.standard_normal((c, h // k, w // k)), True), k) for c, k in scales] for v in VIEWS}
+        images = {v: ad.tensor(rng.uniform(0, 1, (3, h, w)), requires_grad=True) for v in VIEWS}
+        ad.backward(losses.stereo_consistency_loss(feats, images, disp, masks))
+        assert calls == ["tent_plan"] + ["warped_l1"] * 4 + ["tent_plan"] + ["warped_l1"] * 4
+
+
 class TestSmoothL1:
     def test_quadratic_branch(self):
         assert losses.smooth_l1(ad.constant(np.array(0.5))).item() == pytest.approx(0.125)
