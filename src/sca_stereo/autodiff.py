@@ -9,11 +9,18 @@ aliases ``g`` or is read-only. Calling :func:`backward` on a scalar walks
 the recorded graph in reverse topological order with a fixed,
 insertion-ordered schedule, so repeated runs are bit-identical.
 
+The tape is a graph of small :class:`_Node` objects, not of tensors. An op
+output holds its node; the node links to its parents' nodes (a leaf parent
+is linked as itself) and holds the op's backward closure. So the tape keeps
+only what the vjps read: each op saves its operands, or less (a shape, a
+sign mask, a sampling plan), and an op output that no vjp reads dies with
+the caller's last reference to it.
+
 Backward consumes the graph; ``detach()`` to reuse an output. Only leaves
-(parameters and inputs that require grad) keep a gradient, and once the
-walk ends every op output it visited drops its parents and its vjps, so
-the saved arrays die with the caller's last reference. A second backward
-through a consumed output raises ``ValueError``.
+(parameters and inputs that require grad) keep a gradient. The walk unlinks
+each node as soon as its vjps have run, so the arrays its closure saved are
+freed while the rest of the walk runs. A second backward through a consumed
+output raises ``ValueError``.
 
 Also home to the Adam optimizer and spectral normalization, since both act
 directly on parameter tensors.
@@ -30,22 +37,52 @@ from .errors import NumericError
 Array = np.ndarray
 
 
+class _Node:
+    """One op on the tape: its parents' entries, its backward closure and its transient gradient.
+
+    Each entry of ``parents`` is the parent's node, the parent itself for a
+    leaf that requires grad, or ``None`` for a parent that needs no gradient.
+    ``backward(g)`` adds the op's vjps of ``g`` into those entries' ``grad``.
+    """
+
+    __slots__ = ("parents", "backward", "grad")
+
+    def __init__(self, parents: tuple, backward):
+        self.parents = parents
+        self.backward = backward
+        self.grad: Array | None = None
+
+
 class Tensor:
     """A dense float64 array, optionally participating in the gradient tape.
 
-    ``data`` is stored row-major (C order). ``grad`` is allocated lazily on
-    first accumulation during :func:`backward`. Tensors are treated as
-    immutable once created; only the optimizer mutates parameter data.
+    ``data`` is stored row-major (C order). An op output that needs a
+    gradient holds its tape :class:`_Node`; ``_backward`` and ``_parents``
+    read through to it, and ``_backward`` may be replaced to wrap the
+    closure. ``grad`` is allocated lazily on first accumulation during
+    :func:`backward`, on leaves only. Tensors are treated as immutable once
+    created; only the optimizer mutates parameter data.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, _node: _Node | None = None):
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = requires_grad
         self.grad: Array | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self._node = _node
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, closure) -> None:
+        self._node.backward = closure
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
 
     @property
     def shape(self) -> tuple:
@@ -84,7 +121,7 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
-def _accumulate(t: Tensor, delta: Array, g: Array) -> None:
+def _accumulate(t: _Node | Tensor, delta: Array, g: Array) -> None:
     """Add ``delta`` into ``t.grad``; on first touch keep it unless it aliases ``g`` or is read-only."""
     if t.grad is not None:
         t.grad += delta
@@ -95,23 +132,26 @@ def _accumulate(t: Tensor, delta: Array, g: Array) -> None:
 
 
 def _result(data, parents, vjps) -> Tensor:
-    """Wrap op output; record the tape node only if some parent needs grads.
+    """Wrap op output; record a tape node only if some parent needs grads.
 
     ``vjps[i](g)`` returns parent i's gradient contribution for output
     gradient ``g``: ``g`` itself, a view of ``g``, or a fresh array, never a
-    view of another tensor's data. The node calls only the vjps of parents
-    that require grad, in parent order.
+    view of another tensor's data. The node keeps only the vjps of parents
+    that need a gradient and calls them in parent order. The node links
+    parents' nodes, not the parent tensors, so an op output stays alive only
+    while a vjp holds it: a vjp saves what it reads (an operand whose data
+    it needs, a mask, a shape), never a tensor it reads only the shape of.
     """
-    parents = tuple(parents)
-    if not any(p.requires_grad for p in parents):
+    entries = tuple(p._node if p._node is not None else (p if p.requires_grad else None) for p in parents)
+    steps = [(entry, vjp) for entry, vjp in zip(entries, vjps) if entry is not None]
+    if not steps:
         return Tensor(data)
 
     def backward_fn(g):
-        for p, vjp in zip(parents, vjps):
-            if p.requires_grad:
-                _accumulate(p, vjp(g), g)
+        for entry, vjp in steps:
+            _accumulate(entry, vjp(g), g)
 
-    return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
+    return Tensor(data, requires_grad=True, _node=_Node(entries, backward_fn))
 
 
 _CONSUMED = "graph already consumed by backward; detach() an output to reuse it"
@@ -122,27 +162,29 @@ def _consumed(g):
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every reachable leaf, then free the graph.
+    """Populate ``grad`` on every reachable leaf, consuming the graph as it goes.
 
     ``loss`` must be a scalar (shape ``()``). Accumulation order is the
     reverse of a depth-first post-order over parents in insertion order,
     which makes gradient values bit-reproducible across runs.
 
-    Backward consumes the graph; ``detach()`` to reuse an output. Each op
-    output's ``grad`` is dropped as soon as its vjps have run, so only leaves
-    (tensors that require grad and have no ``_backward``) keep a gradient.
-    When the walk ends every op output it visited loses its parents and its
-    backward closure, whose saved arrays die with the caller's last
-    reference. Walking a consumed node again raises ``ValueError`` before
-    any gradient is touched.
+    Backward consumes the graph; ``detach()`` to reuse an output. Gradients
+    of op outputs live on their nodes and are dropped as soon as the node's
+    vjps have run, so only leaves keep a gradient. At the same moment the
+    node loses its parents and its backward closure, whose saved arrays die
+    then unless the caller still holds them. Walking a consumed node again
+    raises ``ValueError`` before any gradient is touched.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
+    root = loss._node
+    if root is None:
+        if loss.requires_grad:
+            loss.grad = np.ones((), dtype=np.float64)
         return
-    order: list[Tensor] = []
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -150,23 +192,19 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
-        if node._backward is _consumed:
+        if node.backward is _consumed:
             raise ValueError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
         # reversed so that parents are visited in insertion order
-        for p in reversed(node._parents):
-            if p.requires_grad and id(p) not in seen:
+        for p in reversed(node.parents):
+            if isinstance(p, _Node) and id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
-            node.grad = None
-    for node in order:
-        if node._backward is not None:
-            node._backward = _consumed
-            node._parents = ()
+    root.grad = np.ones((), dtype=np.float64)
+    while order:
+        node = order.pop()
+        node.backward(node.grad)
+        node.grad, node.backward, node.parents = None, _consumed, ()
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +263,8 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     if not 0.0 < slope <= 1.0:
         raise ValueError(f"leaky_relu: slope must be in (0, 1], got {slope}")
     # g * 1 is g and the max picks slope elsewhere: the branch-free form of where(a > 0, g, g * slope)
-    return _result(np.maximum(a.data, slope * a.data), (a,), (lambda g: g * np.maximum(a.data > 0, slope),))
+    positive = a.data > 0 if a.requires_grad else None
+    return _result(np.maximum(a.data, slope * a.data), (a,), (lambda g: g * np.maximum(positive, slope),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -297,27 +336,29 @@ def broadcast_chan(v: Tensor, height: int, width: int) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _result(np.array(a.data.sum()), (a,), (lambda g: np.full_like(a.data, float(g)),))
+    shape = a.shape
+    return _result(np.array(a.data.sum()), (a,), (lambda g: np.full(shape, float(g)),))
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    return _result(np.array(a.data.mean()), (a,), (lambda g: np.full_like(a.data, float(g) / n),))
+    shape, n = a.shape, a.size
+    return _result(np.array(a.data.mean()), (a,), (lambda g: np.full(shape, float(g) / n),))
 
 
 def channel_mean(a: Tensor) -> Tensor:
     """Per-channel spatial mean of a [C,H,W] tensor, shape [C]."""
     if a.ndim != 3:
         raise ValueError(f"channel_mean expects [C,H,W], got shape {a.shape}")
-    n = a.shape[1] * a.shape[2]
-    return _result(a.data.mean(axis=(1, 2)), (a,), (lambda g: np.broadcast_to(g[:, None, None] / n, a.shape),))
+    shape, n = a.shape, a.shape[1] * a.shape[2]
+    return _result(a.data.mean(axis=(1, 2)), (a,), (lambda g: np.broadcast_to(g[:, None, None] / n, shape),))
 
 
 def sum_channels(a: Tensor) -> Tensor:
     """Per-pixel sum over the channel axis of a [C,H,W] tensor, shape [H,W]."""
     if a.ndim != 3:
         raise ValueError(f"sum_channels expects [C,H,W], got shape {a.shape}")
-    return _result(a.data.sum(axis=0), (a,), (lambda g: np.broadcast_to(g[None, :, :], a.shape),))
+    shape = a.shape
+    return _result(a.data.sum(axis=0), (a,), (lambda g: np.broadcast_to(g[None, :, :], shape),))
 
 
 def mul_spatial(a: Tensor, s: Tensor) -> Tensor:
@@ -558,6 +599,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
     out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
 
     shared = []  # vjp_x hands its gradient buffer to vjp_kernel, which drops it
+    kernel_grad = kernel.requires_grad
 
     def lead_in(g):
         """[C_out, lead + hq*wq]: ``lead`` zeros, then g with zeros in the spare columns, then zeros."""
@@ -569,11 +611,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
 
     def vjp_x(g):
         g_buf = lead_in(g)
-        if kernel.requires_grad:
+        if kernel_grad:
             shared.append(g_buf)
         if own:
-            return _tap_sum(k_taps.transpose(0, 2, 1), [g_buf]).reshape(x.shape)
-        dx = np.zeros_like(x.data)
+            return _tap_sum(k_taps.transpose(0, 2, 1), [g_buf]).reshape(c_in, h, w)
+        dx = np.zeros((c_in, h, w), dtype=np.float64)
         for ab, rows, cols, src in phases:
             ts = [t for t, (tap_ab, _) in enumerate(taps) if tap_ab == ab]
             if ts:

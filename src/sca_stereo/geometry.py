@@ -234,10 +234,11 @@ def warped_l1(f_base: Tensor, f_match: Tensor, plan: TentPlan, mask: np.ndarray)
     [C,H,W]; ``mask`` is a non-empty [H,W] {0,1} map. The value, and the
     gradients of both features, equal bit for bit those of the composition
     ``mulc(sum_all(mul_spatial(absolute(sub(f_base, backward_warp(f_match,
-    offset))), mask)), 1 / sum(mask))``, while the tape keeps only the
-    difference ``d``. The gradient of ``f_base`` is ``sign(d) * mask`` times
-    the scaled output gradient; that of ``f_match`` scatters its negation
-    back through the plan.
+    offset))), mask)), 1 / sum(mask))``, up to the sign of zero entries,
+    while the tape keeps only the signed mask ``sm = sign(d) * mask`` of the
+    difference ``d``, as int8. The gradient of ``f_base`` is ``sm`` times the
+    scaled output gradient; that of ``f_match`` scatters its negation back
+    through the plan.
     """
     if f_base.shape != f_match.shape:
         raise ValueError(f"warped_l1: shape mismatch {f_base.shape} vs {f_match.shape}")
@@ -246,19 +247,13 @@ def warped_l1(f_base: Tensor, f_match: Tensor, plan: TentPlan, mask: np.ndarray)
     scale = 1.0 / float(mask.sum())
     d = _lerp(f_match.data.reshape(c, h * w), plan).reshape(c, h, w)
     np.subtract(f_base.data, d, out=d)
-
-    def signed_mask(factor: float) -> np.ndarray:
-        s = np.sign(d)
-        s *= mask
-        s *= factor
-        return s
-
-    # sign(d) and mask are exact in {-1, 0, 1}, so negating the factor negates every bit of the product
-    vjps = (
-        lambda g: signed_mask(float(g) * scale),
-        lambda g: _scatter(signed_mask(-(float(g) * scale)), plan),
-    )
-    return ad._result(np.array((np.abs(d) * mask).sum() * scale), (f_base, f_match), vjps)
+    value = np.array((np.abs(d) * mask).sum() * scale)
+    # sign(d) and mask are exact in {-1, 0, 1}: int8 holds them, and int8 * float is the float64 product
+    np.sign(d, out=d)
+    d *= mask
+    sm = d if np.isnan(value) else d.astype(np.int8)  # a nan in d must still reach the gradients
+    vjps = (lambda g: sm * (float(g) * scale), lambda g: _scatter(sm * -(float(g) * scale), plan))
+    return ad._result(value, (f_base, f_match), vjps)
 
 
 def occlusion_mask(d_base: DisparityMap, d_match: DisparityMap) -> OcclusionMask:

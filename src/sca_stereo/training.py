@@ -16,6 +16,7 @@ config and seed reproduces logs and checkpoints bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from collections.abc import Iterable
 from pathlib import Path
@@ -102,16 +103,20 @@ def gen_data(config: RunConfig) -> Path:
 
 
 class LoadedSplit:
-    """All samples of one split in memory, with cached occlusion masks."""
+    """All samples of one split in memory; occlusion masks are built on first read."""
 
     def __init__(self, samples: list[synth.StereoSample]):
         self.samples = samples
-        self.masks = [
+
+    @functools.cached_property
+    def masks(self) -> list[dict[str, geometry.OcclusionMask]]:
+        """Each sample's left-right consistency mask per view; only stereo-consistency terms read them."""
+        return [
             {
                 v: geometry.occlusion_mask(s.disparities[v], s.disparities[geometry.other_view(v)])
                 for v in VIEWS
             }
-            for s in samples
+            for s in self.samples
         ]
 
     def __len__(self) -> int:

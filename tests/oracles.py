@@ -1,10 +1,15 @@
 """Independent brute-force oracles the test suite checks the library against.
 
 Everything here is written as plain nested loops over the defining sums, on
-purpose: no code is shared with the library implementations.
+purpose: no code is shared with the library implementations. The one
+exception, :func:`tape_nbytes`, measures the gradient tape itself.
 """
 
+import types
+
 import numpy as np
+
+from sca_stereo import autodiff as ad
 
 
 def conv2d_oracle(x, kernel, stride=1, padding=0):
@@ -201,3 +206,39 @@ def stereo_consistency_oracle(feats_by_view, images_by_view, disparities, masks)
 
 def smooth_l1_oracle(x):
     return np.where(np.abs(x) < 1.0, 0.5 * x * x, np.abs(x) - 0.5)
+
+
+def tape_nbytes(loss):
+    """Bytes of the distinct arrays that the backward closures on ``loss``'s tape hold.
+
+    Walks the tape's nodes from ``loss`` along their parent links, and each
+    node's closure through captured variables, default arguments, tuples,
+    lists, dicts and tensors (their data, never their nodes). Every array
+    counts once, as its base buffer, so views of a saved array add nothing.
+    Leaves that require grad (parameters, inputs) are not counted: they
+    live whether or not a tape holds them.
+    """
+    stack = [] if loss._node is None else [loss._node]
+    seen, bases = set(), {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+        elif isinstance(obj, ad._Node):
+            stack.append(obj.backward)
+            stack.extend(p for p in obj.parents if isinstance(p, ad._Node))
+        elif isinstance(obj, ad.Tensor) and (obj._node is not None or not obj.requires_grad):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+    return sum(bases.values())

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -141,6 +142,71 @@ class TestGraphLifetime:
         x = ad.tensor(2.0, requires_grad=True)
         ad.backward(x)
         assert x.grad == 1.0
+
+    def test_outputs_no_vjp_reads_die_with_the_forward(self):
+        # leaky_relu saves a sign mask and sum_all a shape, so neither array is on the tape
+        rng = np.random.default_rng(4)
+        x = ad.tensor(rng.standard_normal((2, 6, 7)), requires_grad=True)
+        k = ad.tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+
+        def forward():
+            conv = ad.conv2d(x, k, padding=1)
+            act = ad.leaky_relu(conv)
+            return ad.sum_all(act), [weakref.ref(conv.data), weakref.ref(act.data)]
+
+        loss, refs = forward()
+        assert [r() for r in refs] == [None, None]
+        ad.backward(loss)
+        assert x.grad is not None and k.grad is not None
+
+    def test_padded_conv_does_not_pin_its_input(self):
+        rng = np.random.default_rng(5)
+        x = ad.tensor(rng.standard_normal((2, 6, 7)), requires_grad=True)
+        k = rng.standard_normal((3, 2, 3, 3))
+        h = ad.mulc(x, 2.0)  # saves nothing
+        ref = weakref.ref(h.data)
+        loss = ad.sum_all(ad.conv2d(h, ad.tensor(k, requires_grad=True), padding=1))
+        del h
+        assert ref() is None
+        ad.backward(loss)
+        expected = 2.0 * conv2d_input_grad_oracle(np.ones((3, 6, 7)), k, (2, 6, 7), padding=1)
+        assert np.max(np.abs(x.grad - expected)) <= 1e-12
+
+    def test_consumed_node_is_freed_before_the_walk_reaches_the_leaves(self):
+        x = ad.tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
+        alive_at_leaf = []
+
+        def vjp(g):
+            alive_at_leaf.append(saved() is not None)
+            return g
+
+        first = ad._result(x.data.copy(), (x,), (vjp,))  # the op next to the leaf: its vjp runs last
+        out = ad.tanh(first)
+        saved = weakref.ref(out.data)  # tanh saves its output for its vjp
+        loss = ad.sum_all(out)
+        del first, out
+        assert saved() is not None
+        ad.backward(loss)
+        assert alive_at_leaf == [False]
+        assert np.array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
+
+    def test_wrapped_backward_closure_runs_in_the_walk(self):
+        # a tracer times an op's backward by replacing out._backward with a wrapper
+        x = ad.tensor([1.0, -2.0], requires_grad=True)
+        out = ad.mul(x, x)
+        assert out._parents == (x, x)
+        grads = []
+        inner = out._backward
+
+        def wrapper(grad):
+            grads.append(grad.copy())
+            inner(grad)
+
+        out._backward = wrapper
+        ad.backward(ad.sum_all(out))
+        assert len(grads) == 1 and np.array_equal(grads[0], [1.0, 1.0])
+        assert np.array_equal(x.grad, [2.0, -4.0])
+        assert out._backward is not wrapper and out._parents == ()
 
 
 STACKED, PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d channel counts either side of the rule

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import checkpoint, gradcheck, training
+from sca_stereo import checkpoint, geometry, gradcheck, training
 from sca_stereo.cli import main
 from sca_stereo.config import RunConfig, apply_overrides, load_config
 from sca_stereo.errors import ConfigError, FormatError
@@ -473,6 +473,21 @@ class TestPipelineCommands:
             training.train_translator(config)
             counts.append(len(calls))
         assert counts[1] - counts[0] == 12
+
+    def test_only_stereo_consistency_stages_build_occlusion_masks(self, tiny_env, monkeypatch):
+        base, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        main(["--config", str(cfg_path), "train-translator"])
+        config = load_config(cfg_path)
+        calls = []
+        original = geometry.occlusion_mask
+        monkeypatch.setattr(geometry, "occlusion_mask", lambda *a: calls.append(1) or original(*a))
+        training.pretrain(config)
+        training.adapt(config, base / "ckpt" / "translator.ckpt", base / "ckpt" / "matcher.ckpt")
+        training.evaluate(config, base / "ckpt" / "matcher_adapted.ckpt", "target_test")
+        assert calls == []
+        training.translate_export(config, base / "ckpt" / "translator.ckpt", [0])
+        assert len(calls) == 2 * config.n_source_val  # both views of every source_val sample, once
 
     def test_adapt_checkpoint_mismatch_is_config_error(self, tiny_env):
         base, cfg_path = tiny_env

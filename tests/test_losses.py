@@ -5,7 +5,7 @@ from sca_stereo import autodiff as ad
 from sca_stereo import geometry, losses
 from sca_stereo.errors import UndefinedMetricError
 
-from oracles import backward_warp_oracle, smooth_l1_oracle, ssim_oracle, stereo_consistency_oracle
+from oracles import backward_warp_oracle, smooth_l1_oracle, ssim_oracle, stereo_consistency_oracle, tape_nbytes
 
 VIEWS = ("left", "right")
 
@@ -187,6 +187,23 @@ class TestWarpedL1:
         assert fused_value == value
         assert np.array_equal(fused_b.view(np.int64), grad_b.view(np.int64))
         assert np.array_equal(fused_m.view(np.int64), grad_m.view(np.int64))
+
+    def test_tape_keeps_an_int8_signed_mask_and_the_plan(self):
+        rng = np.random.default_rng(12)
+        c, h, w = 3, 5, 16
+        plan = geometry.tent_plan(rng.uniform(-3.0, 3.0, (h, w)))
+        f_b, f_m = (ad.tensor(rng.standard_normal((c, h, w)), requires_grad=True) for _ in range(2))
+        term = geometry.warped_l1(f_b, f_m, plan, np.ones((h, w)))
+        assert tape_nbytes(term) == c * h * w + sum(a.nbytes for a in plan)
+
+    def test_nan_difference_reaches_both_gradients(self):
+        rng = np.random.default_rng(13)
+        c, h, w = 2, 3, 8
+        data_b = rng.standard_normal((c, h, w))
+        data_b[0, 1, 4] = np.nan
+        f_b, f_m = ad.tensor(data_b, requires_grad=True), ad.tensor(rng.standard_normal((c, h, w)), requires_grad=True)
+        ad.backward(geometry.warped_l1(f_b, f_m, geometry.tent_plan(np.full((h, w), -1.5)), np.ones((h, w))))
+        assert np.isnan(f_b.grad[0, 1, 4]) and np.isnan(f_m.grad[0, 1]).any()
 
     def test_shape_mismatch(self):
         plan = geometry.tent_plan(np.zeros((2, 5)))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import matcher
+from sca_stereo import geometry, losses, matcher
 
-from oracles import correlation_oracle
+from oracles import correlation_oracle, tape_nbytes
 
 
 class TestCorrelation1d:
@@ -111,3 +111,36 @@ class TestPredictDisparity:
             matcher.predict_disparity(
                 ad.constant(np.zeros((3, 8, 16))), ad.constant(np.zeros((3, 8, 8))), m
             )
+
+
+class TestTapeFootprint:
+    """What the tape saves at a tiny config, pinned about 10% above its measured size.
+
+    A vjp that captures a tensor it does not read, or an op that saves a
+    full array where a mask or a shape would do, pushes these over the pin.
+    """
+
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(0)
+        mparams = matcher.MatcherParams(rng, channels=4, d_max=6)
+        pairs = [{v: ad.constant(rng.random((3, 16, 32))) for v in ("left", "right")} for _ in range(2)]
+        return rng, mparams, pairs
+
+    def test_predict_disparity(self):
+        _, mparams, (pair, _) = self._setup()
+        pred = matcher.predict_disparity(pair["left"], pair["right"], mparams)
+        assert tape_nbytes(ad.sum_all(pred)) <= 405_000  # measured 368_096
+
+    def test_adapt_step(self):
+        # one sample of training.adapt's step: translated pair plus target pair
+        rng, mparams, (fakes, target) = self._setup()
+        gt = {v: geometry.DisparityMap(ad.constant(rng.uniform(2.0, 5.0, (16, 32))), v) for v in ("left", "right")}
+        preds = matcher.predict_both_views(fakes["left"], fakes["right"], mparams)
+        tpreds = matcher.predict_both_views(target["left"], target["right"], mparams)
+        components = {
+            "disp": ad.mean_n([losses.disparity_loss(preds, gt)]),
+            "reproj": ad.mean_n([losses.reprojection_loss(target, tpreds)]),
+        }
+        loss = losses.matcher_objective(components, losses.LossWeights())
+        assert tape_nbytes(loss) <= 1_980_000  # measured 1_801_696
