@@ -5,7 +5,8 @@ perceptual / feature-matching terms, plus the two weighted objectives:
 :func:`matcher_objective` for the adapted matcher.
 
 View pairs are passed as ``{"left": ..., "right": ...}`` dicts; the two
-(base, match) orderings of every symmetric loss are summed.
+(base, match) orderings of every symmetric loss are summed; the matcher's
+losses sum over the views their prediction dict holds.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def l1_disparity_loss(pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
 def disparity_loss(
     predictions: dict[str, Tensor], gt_disparities: dict[str, geometry.DisparityMap]
 ) -> Tensor:
-    """Mean smooth-L1 disparity error over valid pixels, both views summed."""
-    return ad.add_n([_valid_mean(smooth_l1, predictions[v], gt_disparities[v]) for v in VIEWS])
+    """Mean smooth-L1 disparity error over valid pixels, summed over each view given."""
+    return ad.add_n([_valid_mean(smooth_l1, predictions[v], gt_disparities[v]) for v in VIEWS if v in predictions])
 
 
 def ssim(a: Tensor, b: Tensor) -> Tensor:
@@ -162,10 +163,10 @@ def reprojection_loss(
     """Photometric L1 + SSIM penalty of warping each view onto the other.
 
     Uses the predicted (differentiable) disparities of the base view as the
-    sampling offsets; both orderings are summed.
+    sampling offsets; the term of each base view given is summed.
     """
     terms = []
-    for b in VIEWS:
+    for b in (v for v in VIEWS if v in pred_disparities):
         m = geometry.other_view(b)
         offset = geometry.signed_offset(pred_disparities[b], b)
         warped = geometry.backward_warp(images[m], offset)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .geometry import VIEWS
 from .translation import conv, init_conv
 
 
@@ -72,8 +73,13 @@ def predict_disparity(left: Tensor, right: Tensor, mparams: MatcherParams) -> Te
     return ad.reshape(out, out.shape[1:])
 
 
+def predict_view(left: Tensor, right: Tensor, view: str, mparams: MatcherParams) -> Tensor:
+    """Dense non-negative disparity of ``view``; the right view uses the flip trick."""
+    if view == "left":
+        return predict_disparity(left, right, mparams)
+    return ad.flip_horizontal(predict_disparity(ad.flip_horizontal(right), ad.flip_horizontal(left), mparams))
+
+
 def predict_both_views(left: Tensor, right: Tensor, mparams: MatcherParams) -> dict[str, Tensor]:
-    """Left- and right-view disparities; the right view uses the flip trick."""
-    d_left = predict_disparity(left, right, mparams)
-    flipped = predict_disparity(ad.flip_horizontal(right), ad.flip_horizontal(left), mparams)
-    return {"left": d_left, "right": ad.flip_horizontal(flipped)}
+    """Left- and right-view disparities, one :func:`predict_view` each."""
+    return {v: predict_view(left, right, v, mparams) for v in VIEWS}

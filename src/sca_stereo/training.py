@@ -8,17 +8,19 @@ translated pairs plus photometric reprojection on target pairs, with the
 translator frozen.
 
 All three stages run through :func:`_fit`, the one iteration loop, which
-writes the stage's loss log. Every stage draws randomness from generators
-seeded by (master_seed, stage tag), so re-running any command with the same
-config and seed reproduces logs and checkpoints bit for bit.
+writes the stage's loss log; :func:`_descend` backpropagates the matcher
+stages' losses one prediction at a time. Every stage draws randomness from
+generators seeded by (master_seed, stage tag), so re-running any command
+with the same config and seed reproduces logs and checkpoints bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -206,11 +208,19 @@ def load_translator(config: RunConfig, path: Path, trainable: bool = True) -> tr
     return tparams
 
 
-def _descend(loss: Tensor, params: dict[str, Tensor], state: AdamState) -> None:
-    """One Adam step on ``params`` along the gradient of ``loss``."""
+def _descend(terms: Iterable[Tensor], params: dict[str, Tensor], state: AdamState) -> None:
+    """One Adam step along the summed gradient of ``terms``, each loss backpropagated as soon as it is produced."""
     zero_grads(params)
-    backward(loss)
+    for loss in terms:
+        backward(loss)
     adam_step(params, collect_grads(params), state)
+
+
+def _stream(keys: Iterable, term, factors: tuple[float, ...], values: dict) -> Iterator[Tensor]:
+    """``term(key)`` times each of ``factors`` in turn, key by key; each term's value goes to ``values[key]``."""
+    for key in keys:
+        values[key] = (t := term(key)).detach()
+        yield functools.reduce(ad.mulc, factors, t)
 
 
 def _fit(config: RunConfig, log_name: str, columns: list[str], iters: int, step) -> None:
@@ -226,13 +236,27 @@ def _fit(config: RunConfig, log_name: str, columns: list[str], iters: int, step)
 
 
 def _left_disparity(mparams: matcher.MatcherParams):
-    """Predictor for :func:`evaluate_samples`: the matcher's left-view disparity."""
-    return lambda s: matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
+    """Predictor for :func:`evaluate_samples`: the matcher's left-view disparity, recorded on no tape."""
+    frozen = copy.copy(mparams)
+    frozen.params = translation.detach_params(mparams.params)
+    return lambda s: matcher.predict_disparity(s.images["left"], s.images["right"], frozen)
 
 
 # ---------------------------------------------------------------------------
 # stage 1: source-domain pretraining
 # ---------------------------------------------------------------------------
+
+
+def _pretrain_step(batch: list[synth.StereoSample], mparams: matcher.MatcherParams, state: AdamState) -> Tensor:
+    """One L1 step; returns the mean loss. Last sample first, as backward walks one ``mean_n`` graph."""
+    n, values = len(batch), {}
+
+    def term(k: int) -> Tensor:
+        pred = matcher.predict_disparity(batch[k].images["left"], batch[k].images["right"], mparams)
+        return losses.l1_disparity_loss(pred, batch[k].disparities["left"])
+
+    _descend(_stream(reversed(range(n)), term, (1.0 / n,), values), mparams.params, state)
+    return ad.mean_n([values[k] for k in range(n)])
 
 
 def pretrain(config: RunConfig) -> Path:
@@ -247,13 +271,8 @@ def pretrain(config: RunConfig) -> Path:
     val_rows = []
 
     def step(it: int) -> tuple[Tensor]:
-        terms = []
-        for idx in rng.integers(0, len(train), size=config.pretrain_batch):
-            s = train.samples[idx]
-            pred = matcher.predict_disparity(s.images["left"], s.images["right"], mparams)
-            terms.append(losses.l1_disparity_loss(pred, s.disparities["left"]))
-        loss = ad.mean_n(terms)
-        _descend(loss, mparams.params, state)
+        batch = [train.samples[idx] for idx in rng.integers(0, len(train), size=config.pretrain_batch)]
+        loss = _pretrain_step(batch, mparams, state)
         if it % config.val_interval == 0 or it == config.pretrain_iters:
             val_rows.append([it, _fmt(evaluate_samples(val, _left_disparity(mparams))[1])])
         return (loss,)
@@ -326,7 +345,7 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
             "stereo": ad.mean_n(stereo_terms),
         }
         loss_g = losses.generator_objective(components, weights)
-        _descend(loss_g, tparams.params, g_state)
+        _descend([loss_g], tparams.params, g_state)
 
         # discriminator step on pre-step fakes; one power iteration per kernel
         d_weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=True)
@@ -339,7 +358,7 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
             rt = {v: translation.discriminate(tgt.images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
             adv_c_terms.append(losses.adv_loss_discriminator(fl, rs, rt))
         loss_c = ad.mean_n(adv_c_terms)
-        _descend(loss_c, dparams.params, c_state)
+        _descend([loss_c], dparams.params, c_state)
 
         return components["adv_g"], loss_c, components["perc"], components["feat"], components["stereo"]
 
@@ -355,6 +374,36 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
 # ---------------------------------------------------------------------------
 # stage 3: matcher adaptation
 # ---------------------------------------------------------------------------
+
+
+def _adapt_step(
+    batch: list[tuple], mparams: matcher.MatcherParams, weights: losses.LossWeights, state: AdamState
+) -> tuple[Tensor, Tensor, Tensor]:
+    """One step on (translated pair, its ground truth, target pair) triples; returns disp, reproj, loss_e.
+
+    Each view's term is backpropagated, weighted as in :func:`losses.matcher_objective`, as soon as it is
+    built, in the order backward walks one graph of the objective: reprojection first, each last sample and
+    right view first. So every parameter sums its gradient in the same order as that graph's walk.
+    """
+    n, values = len(batch), {}
+
+    def term(key: tuple[str, int, str]) -> Tensor:
+        name, k, v = key
+        fakes, gt, tgt = batch[k]
+        pair = fakes if name == "disp" else tgt
+        pred = {v: matcher.predict_view(pair["left"], pair["right"], v, mparams)}
+        if name == "disp":
+            return losses.disparity_loss(pred, gt)
+        return losses.reprojection_loss(tgt, pred, alpha=weights.alpha)
+
+    streams = [
+        _stream(itertools.product([name], reversed(range(n)), reversed(VIEWS)), term, (1.0 / n, lam), values)
+        for name, lam in (("reproj", weights.lambda_reproj), ("disp", weights.lambda_disp))
+    ]
+    _descend(itertools.chain(*streams), mparams.params, state)
+    mean = lambda name: ad.mean_n([ad.add_n([values[name, k, v] for v in VIEWS]) for k in range(n)])
+    components = {"disp": mean("disp"), "reproj": mean("reproj")}
+    return components["disp"], components["reproj"], losses.matcher_objective(components, weights)
 
 
 def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
@@ -379,21 +428,11 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
     def step(it: int) -> tuple[Tensor, ...]:
         src_idx = rng.integers(0, len(source), size=config.adapt_batch)
         tgt_idx = rng.integers(0, len(target), size=config.adapt_batch)
-        disp_terms, reproj_terms = [], []
-        for si, ti in zip(src_idx, tgt_idx):
-            src = source.samples[si]
-            fakes = translated[si]
-            preds = matcher.predict_both_views(fakes["left"], fakes["right"], mparams)
-            disp_terms.append(losses.disparity_loss(preds, src.disparities))
-            tgt = target.samples[ti]
-            tpreds = matcher.predict_both_views(tgt.images["left"], tgt.images["right"], mparams)
-            reproj_terms.append(
-                losses.reprojection_loss(tgt.images, tpreds, alpha=weights.alpha)
-            )
-        components = {"disp": ad.mean_n(disp_terms), "reproj": ad.mean_n(reproj_terms)}
-        loss_e = losses.matcher_objective(components, weights)
-        _descend(loss_e, mparams.params, state)
-        return components["disp"], components["reproj"], loss_e
+        batch = [
+            (translated[si], source.samples[si].disparities, target.samples[ti].images)
+            for si, ti in zip(src_idx, tgt_idx)
+        ]
+        return _adapt_step(batch, mparams, weights, state)
 
     _fit(config, "adapt_loss.csv", ["disp", "reproj", "loss_e"], config.adapt_iters, step)
     return _save_params(config, "matcher_adapted.ckpt", mparams.params)

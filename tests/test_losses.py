@@ -276,6 +276,13 @@ class TestDisparityLoss:
         with pytest.raises(UndefinedMetricError):
             losses.disparity_loss(preds, gts)
 
+    def test_sums_the_views_given(self):
+        rng = np.random.default_rng(12)
+        gts = self._gt()
+        preds = {v: ad.constant(rng.uniform(1.0, 5.0, (4, 6))) for v in VIEWS}
+        one = [losses.disparity_loss({v: preds[v]}, gts).item() for v in VIEWS]
+        assert losses.disparity_loss(preds, gts).item() == one[0] + one[1]
+
 
 class TestSsim:
     def test_identical_images(self):
@@ -301,6 +308,13 @@ class TestSsim:
 
 
 class TestReprojection:
+    def test_sums_the_views_given(self):
+        rng = np.random.default_rng(13)
+        images = {v: ad.constant(rng.uniform(0, 1, (3, 5, 8))) for v in VIEWS}
+        preds = {v: ad.constant(rng.uniform(0.5, 2.5, (5, 8))) for v in VIEWS}
+        one = [losses.reprojection_loss(images, {v: preds[v]}).item() for v in VIEWS]
+        assert losses.reprojection_loss(images, preds).item() == one[0] + one[1]
+
     def test_identical_views_zero_disparity(self):
         rng = np.random.default_rng(9)
         img = ad.constant(rng.uniform(0, 1, (3, 5, 8)))

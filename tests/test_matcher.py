@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import geometry, losses, matcher
+from sca_stereo import geometry, losses, matcher, synth, training
+from sca_stereo.config import load_config
 
 from oracles import correlation_oracle, tape_nbytes
+from test_cli import tiny_config_text
 
 
 class TestCorrelation1d:
@@ -120,27 +124,109 @@ class TestTapeFootprint:
     full array where a mask or a shape would do, pushes these over the pin.
     """
 
-    @staticmethod
-    def _setup():
+    def test_predict_disparity(self):
         rng = np.random.default_rng(0)
         mparams = matcher.MatcherParams(rng, channels=4, d_max=6)
-        pairs = [{v: ad.constant(rng.random((3, 16, 32))) for v in ("left", "right")} for _ in range(2)]
-        return rng, mparams, pairs
-
-    def test_predict_disparity(self):
-        _, mparams, (pair, _) = self._setup()
+        pair = {v: ad.constant(rng.random((3, 16, 32))) for v in ("left", "right")}
         pred = matcher.predict_disparity(pair["left"], pair["right"], mparams)
         assert tape_nbytes(ad.sum_all(pred)) <= 405_000  # measured 368_096
 
-    def test_adapt_step(self):
-        # one sample of training.adapt's step: translated pair plus target pair
-        rng, mparams, (fakes, target) = self._setup()
-        gt = {v: geometry.DisparityMap(ad.constant(rng.uniform(2.0, 5.0, (16, 32))), v) for v in ("left", "right")}
-        preds = matcher.predict_both_views(fakes["left"], fakes["right"], mparams)
-        tpreds = matcher.predict_both_views(target["left"], target["right"], mparams)
+    def test_training_backpropagates_one_prediction_at_a_time(self, tmp_path, monkeypatch):
+        # one prediction's loss: the predict_disparity pin plus one reprojection term's
+        # share (measured 545_248 - 368_096 = 177_152: its warp's and SSIM's arrays)
+        budget = 405_000 + 195_000
+        (tmp_path / "run.cfg").write_text(tiny_config_text(tmp_path))
+        config = load_config(tmp_path / "run.cfg")
+        config.pretrain_iters, config.adapt_iters, config.adapt_batch = 2, 2, 2
+        training.gen_data(config)
+        training._save_params(config, "translator.ckpt", training._init_translator(config).params)
+        tapes: list[list[int]] = [[]]  # backward calls between optimizer steps
+        backward, adam_step = training.backward, training.adam_step
+
+        def recording_backward(loss):
+            tapes[-1].append(tape_nbytes(loss))
+            backward(loss)
+
+        def recording_adam_step(*args):
+            tapes.append([])
+            adam_step(*args)
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        training.pretrain(config)
+        pretrain_tapes = tapes[:-1]
+        assert [len(t) for t in pretrain_tapes] == [config.pretrain_batch] * config.pretrain_iters
+        ckpt = Path(config.checkpoint_dir)
+        tapes[:] = [[]]
+        training.adapt(config, ckpt / "translator.ckpt", ckpt / "matcher.ckpt")
+        assert [len(t) for t in tapes[:-1]] == [4 * config.adapt_batch] * config.adapt_iters
+        assert max(max(t) for t in pretrain_tapes + tapes[:-1]) <= budget
+
+
+class TestStreamedSteps:
+    """The training steps backpropagate one prediction at a time; the one-graph step is the reference.
+
+    The streamed terms are visited in the order backward walks the one graph,
+    so the parameter gradients are not merely close but bit-equal.
+    """
+
+    @staticmethod
+    def _setup(batch=2):
+        rng = np.random.default_rng(3)
+        mparams = matcher.MatcherParams(rng, channels=4, d_max=6)
+        views = geometry.VIEWS
+        pair = lambda: {v: ad.constant(rng.random((3, 16, 32))) for v in views}
+        gt = lambda: {v: geometry.DisparityMap(ad.constant(rng.uniform(2.0, 5.0, (16, 32))), v) for v in views}
+        return mparams, [(pair(), gt(), pair()) for _ in range(batch)]
+
+    @staticmethod
+    def _one_graph_grads(loss, params):
+        ad.zero_grads(params)
+        ad.backward(loss)
+        return {k: p.grad.copy() for k, p in params.items()}
+
+    @staticmethod
+    def _assert_streamed_grads_equal(params, expected):
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.grad, expected[k], err_msg=k)
+
+    def test_adapt_step_matches_one_graph(self):
+        mparams, batch = self._setup()
+        weights = losses.LossWeights(lambda_disp=0.3, lambda_reproj=0.7)
+        both = lambda pair: matcher.predict_both_views(pair["left"], pair["right"], mparams)
         components = {
-            "disp": ad.mean_n([losses.disparity_loss(preds, gt)]),
-            "reproj": ad.mean_n([losses.reprojection_loss(target, tpreds)]),
+            "disp": ad.mean_n([losses.disparity_loss(both(fakes), gt) for fakes, gt, _ in batch]),
+            "reproj": ad.mean_n([losses.reprojection_loss(tgt, both(tgt), weights.alpha) for _, _, tgt in batch]),
         }
-        loss = losses.matcher_objective(components, losses.LossWeights())
-        assert tape_nbytes(loss) <= 1_980_000  # measured 1_801_696
+        loss = losses.matcher_objective(components, weights)
+        logged = [components["disp"].item(), components["reproj"].item(), loss.item()]
+        expected = self._one_graph_grads(loss, mparams.params)
+        state = ad.AdamState(mparams.params, 1e-3)
+        assert [t.item() for t in training._adapt_step(batch, mparams, weights, state)] == logged
+        self._assert_streamed_grads_equal(mparams.params, expected)
+
+    def test_pretrain_step_matches_one_graph(self):
+        mparams, batch = self._setup()
+        samples = [synth.StereoSample(pair, gt, synth.default_rig(16, 32)) for pair, gt, _ in batch]
+        terms = [
+            losses.l1_disparity_loss(
+                matcher.predict_disparity(s.images["left"], s.images["right"], mparams), s.disparities["left"]
+            )
+            for s in samples
+        ]
+        loss = ad.mean_n(terms)
+        logged = loss.item()
+        expected = self._one_graph_grads(loss, mparams.params)
+        state = ad.AdamState(mparams.params, 1e-3)
+        assert training._pretrain_step(samples, mparams, state).item() == logged
+        self._assert_streamed_grads_equal(mparams.params, expected)
+
+    def test_validation_records_no_tape(self):
+        mparams, batch = self._setup(batch=1)
+        (pair, gt, _), = batch
+        sample = synth.StereoSample(pair, gt, synth.default_rig(16, 32))
+        assert all(p.requires_grad for p in mparams.params.values())
+        pred = training._left_disparity(mparams)(sample)
+        assert pred._node is None
+        taped = matcher.predict_disparity(pair["left"], pair["right"], mparams)
+        np.testing.assert_array_equal(pred.data, taped.data)
