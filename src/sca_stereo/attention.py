@@ -44,12 +44,6 @@ def _outside_image(height: int, width: int, d_max: int, direction: str) -> np.nd
     return outside
 
 
-def _project(w: Tensor, source: Tensor) -> Tensor:
-    """Apply the [D,C] matrix ``w`` to every pixel of the [C,H,W] ``source``."""
-    c, h, width = source.shape
-    return ad.reshape(ad.matmul(w, ad.reshape(source, (c, h * width))), (w.shape[0], h, width))
-
-
 def sca_cross_attend(
     f_other_view: Tensor,
     q_source: Tensor,
@@ -63,10 +57,11 @@ def sca_cross_attend(
 
     ``q_source`` belongs to the query view, ``k_source`` to the other view;
     both are channel-stacked feature maps twice as wide as the value
-    features ``f_other_view``. Differentiable with respect to features and
-    both matrices.
+    features ``f_other_view``. ``w_q`` and ``w_k`` are [C_qk, C_source, 1, 1]
+    kernels: each projects every pixel alone, as one 1x1 :func:`autodiff.conv2d`.
+    Differentiable with respect to features and both kernels.
     """
-    return epipolar_attention(_project(w_q, q_source), _project(w_k, k_source), f_other_view, d_max, direction)
+    return epipolar_attention(ad.conv2d(q_source, w_q), ad.conv2d(k_source, w_k), f_other_view, d_max, direction)
 
 
 def scaled_d_max(d_max_full: int, scale: int) -> int:

@@ -500,17 +500,6 @@ def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
-# ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return _result(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
-
-
-# ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
@@ -640,32 +629,50 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
 # ---------------------------------------------------------------------------
 
 
+def _separable(a: Tensor, rows: Array, cols: Array) -> Tensor:
+    """``rows · a_c · colsᵀ`` per channel ``a_c`` of a [C,H,W] tensor; its vjp is ``rowsᵀ · g_c · cols``."""
+    c, h, w = a.shape
+    out = np.matmul(rows, (a.data.reshape(c * h, w) @ cols.T).reshape(c, h, len(cols)))
+    return _result(out, (a,), (lambda g: (np.matmul(rows.T, g).reshape(c * h, -1) @ cols).reshape(c, h, w),))
+
+
+@functools.lru_cache(maxsize=None)
+def _box3_matrix(n: int) -> Array:
+    """Read-only [n, n] tridiagonal matrix: each row averages its in-range entries i-1, i, i+1."""
+    band = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    band /= band.sum(axis=1, keepdims=True)
+    band.flags.writeable = False
+    return band
+
+
 def box_filter3(a: Tensor) -> Tensor:
     """3x3 average pool, stride 1, same size.
 
     Border windows average only the in-image neighbors (count-normalized),
-    so the output of a constant input is that same constant everywhere.
+    so the output of a constant input is that same constant everywhere. A
+    window's count is its row count times its column count, so the filter
+    is separable: ``B_H a B_W^T`` per channel on :func:`_box3_matrix`.
     """
     if a.ndim != 3:
         raise ValueError(f"box_filter3 expects [C,H,W], got shape {a.shape}")
-    c, h, w = a.shape
-
-    counts = np.ones((h, w))
-    counts_sum = _boxsum(counts[None, :, :])[0]
-
-    out = _boxsum(a.data) / counts_sum
-    return _result(out, (a,), (lambda g: _boxsum(g / counts_sum),))
+    _, h, w = a.shape
+    return _separable(a, _box3_matrix(h), _box3_matrix(w))
 
 
-def _boxsum(x: Array) -> Array:
-    c, h, w = x.shape
-    xp = np.zeros((c, h + 2, w + 2), dtype=np.float64)
-    xp[:, 1 : 1 + h, 1 : 1 + w] = x
-    out = np.zeros((c, h, w), dtype=np.float64)
-    for di in range(3):
-        for dj in range(3):
-            out += xp[:, di : di + h, dj : dj + w]
-    return out
+@functools.lru_cache(maxsize=None)
+def _avg2_matrix(n: int) -> Array:
+    """Read-only [n/2, n] matrix that averages each pair of entries 2i, 2i+1."""
+    pool = np.repeat(np.eye(n // 2), 2, axis=1) * 0.5
+    pool.flags.writeable = False
+    return pool
+
+
+def downsample_avg2(a: Tensor) -> Tensor:
+    """Average-pool 2x2 blocks of a [C,H,W] tensor, halving each spatial dimension."""
+    if a.ndim != 3 or a.shape[1] % 2 or a.shape[2] % 2:
+        raise ValueError(f"downsample_avg2 needs [C,H,W] with even spatial sizes, got {a.shape}")
+    _, h, w = a.shape
+    return _separable(a, _avg2_matrix(h), _avg2_matrix(w))
 
 
 def _lerp_up_axis(x: Array) -> Array:
@@ -698,18 +705,16 @@ def upsample_bilinear2(a: Tensor, factor: int = 2) -> Tensor:
 
     The result equals log2(factor) repeated 2x steps on the half-pixel-centred
     grid with clamped borders. Each step is linear along one axis, so the
-    chain is one matrix per axis: the output is ``Uh a Uw^T`` per channel and
-    the vjp ``Uh^T g Uw``, two matmuls each way. ``U`` is cached per
-    (size, factor); its entries are exact dyadic rationals.
+    chain is one matrix per axis: the output is ``Uh a Uw^T`` per channel
+    (:func:`_separable`). ``U`` is cached per (size, factor); its entries are
+    exact dyadic rationals.
     """
     if a.ndim != 3:
         raise ValueError(f"upsample_bilinear2 expects [C,H,W], got shape {a.shape}")
     if factor < 1 or (factor & (factor - 1)) != 0:
         raise ValueError(f"upsample factor must be a positive power of two, got {factor}")
-    c, h, w = a.shape
-    uh, uw = _upsample_matrix(h, factor), _upsample_matrix(w, factor)
-    out = np.matmul(uh, (a.data.reshape(c * h, w) @ uw.T).reshape(c, h, w * factor))
-    return _result(out, (a,), (lambda g: (np.matmul(uh.T, g).reshape(c * h, -1) @ uw).reshape(c, h, w),))
+    _, h, w = a.shape
+    return _separable(a, _upsample_matrix(h, factor), _upsample_matrix(w, factor))
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,6 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     "mul": _row(ad.mul, _normal(6), _normal(6)),
     "div": _row(ad.div, _normal(5), _uniform(0.5, 2.0, 5)),
     "abs": _row(ad.absolute, _away_from(0.0, 4, 4)),
-    "matmul": _row(ad.matmul, _normal(3, 4), _normal(4, 5)),
     "leaky_relu": _row(lambda a: ad.leaky_relu(a, 0.2), _away_from(0.0, 5, 5)),
     "relu": _row(ad.relu, _away_from(0.0, 4, 6)),
     "tanh": _row(ad.tanh, _normal(3, 4)),
@@ -308,13 +307,14 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     "conv2d_per_tap_vjp_strided": _row(
         lambda x, k: ad.conv2d(x, k, stride=2, padding=1), _normal(2, 7, 8), _normal(_PER_TAP, 2, 3, 3)
     ),
-    # the input is its own phase image, and its gradient is one matmul
+    # the input is its own phase image, and its gradient is one matmul; SCA's W_Q and W_K are such convs
     "conv2d_1x1": _row(lambda x, k: ad.conv2d(x, k), _normal(3, 4, 5), _normal(2, 3, 1, 1)),
     # the last two rows and columns are read by no tap
     "conv2d_stride3_unread_tail": _row(
         lambda x, k: ad.conv2d(x, k, stride=3, padding=0), _normal(2, 8, 8), _normal(2, 2, 3, 3)
     ),
     "box_filter3": _row(ad.box_filter3, _normal(2, 5, 6)),
+    "downsample_avg2": _row(ad.downsample_avg2, _normal(2, 4, 6)),
     "upsample_bilinear2": _row(lambda x: [ad.upsample_bilinear2(x), ad.upsample_bilinear2(x, 8)], _normal(2, 3, 4)),
     "flip_horizontal": _row(ad.flip_horizontal, _normal(2, 3, 5)),
     "concat_channels": _row(lambda a, b: ad.concat_channels([a, b]), _normal(2, 3, 3), _normal(1, 3, 3)),
@@ -343,8 +343,8 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
         _const(_normal(2, 3, 5)),
         _const(_normal(4, 3, 5)),
         _const(_normal(4, 3, 5)),
-        _normal(3, 4),
-        _normal(3, 4),
+        _normal(3, 4, 1, 1),
+        _normal(3, 4, 1, 1),
     ),
     "ssim": _row(losses.ssim, _uniform(0.1, 0.9, 1, 5, 6), _uniform(0.1, 0.9, 1, 5, 6)),
     "smooth_l1": _row(losses.smooth_l1, _away_from(1.0, 4, 5)),
@@ -372,7 +372,6 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
         _const(_normal(2, 3, 3)),
         _const(_normal(3, 2, 2)),
     ),
-    "downsample_avg2": _row(translation.downsample_avg2, _normal(2, 4, 6)),
     "discriminate_shared_weights": _discriminate_shared_weights,
     "fadain": _row(translation.fadain, _normal(2, 4, 5), _normal(2, 4, 5)),
     "fade_modulation": _fade(translation.init_fade_params, translation.fade_modulation),

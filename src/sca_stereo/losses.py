@@ -11,6 +11,7 @@ losses sum over the views their prediction dict holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +188,7 @@ class PerceptualNet:
     """Frozen random 4-layer conv feature extractor.
 
     Stands in for pretrained features so the package stays hermetic; weights
-    are fixed at construction and never trained. Substitute any object with
-    a compatible ``__call__`` to use external features instead.
+    are fixed at construction and never trained.
     """
 
     def __init__(self, seed: int = _FROZEN_FEATURE_SEED):
@@ -208,19 +208,14 @@ class PerceptualNet:
         return feats
 
 
-_default_perceptual_net: PerceptualNet | None = None
-
-
+@functools.cache
 def default_perceptual_net() -> PerceptualNet:
-    global _default_perceptual_net
-    if _default_perceptual_net is None:
-        _default_perceptual_net = PerceptualNet()
-    return _default_perceptual_net
+    return PerceptualNet()
 
 
-def perceptual_loss(a: Tensor, b: Tensor, feature_net=None) -> Tensor:
+def perceptual_loss(a: Tensor, b: Tensor) -> Tensor:
     """Mean L1 between frozen features of two images, averaged over layers."""
-    net = feature_net if feature_net is not None else default_perceptual_net()
+    net = default_perceptual_net()
     return ad.mean_n([ad.mean_all(ad.absolute(ad.sub(x, y))) for x, y in zip(net(a), net(b))])
 
 

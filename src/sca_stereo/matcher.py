@@ -13,7 +13,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import VIEWS
 from .translation import conv, init_conv
 
 
@@ -78,8 +77,3 @@ def predict_view(left: Tensor, right: Tensor, view: str, mparams: MatcherParams)
     if view == "left":
         return predict_disparity(left, right, mparams)
     return ad.flip_horizontal(predict_disparity(ad.flip_horizontal(right), ad.flip_horizontal(left), mparams))
-
-
-def predict_both_views(left: Tensor, right: Tensor, mparams: MatcherParams) -> dict[str, Tensor]:
-    """Left- and right-view disparities, one :func:`predict_view` each."""
-    return {v: predict_view(left, right, v, mparams) for v in VIEWS}

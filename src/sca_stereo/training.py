@@ -301,7 +301,6 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
         dparams.params, config.translator_lr_c, config.translator_beta1, config.translator_beta2
     )
     rng = _rng(config, _TAG_TRANSLATOR)
-    rig = synth.default_rig(config.image_height, config.image_width)
 
     def step(it: int) -> tuple[Tensor, ...]:
         src_idx = rng.integers(0, len(source), size=config.translator_batch)
@@ -317,9 +316,7 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
         for z, si, ti in zip(z_batch, src_idx, tgt_idx):
             src = source.samples[si]
             tgt = target.samples[ti]
-            fakes, feats = translation.translate(
-                src.images, src.disparities, tgt.images, z, tparams, rig
-            )
+            fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
             fakes_batch.append(fakes)
             fake_logits, fake_hidden = {}, []
             for v in VIEWS:
@@ -415,14 +412,13 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
     weights = config.loss_weights()
     state = AdamState(mparams.params, config.adapt_lr, config.adapt_beta1, config.adapt_beta2)
     rng = _rng(config, _TAG_ADAPT)
-    rig = synth.default_rig(config.image_height, config.image_width)
 
     # translator is frozen: translate each source sample once, fixed z and style
     translated: list[dict[str, Tensor]] = []
     for k, s in enumerate(source.samples):
         z = ad.constant(rng.standard_normal(config.z_channels))
         style = target.samples[k % len(target)]
-        fakes, _ = translation.translate(s.images, s.disparities, style.images, z, tparams, rig)
+        fakes, _ = translation.translate(s.images, s.disparities, style.images, z, tparams, s.rig)
         translated.append({v: fakes[v].detach() for v in VIEWS})
 
     def step(it: int) -> tuple[Tensor, ...]:
@@ -490,7 +486,6 @@ def translate_export(
     target = load_split(config, "target_test")
     tparams = load_translator(config, translator_ckpt, trainable=False)
     rng = _rng(config, _TAG_TRANSLATE)
-    rig = synth.default_rig(config.image_height, config.image_width)
     if sample_ids is None:
         sample_ids = list(range(len(source)))
     for sid in sample_ids:
@@ -504,9 +499,7 @@ def translate_export(
     for sid in sample_ids:
         src = source.samples[sid]
         tgt = target.samples[sid % len(target)]
-        fakes, _ = translation.translate(
-            src.images, src.disparities, tgt.images, z_all[sid], tparams, rig
-        )
+        fakes, _ = translation.translate(src.images, src.disparities, tgt.images, z_all[sid], tparams, src.rig)
         fileio.write_ppm(fakes["left"], out_dir / f"sample_{sid:05d}_left.ppm")
         fileio.write_ppm(fakes["right"], out_dir / f"sample_{sid:05d}_right.ppm")
         score = image_consistency(fakes, src.disparities, source.masks[sid])

@@ -124,8 +124,8 @@ def fade_resblock(x: Tensor, content: Tensor, params: dict[str, Tensor], prefix:
 def init_sca_block_params(rng: np.random.Generator, prefix: str, channels: int, d_max: int) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     std = np.sqrt(1.0 / (2 * channels))
-    params[prefix + ".wq"] = ad.tensor(rng.standard_normal((channels, 2 * channels)) * std, requires_grad=True)
-    params[prefix + ".wk"] = ad.tensor(rng.standard_normal((channels, 2 * channels)) * std, requires_grad=True)
+    params[prefix + ".wq"] = ad.tensor(rng.standard_normal((channels, 2 * channels, 1, 1)) * std, requires_grad=True)
+    params[prefix + ".wk"] = ad.tensor(rng.standard_normal((channels, 2 * channels, 1, 1)) * std, requires_grad=True)
     # the residual sum feeds the fade's instance norm
     init_conv(params, rng, prefix + ".res", channels, channels, weight_scale=0.1, bias_init=None)
     params.update(init_fade_params(rng, prefix + ".fade", channels, channels))
@@ -326,26 +326,6 @@ class DiscriminatorParams:
         self.params = p
 
 
-def downsample_avg2(x: Tensor) -> Tensor:
-    """Average-pool 2x2 blocks, halving each spatial dimension."""
-    c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"downsample_avg2 needs even spatial sizes, got {x.shape}")
-    d = x.data
-    out = 0.25 * (d[:, 0::2, 0::2] + d[:, 1::2, 0::2] + d[:, 0::2, 1::2] + d[:, 1::2, 1::2])
-
-    def vjp(g):
-        dx = np.empty((c, h, w), dtype=np.float64)
-        gq = 0.25 * g
-        dx[:, 0::2, 0::2] = gq
-        dx[:, 1::2, 0::2] = gq
-        dx[:, 0::2, 1::2] = gq
-        dx[:, 1::2, 1::2] = gq
-        return dx
-
-    return ad._result(out, (x,), (vjp,))
-
-
 def spectral_weights(
     params: dict[str, Tensor], sn_states: dict[str, SpectralNormState], update: bool
 ) -> dict[str, Tensor]:
@@ -381,5 +361,5 @@ def discriminate(
         logits.append(conv(h2, weights, f"disc{s}.logit"))
         hidden.append([h1, h2])
         if s + 1 < n_scales:
-            x_scale = downsample_avg2(x_scale)
+            x_scale = ad.downsample_avg2(x_scale)
     return logits, hidden

@@ -1,8 +1,9 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-Everything here is written as plain nested loops over the defining sums, on
-purpose: no code is shared with the library implementations. The one
-exception, :func:`tape_nbytes`, measures the gradient tape itself.
+Everything here is written as plain nested loops or slice sums over the
+defining sums, on purpose: no code is shared with the library
+implementations. The one exception, :func:`tape_nbytes`, measures the
+gradient tape itself.
 """
 
 import types
@@ -82,6 +83,26 @@ def upsample_oracle(x, factor):
         out = up
         factor //= 2
     return out
+
+
+def box_filter3_oracle(x):
+    """Sum of the nine shifted slices of the zero-padded input, over the count of in-image pixels."""
+    c, h, w = x.shape
+    padded = np.zeros((c, h + 2, w + 2))
+    padded[:, 1 : 1 + h, 1 : 1 + w] = x
+    inside = np.zeros((h + 2, w + 2))
+    inside[1 : 1 + h, 1 : 1 + w] = 1.0
+    total, count = np.zeros((c, h, w)), np.zeros((h, w))
+    for di in range(3):
+        for dj in range(3):
+            total += padded[:, di : di + h, dj : dj + w]
+            count += inside[di : di + h, dj : dj + w]
+    return total / count
+
+
+def downsample_avg2_oracle(x):
+    """Mean of the four pixels of each 2x2 block."""
+    return 0.25 * (x[:, 0::2, 0::2] + x[:, 1::2, 0::2] + x[:, 0::2, 1::2] + x[:, 1::2, 1::2])
 
 
 def lr_occlusion_oracle(d_base, d_match, base_view):

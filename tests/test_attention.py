@@ -8,9 +8,10 @@ from oracles import sca_oracle
 
 
 def _projections(rng, d_in, d_out):
+    """W_Q and W_K as [d_out, 2*d_in, 1, 1] kernels."""
     return (
-        ad.tensor(rng.standard_normal((d_out, 2 * d_in))),
-        ad.tensor(rng.standard_normal((d_out, 2 * d_in))),
+        ad.tensor(rng.standard_normal((d_out, 2 * d_in, 1, 1)), requires_grad=True),
+        ad.tensor(rng.standard_normal((d_out, 2 * d_in, 1, 1)), requires_grad=True),
     )
 
 
@@ -33,7 +34,7 @@ class TestCrossAttend:
         rng = np.random.default_rng(1)
         d_in, h, w, d_max = 2, 3, 8, 3
         fo = ad.tensor(rng.standard_normal((d_in, h, w)))
-        zeros = ad.tensor(np.zeros((2, 2 * d_in)))
+        zeros = ad.tensor(np.zeros((2, 2 * d_in, 1, 1)))
         out = attention.sca_cross_attend(
             fo, ad.tensor(rng.standard_normal((2 * d_in, h, w))),
             ad.tensor(rng.standard_normal((2 * d_in, h, w))), zeros, zeros, d_max, "left_to_right"
@@ -68,10 +69,33 @@ class TestCrossAttend:
         out, (fo, qsrc, ksrc, w_q, w_k) = _attend(
             rng, d_in=d_in, d_out=d_out, h=h, w=w, d_max=d_max, direction=direction
         )
-        q = np.einsum("oc,chw->ohw", w_q.data, qsrc.data)
-        k = np.einsum("oc,chw->ohw", w_k.data, ksrc.data)
+        q = np.einsum("oc,chw->ohw", w_q.data[:, :, 0, 0], qsrc.data)
+        k = np.einsum("oc,chw->ohw", w_k.data[:, :, 0, 0], ksrc.data)
         expected = sca_oracle(fo.data, q, k, d_max, direction)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+    def test_projections_match_the_matmul_composition_bit_for_bit(self):
+        # each 1x1 conv is the reshape -> [D,C] @ [C,H*W] -> reshape chain: the same GEMM each way
+        rng = np.random.default_rng(9)
+        d_in, d_out, h, w, d_max = 3, 4, 5, 9, 3
+        fo = ad.tensor(rng.standard_normal((d_in, h, w)))
+        qsrc, ksrc = (ad.tensor(rng.standard_normal((2 * d_in, h, w))) for _ in range(2))
+        w_q, w_k = _projections(rng, d_in, d_out)
+        cotangent = ad.constant(rng.standard_normal((d_in, h, w)))
+        out = attention.sca_cross_attend(fo, qsrc, ksrc, w_q, w_k, d_max, "right_to_left")
+        ad.backward(ad.sum_all(ad.mul(out, cotangent)))
+
+        matrix = lambda a: a.reshape(d_out, 2 * d_in)
+        rows = lambda t: t.reshape(t.shape[0], h * w)
+        q, k = (
+            ad.tensor((matrix(kernel.data) @ rows(src.data)).reshape(d_out, h, w), requires_grad=True)
+            for kernel, src in ((w_q, qsrc), (w_k, ksrc))
+        )
+        composed = attention.epipolar_attention(q, k, fo, d_max, "right_to_left")
+        ad.backward(ad.sum_all(ad.mul(composed, cotangent)))
+        assert np.array_equal(out.data, composed.data)
+        for kernel, proj, src in ((w_q, q, qsrc), (w_k, k, ksrc)):
+            assert np.array_equal(matrix(kernel.grad), rows(proj.grad) @ rows(src.data).T)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(4)

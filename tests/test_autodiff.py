@@ -8,7 +8,13 @@ from sca_stereo import autodiff as ad
 from sca_stereo.errors import NumericError
 from sca_stereo.gradcheck import check_gradients
 
-from oracles import conv2d_input_grad_oracle, conv2d_oracle, upsample_oracle
+from oracles import (
+    box_filter3_oracle,
+    conv2d_input_grad_oracle,
+    conv2d_oracle,
+    downsample_avg2_oracle,
+    upsample_oracle,
+)
 
 
 class TestTensor:
@@ -577,3 +583,36 @@ class TestUpsample:
     def test_rejects_factor_not_a_power_of_two(self, factor):
         with pytest.raises(ValueError):
             ad.upsample_bilinear2(ad.tensor(np.zeros((1, 2, 2))), factor)
+
+
+# odd and even sizes, and a 1-pixel axis: in the box's input, in the pool's output
+_FIXED_MAPS = [
+    pytest.param(op, oracle, shape, id=f"{op.__name__}-{'x'.join(map(str, shape))}")
+    for op, oracle, shapes in (
+        (ad.box_filter3, box_filter3_oracle, ((2, 5, 6), (3, 4, 1), (1, 1, 7), (2, 1, 1))),
+        (ad.downsample_avg2, downsample_avg2_oracle, ((2, 4, 6), (1, 2, 8), (3, 6, 2))),
+    )
+    for shape in shapes
+]
+
+
+class TestBoxFilterAndPool:
+    @pytest.mark.parametrize("op, oracle, shape", _FIXED_MAPS)
+    def test_matches_slice_sum_oracle(self, op, oracle, shape):
+        x = np.random.default_rng(15).standard_normal(shape)
+        assert np.max(np.abs(op(ad.tensor(x)).data - oracle(x))) <= 1e-12
+
+    @pytest.mark.parametrize("op, oracle, shape", _FIXED_MAPS)
+    def test_vjp_is_adjoint(self, op, oracle, shape):
+        # <M x, y> = <x, M^T y>
+        rng = np.random.default_rng(16)
+        x = ad.tensor(rng.standard_normal(shape), requires_grad=True)
+        out = op(x)
+        y = rng.standard_normal(out.shape)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(y))))
+        assert abs(np.vdot(out.data, y) - np.vdot(x.data, x.grad)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(1, 3, 4), (1, 4, 5), (4, 6)])
+    def test_pool_rejects_odd_sizes_and_other_ranks(self, shape):
+        with pytest.raises(ValueError, match="downsample_avg2"):
+            ad.downsample_avg2(ad.tensor(np.zeros(shape)))

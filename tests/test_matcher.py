@@ -86,11 +86,11 @@ class TestPredictDisparity:
         rng = np.random.default_rng(5)
         left = ad.constant(rng.uniform(0, 1, (3, 8, 16)))
         right = ad.constant(rng.uniform(0, 1, (3, 8, 16)))
-        preds = matcher.predict_both_views(left, right, m)
+        pred = matcher.predict_view(left, right, "right", m)
         manual = matcher.predict_disparity(
             ad.flip_horizontal(right), ad.flip_horizontal(left), m
         )
-        assert np.array_equal(preds["right"].data, manual.data[:, ::-1])
+        assert np.array_equal(pred.data, manual.data[:, ::-1])
 
     def test_extractor_gradient_fd(self):
         from sca_stereo.gradcheck import check_gradients
@@ -193,7 +193,7 @@ class TestStreamedSteps:
     def test_adapt_step_matches_one_graph(self):
         mparams, batch = self._setup()
         weights = losses.LossWeights(lambda_disp=0.3, lambda_reproj=0.7)
-        both = lambda pair: matcher.predict_both_views(pair["left"], pair["right"], mparams)
+        both = lambda pair: {v: matcher.predict_view(pair["left"], pair["right"], v, mparams) for v in geometry.VIEWS}
         components = {
             "disp": ad.mean_n([losses.disparity_loss(both(fakes), gt) for fakes, gt, _ in batch]),
             "reproj": ad.mean_n([losses.reprojection_loss(tgt, both(tgt), weights.alpha) for _, _, tgt in batch]),
