@@ -7,7 +7,7 @@ networks, a procedural two-domain dataset, and a staged training CLI.
 
 from .autodiff import Tensor, backward, tensor
 from .config import RunConfig, load_config
-from .geometry import CameraRig, DisparityMap, OcclusionMask, PointCloudImage
+from .geometry import CameraRig, DisparityMap
 from .losses import LossWeights
 from .synth import SceneSpec, StereoSample, generate_scene
 
@@ -19,8 +19,6 @@ __all__ = [
     "load_config",
     "CameraRig",
     "DisparityMap",
-    "OcclusionMask",
-    "PointCloudImage",
     "LossWeights",
     "SceneSpec",
     "StereoSample",

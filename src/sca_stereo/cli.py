@@ -8,6 +8,7 @@ translate, gradcheck. ``--config`` points at a ``key = value`` file;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -18,31 +19,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sca-stereo",
         description="Stereo-consistent translation and matcher adaptation pipeline",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", type=Path, default=None, help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--no-sca", action="store_true", help="disable the cross-view attention blocks")
     parser.add_argument("--out", type=Path, default=None, help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
+    # abbreviation is a per-parser setting: a prefix like --sample-id must not pass for --sample-ids
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sub.add_parser("gen-data", help="write the synthetic two-domain dataset")
-    sub.add_parser("pretrain", help="stage 1: train the matcher on the source domain")
+    add("gen-data", help="write the synthetic two-domain dataset")
+    add("pretrain", help="stage 1: train the matcher on the source domain")
 
-    sub.add_parser("train-translator", help="stage 2: train translator and discriminator")
+    add("train-translator", help="stage 2: train translator and discriminator")
 
-    p = sub.add_parser("adapt", help="stage 3: adapt the matcher to the target domain")
+    p = add("adapt", help="stage 3: adapt the matcher to the target domain")
     p.add_argument("--translator-ckpt", type=Path, required=True)
     p.add_argument("--matcher-ckpt", type=Path, required=True)
 
-    p = sub.add_parser("evaluate", help="per-sample EPE / D1-all metrics for a split")
+    p = add("evaluate", help="per-sample EPE / D1-all metrics for a split")
     p.add_argument("--matcher-ckpt", type=Path, required=True)
     p.add_argument("--split", required=True)
 
-    p = sub.add_parser("translate", help="export translated pairs and consistency scores")
+    p = add("translate", help="export translated pairs and consistency scores")
     p.add_argument("--translator-ckpt", type=Path, required=True)
     p.add_argument("--sample-ids", type=int, nargs="*", default=None)
 
-    sub.add_parser(
+    add(
         "gradcheck", help="finite-difference battery of all ops on random output gradients: constant ones hide bad vjps"
     )
     return parser

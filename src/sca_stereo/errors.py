@@ -2,16 +2,13 @@
 
 Plain ``ValueError`` is used for invalid arguments (bad shapes, bad enum
 values); the classes here mark conditions callers may want to handle
-separately.
+separately: non-finite numbers, malformed files and unusable run
+configurations.
 """
 
 
 class NumericError(ArithmeticError):
     """A computation produced or received non-finite values."""
-
-
-class UndefinedMetricError(ValueError):
-    """A metric was requested over an empty set of valid pixels."""
 
 
 class FormatError(ValueError):

@@ -1,5 +1,8 @@
 """Camera model, disparity reprojection, differentiable warping and metrics.
 
+Ground truth is dense: every pixel of a :class:`DisparityMap` holds a
+strictly positive disparity, and reprojection and the metrics use them all.
+
 Index convention used throughout the package: ``i`` is the horizontal
 (column) index and ``j`` the vertical (row) index, while arrays are stored
 as ``[..., H, W]`` so element ``(j, i)`` lives at ``data[..., j, i]``.
@@ -12,14 +15,13 @@ left view at ``i + D``; :func:`signed_offset` performs the conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import UndefinedMetricError
 
 VIEWS = ("left", "right")
 
@@ -53,53 +55,19 @@ class CameraRig:
 
 @dataclass
 class DisparityMap:
-    """Unsigned dense disparity for one view, with a {0,1} validity mask."""
+    """Unsigned dense disparity for one view."""
 
     values: Tensor
     view: str
-    valid_mask: Tensor = None
 
     def __post_init__(self):
         _check_view(self.view)
         if self.values.ndim != 2:
             raise ValueError(f"disparity values must be [H,W], got shape {self.values.shape}")
-        if self.valid_mask is None:
-            self.valid_mask = ad.constant(np.ones(self.values.shape))
-        if self.valid_mask.shape != self.values.shape:
-            raise ValueError(
-                f"valid_mask shape {self.valid_mask.shape} != values shape {self.values.shape}"
-            )
 
     def warp_plan(self) -> "TentPlan":
         """The :func:`tent_plan` that warps the other view into this one."""
         return tent_plan(signed_offset(ad.constant(self.values.data), self.view).data)
-
-
-@dataclass
-class PointCloudImage:
-    """Organized H x W cloud of world-frame points, stored as [3,H,W] meters."""
-
-    points: Tensor
-    view: str
-
-    def __post_init__(self):
-        _check_view(self.view)
-        if self.points.ndim != 3 or self.points.shape[0] != 3:
-            raise ValueError(f"points must be [3,H,W], got shape {self.points.shape}")
-
-
-@dataclass
-class OcclusionMask:
-    """{0,1} mask; 1 marks pixels whose match is visible in the other view."""
-
-    mask: Tensor
-    view: str
-
-    def __post_init__(self):
-        _check_view(self.view)
-        vals = self.mask.data
-        if not np.all((vals == 0.0) | (vals == 1.0)):
-            raise ValueError("occlusion mask must be binary")
 
 
 def signed_offset(disparity: Tensor, view: str) -> Tensor:
@@ -107,30 +75,27 @@ def signed_offset(disparity: Tensor, view: str) -> Tensor:
     return ad.mulc(disparity, -1.0) if _check_view(view) == "left" else disparity
 
 
-def disparity_to_world_points(disparity: DisparityMap, rig: CameraRig) -> PointCloudImage:
-    """Reproject a disparity map to an organized world-frame point cloud.
+def disparity_to_world_points(disparity: DisparityMap, rig: CameraRig) -> Tensor:
+    """Reproject a disparity map to an organized [3,H,W] world-frame cloud, in meters.
 
     The camera frame puts ``x = b (u - c_u) / D``, ``y = f_u b (v - c_v) /
     (f_v D)``, ``z = f_u b / D`` at each pixel ``(u, v)``; the world frame
     sits midway between the two camera centers, so left-view points shift by
-    ``-b/2`` in x and right-view points by ``+b/2``. Invalid pixels emit
-    ``(0, 0, 0)``. Not differentiable (clouds come from ground truth).
+    ``-b/2`` in x and right-view points by ``+b/2``. Returned as a constant:
+    clouds come from ground truth.
     """
     d = disparity.values.data
-    valid = disparity.valid_mask.data > 0.5
-    if np.any(valid & (d <= 0)):
-        raise ValueError("disparity must be strictly positive at valid pixels")
+    if not np.all(d > 0):
+        raise ValueError("disparity must be strictly positive")
     h, w = d.shape
     u = np.broadcast_to(np.arange(w, dtype=np.float64), (h, w))
     v = np.broadcast_to(np.arange(h, dtype=np.float64)[:, None], (h, w))
-    d_safe = np.where(valid, d, 1.0)
-    x = rig.baseline_b * (u - rig.c_u) / d_safe
-    y = rig.f_u * rig.baseline_b * (v - rig.c_v) / (rig.f_v * d_safe)
-    z = rig.f_u * rig.baseline_b / d_safe
+    x = rig.baseline_b * (u - rig.c_u) / d
+    y = rig.f_u * rig.baseline_b * (v - rig.c_v) / (rig.f_v * d)
+    z = rig.f_u * rig.baseline_b / d
     half = rig.baseline_b / 2.0
     x = x - half if disparity.view == "left" else x + half
-    points = np.where(valid[None, :, :], np.stack([x, y, z]), 0.0)
-    return PointCloudImage(ad.constant(points), disparity.view)
+    return ad.constant(np.stack([x, y, z]))
 
 
 class TentPlan(NamedTuple):
@@ -256,10 +221,10 @@ def warped_l1(f_base: Tensor, f_match: Tensor, plan: TentPlan, mask: np.ndarray)
     return ad._result(value, (f_base, f_match), vjps)
 
 
-def occlusion_mask(d_base: DisparityMap, d_match: DisparityMap) -> OcclusionMask:
-    """Left-right consistency check: 1 where |D_b - warp(D_m, D_b)| < 1.
-
-    Treated as a constant by the gradient tape.
+def occlusion_mask(d_base: DisparityMap, d_match: DisparityMap) -> np.ndarray:
+    """Left-right consistency check: a read-only bool [H,W] map, True where
+    |D_b - warp(D_m, D_b)| < 1, i.e. where the base pixel's match is visible
+    in the other view.
     """
     if d_base.view == d_match.view:
         raise ValueError("occlusion_mask requires maps from opposite views")
@@ -267,31 +232,27 @@ def occlusion_mask(d_base: DisparityMap, d_match: DisparityMap) -> OcclusionMask
     if d_match.values.shape != base.shape:
         raise ValueError(f"occlusion_mask: shape mismatch {base.shape} vs {d_match.values.shape}")
     warped = _lerp(d_match.values.data.reshape(1, base.size), d_base.warp_plan()).reshape(base.shape)
-    mask = (np.abs(base - warped) < 1.0).astype(np.float64)
-    return OcclusionMask(ad.constant(mask), d_base.view)
+    mask = np.abs(base - warped) < 1.0
+    mask.flags.writeable = False
+    return mask
 
 
-def _valid_errors(pred: Tensor, gt: DisparityMap, metric: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """(absolute error map, valid mask, valid count) of ``pred`` against ``gt``."""
+def _errors(pred: Tensor, gt: DisparityMap) -> np.ndarray:
+    """The absolute error map of ``pred`` against ``gt``."""
     p = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
     if p.shape != gt.values.shape:
         raise ValueError(f"prediction shape {p.shape} != ground truth shape {gt.values.shape}")
-    valid = gt.valid_mask.data > 0.5
-    n = int(valid.sum())
-    if n == 0:
-        raise UndefinedMetricError(f"{metric} undefined: no valid pixels")
-    return np.abs(p - gt.values.data), valid, n
+    return np.abs(p - gt.values.data)
 
 
 def epe(pred: Tensor, gt: DisparityMap) -> float:
-    """Mean absolute disparity error over valid pixels."""
-    err, valid, n = _valid_errors(pred, gt, "EPE")
-    return float(err[valid].sum() / n)
+    """Mean absolute disparity error over all pixels."""
+    err = _errors(pred, gt)
+    return float(err.sum() / err.size)
 
 
 def d1_all(pred: Tensor, gt: DisparityMap) -> float:
-    """Percentage of valid pixels with error strictly above max(3, 0.05 * gt)."""
-    err, valid, n = _valid_errors(pred, gt, "D1-all")
-    threshold = np.maximum(3.0, 0.05 * gt.values.data)
-    outliers = (err > threshold) & valid
-    return float(100.0 * outliers.sum() / n)
+    """Percentage of pixels with error strictly above max(3, 0.05 * gt)."""
+    err = _errors(pred, gt)
+    outliers = err > np.maximum(3.0, 0.05 * gt.values.data)
+    return float(100.0 * outliers.sum() / err.size)

@@ -195,12 +195,11 @@ def _hinge_discriminator(fake, real_source, real_target):
 def _stereo_consistency(fl, fr):
     h, w = fl.shape[1:]
     d = ad.constant(np.full((h, w), 2.5))
-    ones = ad.constant(np.ones((h, w)))
     return losses.stereo_consistency_loss(
         {"left": [(fl, 1)], "right": [(fr, 1)]},
         None,
         {v: geometry.DisparityMap(d, v) for v in VIEWS},
-        {v: geometry.OcclusionMask(ones, v) for v in VIEWS},
+        {v: np.ones((h, w), dtype=bool) for v in VIEWS},
     )
 
 

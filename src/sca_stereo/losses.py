@@ -19,7 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .autodiff import Tensor
-from .errors import UndefinedMetricError
 from .geometry import VIEWS
 
 _SSIM_C1 = 0.01**2
@@ -75,7 +74,7 @@ def stereo_consistency_loss(
     gen_feats: dict[str, list[tuple[Tensor, int]]],
     images: dict[str, Tensor] | None,
     gt_disparities: dict[str, geometry.DisparityMap],
-    masks: dict[str, geometry.OcclusionMask],
+    masks: dict[str, np.ndarray],
 ) -> Tensor:
     """Occlusion-masked L1 between each view and the warp of the other view.
 
@@ -86,7 +85,8 @@ def stereo_consistency_loss(
     pixel count, and summed over scales and both view orderings. Each term
     is one :func:`geometry.warped_l1` op; the terms of one base view share
     one :meth:`geometry.DisparityMap.warp_plan`, which lives only as long
-    as the tape. A base view whose mask is empty adds no terms.
+    as the tape. ``masks`` holds the bool occlusion mask of each base view;
+    an empty mask adds no terms.
     """
     full_res: dict[str, list[Tensor]] = {}
     for v in VIEWS:
@@ -99,7 +99,7 @@ def stereo_consistency_loss(
     terms = []
     for b in VIEWS:
         m = geometry.other_view(b)
-        mask = masks[b].mask.data
+        mask = masks[b]
         plan = gt_disparities[b].warp_plan()
         for f_b, f_m in zip(full_res[b], full_res[m]):
             if f_b.shape[1:] != mask.shape:
@@ -119,26 +119,22 @@ def smooth_l1(x: Tensor) -> Tensor:
     return ad._result(out, (x,), (lambda g: g * dfactor,))
 
 
-def _valid_mean(penalty, pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
-    """Mean of ``penalty(pred - gt)`` over the valid pixels of ``gt``."""
-    valid = gt.valid_mask.data
-    n = float(valid.sum())
-    if n == 0:
-        raise UndefinedMetricError(f"disparity loss undefined: no valid pixels in {gt.view} view")
+def _mean_penalty(penalty, pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
+    """Mean of ``penalty(pred - gt)`` over the pixels of ``gt``."""
     diff = ad.sub(pred, ad.constant(gt.values.data))
-    return ad.mulc(ad.sum_all(ad.mul(penalty(diff), ad.constant(valid))), 1.0 / n)
+    return ad.mulc(ad.sum_all(penalty(diff)), 1.0 / gt.values.size)
 
 
 def l1_disparity_loss(pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
-    """Mean absolute disparity error over the valid pixels of one view."""
-    return _valid_mean(ad.absolute, pred, gt)
+    """Mean absolute disparity error over the pixels of one view."""
+    return _mean_penalty(ad.absolute, pred, gt)
 
 
 def disparity_loss(
     predictions: dict[str, Tensor], gt_disparities: dict[str, geometry.DisparityMap]
 ) -> Tensor:
-    """Mean smooth-L1 disparity error over valid pixels, summed over each view given."""
-    return ad.add_n([_valid_mean(smooth_l1, predictions[v], gt_disparities[v]) for v in VIEWS if v in predictions])
+    """Mean smooth-L1 disparity error over all pixels, summed over each view given."""
+    return ad.add_n([_mean_penalty(smooth_l1, predictions[v], gt_disparities[v]) for v in VIEWS if v in predictions])
 
 
 def ssim(a: Tensor, b: Tensor) -> Tensor:

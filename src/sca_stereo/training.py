@@ -111,8 +111,8 @@ class LoadedSplit:
         self.samples = samples
 
     @functools.cached_property
-    def masks(self) -> list[dict[str, geometry.OcclusionMask]]:
-        """Each sample's left-right consistency mask per view; only stereo-consistency terms read them."""
+    def masks(self) -> list[dict[str, np.ndarray]]:
+        """Each sample's bool left-right consistency mask per view; only stereo-consistency terms read them."""
         return [
             {
                 v: geometry.occlusion_mask(s.disparities[v], s.disparities[geometry.other_view(v)])
@@ -136,7 +136,21 @@ def load_split(config: RunConfig, split: str) -> LoadedSplit:
     rows = [r for r in synth.read_manifest(manifest) if r["split"] == split]
     if not rows:
         raise ConfigError(f"split '{split}' is empty in {manifest}")
-    return LoadedSplit([synth.read_sample(data_dir, row, rig) for row in rows])
+    return LoadedSplit([_checked_sample(config, data_dir, row, rig) for row in rows])
+
+
+def _checked_sample(config: RunConfig, data_dir: Path, row: dict, rig: geometry.CameraRig) -> synth.StereoSample:
+    """Read one sample: every map must be image_height x image_width, every disparity positive."""
+    sample = synth.read_sample(data_dir, row, rig)
+    h, w = config.image_height, config.image_width
+    for v in VIEWS:
+        disparity = sample.disparities[v].values.data
+        for key, shape in ((f"{v}_image", sample.images[v].shape[1:]), (f"{v}_disp", disparity.shape)):
+            if shape != (h, w):
+                raise ConfigError(f"{data_dir / row[key]} is {shape[0]}x{shape[1]}, but the config asks for {h}x{w}")
+        if not np.all(disparity > 0):
+            raise ConfigError(f"{data_dir / row[f'{v}_disp']} holds a disparity that is not strictly positive")
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +485,7 @@ def evaluate(config: RunConfig, matcher_ckpt: Path, split: str) -> dict[str, flo
 def image_consistency(
     images: dict[str, Tensor],
     disparities: dict[str, geometry.DisparityMap],
-    masks: dict[str, geometry.OcclusionMask],
+    masks: dict[str, np.ndarray],
 ) -> float:
     """Image-level stereo-consistency score (no feature scales)."""
     empty: dict[str, list] = {"left": [], "right": []}

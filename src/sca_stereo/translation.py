@@ -218,19 +218,17 @@ def _stream(image: Tensor, prefix: str, tparams: TranslatorParams) -> list[Tenso
     return feats
 
 
-def content_stream(image: Tensor, cloud: geometry.PointCloudImage, tparams: TranslatorParams) -> list[Tensor]:
-    """Per-scale content features from an image and its world-point cloud.
+def content_stream(image: Tensor, cloud: Tensor, tparams: TranslatorParams) -> list[Tensor]:
+    """Per-scale content features from an image and its [3,H,W] world-point cloud.
 
     The cloud is divided by a fixed scene scale so coordinates land near
     [-1, 1] alongside the image channels.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"image must be [3,H,W], got shape {image.shape}")
-    if image.shape[1:] != cloud.points.shape[1:]:
-        raise ValueError(
-            f"image {image.shape} and cloud {cloud.points.shape} spatial sizes differ"
-        )
-    scaled = ad.mulc(cloud.points, 1.0 / tparams.cloud_scale)
+    if cloud.shape != (3, *image.shape[1:]):
+        raise ValueError(f"cloud must be [3,H,W] at the image size {image.shape}, got shape {cloud.shape}")
+    scaled = ad.mulc(cloud, 1.0 / tparams.cloud_scale)
     return _stream(ad.concat_channels([image, scaled]), "content", tparams)
 
 

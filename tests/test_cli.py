@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import checkpoint, geometry, gradcheck, training
+from sca_stereo import checkpoint, fileio, geometry, gradcheck, training
 from sca_stereo.cli import main
 from sca_stereo.config import RunConfig, apply_overrides, load_config
 from sca_stereo.errors import ConfigError, FormatError
@@ -519,6 +519,46 @@ class TestPipelineCommands:
                 load_config(cfg_path), base / "ckpt" / "translator.ckpt", [99]
             )
 
+    def test_loaded_sample_holds_only_images_and_disparities(self, tiny_env):
+        _, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        config = load_config(cfg_path)
+        split = training.load_split(config, "source_val")
+        h, w = config.image_height, config.image_width
+        assert _array_nbytes(split.samples[0]) == 2 * (3 * h * w * 8) + 2 * (h * w * 8)
+        for masks in split.masks:
+            for mask in masks.values():
+                assert mask.dtype == bool and mask.shape == (h, w)
+                assert not mask.flags.writeable
+
+    def test_dataset_of_another_size_is_config_error(self, tiny_env):
+        _, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        config = load_config(cfg_path)
+        config.image_height, config.image_width = 32, 64
+        message = r"source_train/sample_00000_left\.ppm is 16x32, but the config asks for 32x64"
+        with pytest.raises(ConfigError, match=message):
+            training.load_split(config, "source_train")
+
+    def test_disparity_map_of_another_size_is_config_error(self, tiny_env):
+        base, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        fileio.write_pfm(np.full((16, 31), 3.0), base / "data" / "source_val" / "sample_00001_right.pfm")
+        with pytest.raises(ConfigError, match=r"source_val/sample_00001_right\.pfm is 16x31"):
+            training.load_split(load_config(cfg_path), "source_val")
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    def test_nonpositive_disparity_is_config_error(self, tiny_env, bad):
+        base, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        path = base / "data" / "target_test" / "sample_00002_left.pfm"
+        d = fileio.read_pfm(path).data.copy()
+        d[5, 7] = bad
+        fileio.write_pfm(d, path)
+        message = r"target_test/sample_00002_left\.pfm holds a disparity that is not strictly positive"
+        with pytest.raises(ConfigError, match=message):
+            training.load_split(load_config(cfg_path), "target_test")
+
     def test_evaluate_with_oracle_predictor(self, tiny_env):
         base, cfg_path = tiny_env
         main(["--config", str(cfg_path), "gen-data"])
@@ -530,6 +570,43 @@ class TestPipelineCommands:
         assert mean_epe == 0.0
         assert mean_d1 == 0.0
         assert len(rows) == 3
+
+
+def _array_nbytes(obj, seen=None):
+    """Bytes of the distinct arrays reachable from ``obj`` through attributes, dicts, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, ad.Tensor):
+        children = [getattr(obj, k) for k in type(obj).__slots__]
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return 0
+    return sum(_array_nbytes(c, seen) for c in children)
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["translate", "--translator-ckpt", "g.ckpt", "--sample-id", "0", "2"],
+            ["--conf", "run.cfg", "gen-data"],
+            ["evaluate", "--matcher-ckpt", "m.ckpt", "--spl", "target_test"],
+        ],
+    )
+    def test_abbreviated_flags_rejected(self, argv):
+        # each is a unique prefix of a real flag, which argparse accepts by default
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 class TestGradcheckCommand:

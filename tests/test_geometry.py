@@ -3,46 +3,37 @@ import pytest
 
 from sca_stereo import autodiff as ad
 from sca_stereo import geometry
-from sca_stereo.errors import UndefinedMetricError
 
 from oracles import backward_warp_oracle, lr_occlusion_oracle
 
 
-def disparity_map(values, view, valid=None):
-    mask = None if valid is None else ad.constant(np.asarray(valid, dtype=float))
-    return geometry.DisparityMap(ad.constant(np.asarray(values, dtype=float)), view, mask)
+def disparity_map(values, view):
+    return geometry.DisparityMap(ad.constant(np.asarray(values, dtype=float)), view)
 
 
 class TestReprojection:
     RIG = geometry.CameraRig(baseline_b=2.0, f_u=100.0, f_v=100.0, c_u=50.0, c_v=50.0)
 
     def test_left_pixel_off_axis(self):
-        d = np.zeros((64, 80))
+        d = np.full((64, 80), 5.0)
         d[50, 60] = 10.0
-        valid = np.zeros_like(d)
-        valid[50, 60] = 1.0
-        cloud = geometry.disparity_to_world_points(disparity_map(d, "left", valid), self.RIG)
-        assert np.allclose(cloud.points.data[:, 50, 60], [1.0, 0.0, 20.0], atol=1e-12)
+        cloud = geometry.disparity_to_world_points(disparity_map(d, "left"), self.RIG)
+        assert cloud.shape == (3, 64, 80)
+        assert np.allclose(cloud.data[:, 50, 60], [1.0, 0.0, 20.0], atol=1e-12)
+        assert np.allclose(cloud.data[:, 50, 61], [3.4, 0.0, 40.0], atol=1e-12)  # a neighbour at d = 5
 
     def test_left_pixel_at_principal_point(self):
-        d = np.zeros((64, 80))
+        d = np.full((64, 80), 5.0)
         d[50, 50] = 20.0
-        valid = np.zeros_like(d)
-        valid[50, 50] = 1.0
-        cloud = geometry.disparity_to_world_points(disparity_map(d, "left", valid), self.RIG)
-        assert np.allclose(cloud.points.data[:, 50, 50], [-1.0, 0.0, 10.0], atol=1e-12)
-
-    def test_invalid_pixels_emit_zero(self):
-        d = np.full((4, 4), 5.0)
-        valid = np.zeros((4, 4))
-        valid[0, 0] = 1.0
-        cloud = geometry.disparity_to_world_points(disparity_map(d, "left", valid), self.RIG)
-        assert np.array_equal(cloud.points.data[:, 1:, :], np.zeros((3, 3, 4)))
+        cloud = geometry.disparity_to_world_points(disparity_map(d, "left"), self.RIG)
+        assert np.allclose(cloud.data[:, 50, 50], [-1.0, 0.0, 10.0], atol=1e-12)
 
     def test_nonpositive_disparity_rejected(self):
-        d = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            geometry.disparity_to_world_points(disparity_map(d, "left"), self.RIG)
+        for bad in (0.0, -1.0, np.nan):
+            d = np.full((3, 3), 2.0)
+            d[1, 2] = bad
+            with pytest.raises(ValueError, match="strictly positive"):
+                geometry.disparity_to_world_points(disparity_map(d, "left"), self.RIG)
 
     def test_fronto_parallel_views_match_in_world(self):
         h, w, disp = 10, 40, 7.0
@@ -50,8 +41,8 @@ class TestReprojection:
         cloud_l = geometry.disparity_to_world_points(disparity_map(np.full((h, w), disp), "left"), rig)
         cloud_r = geometry.disparity_to_world_points(disparity_map(np.full((h, w), disp), "right"), rig)
         d = int(disp)
-        left = cloud_l.points.data[:, :, d:]
-        right = cloud_r.points.data[:, :, : w - d]
+        left = cloud_l.data[:, :, d:]
+        right = cloud_r.data[:, :, : w - d]
         assert np.max(np.abs(left - right)) <= 1e-9
 
 
@@ -126,23 +117,23 @@ class TestBackwardWarp:
         assert np.array_equal(offset_t.grad, (g * (f1 * in1[None] - f0 * in0[None])).sum(axis=0))
 
 
-class TestOcclusionMask:
+class TestOcclusion:
     def test_consistent_constant_scene(self):
         h, w, d = 4, 16, 3.0
         dl = disparity_map(np.full((h, w), d), "left")
         dr = disparity_map(np.full((h, w), d), "right")
-        mask = geometry.occlusion_mask(dl, dr).mask.data
+        mask = geometry.occlusion_mask(dl, dr)
         expected = lr_occlusion_oracle(dl.values.data, dr.values.data, "left")
         assert np.array_equal(mask, expected)
         # in-range columns are all consistent
-        assert np.all(mask[:, int(d) :] == 1.0)
+        assert np.all(mask[:, int(d) :])
 
     def test_tiny_epsilon_disparity_all_ones(self):
         h, w = 3, 10
         eps = 1e-9
         dl = disparity_map(np.full((h, w), eps), "left")
         dr = disparity_map(np.full((h, w), eps), "right")
-        assert np.all(geometry.occlusion_mask(dl, dr).mask.data == 1.0)
+        assert np.all(geometry.occlusion_mask(dl, dr))
 
     def test_step_edge_occlusion_band(self):
         h, w = 4, 32
@@ -152,13 +143,20 @@ class TestOcclusionMask:
         # right view: foreground region shifts left by its disparity
         dr = np.full((h, w), 2.0)
         dr[:, jump_from - int(2.0 + jump) :] = 2.0 + jump
-        mask = geometry.occlusion_mask(disparity_map(dl, "left"), disparity_map(dr, "right")).mask.data
+        mask = geometry.occlusion_mask(disparity_map(dl, "left"), disparity_map(dr, "right"))
         expected = lr_occlusion_oracle(dl, dr, "left")
         assert np.array_equal(mask, expected)
         # the 8-px band left of the edge samples the foreground: occluded
         band = np.arange(jump_from - int(jump), jump_from)
-        assert np.all(mask[:, band] == 0.0)
-        assert np.all(mask[:, 4 : jump_from - int(jump)] == 1.0)
+        assert not np.any(mask[:, band])
+        assert np.all(mask[:, 4 : jump_from - int(jump)])
+
+    def test_mask_is_read_only_bool(self):
+        d = np.full((2, 6), 1.5)
+        mask = geometry.occlusion_mask(disparity_map(d, "left"), disparity_map(d, "right"))
+        assert mask.dtype == bool and mask.shape == (2, 6)
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
 
     def test_same_view_rejected(self):
         d = disparity_map(np.ones((2, 4)), "left")
@@ -192,15 +190,9 @@ class TestMetrics:
         rng = np.random.default_rng(8)
         gt_vals = rng.uniform(1, 10, (4, 5))
         pred = gt_vals + rng.standard_normal((4, 5))
-        valid = (rng.random((4, 5)) > 0.3).astype(float)
-        gt = disparity_map(gt_vals, "left", valid)
-        expected = np.abs(pred - gt_vals)[valid > 0].mean()
+        gt = disparity_map(gt_vals, "left")
+        expected = sum(abs(pred[j, i] - gt_vals[j, i]) for j in range(4) for i in range(5)) / 20
         assert geometry.epe(ad.constant(pred), gt) == pytest.approx(expected, abs=1e-15)
-
-    def test_epe_no_valid_pixels(self):
-        gt = disparity_map(np.ones((2, 2)), "left", np.zeros((2, 2)))
-        with pytest.raises(UndefinedMetricError):
-            geometry.epe(gt.values, gt)
 
     def test_d1_small_gt_counts_outlier(self):
         gt = disparity_map(np.full((1, 1), 10.0), "left")
@@ -229,11 +221,9 @@ class TestMetrics:
         with pytest.raises(ValueError):
             geometry.epe(ad.constant(np.ones((3, 3))), gt)
 
-    @pytest.mark.parametrize("metric, name", [(geometry.epe, "EPE"), (geometry.d1_all, "D1-all")])
-    def test_both_metrics_check_shape_and_valid_pixels(self, metric, name):
-        gt = disparity_map(np.ones((2, 2)), "left", np.zeros((2, 2)))
-        with pytest.raises(UndefinedMetricError, match=f"^{name} undefined: no valid pixels$"):
-            metric(gt.values, gt)
+    @pytest.mark.parametrize("metric", [geometry.epe, geometry.d1_all])
+    def test_both_metrics_check_shape(self, metric):
+        gt = disparity_map(np.ones((2, 2)), "left")
         with pytest.raises(ValueError, match=r"^prediction shape \(3, 3\) != ground truth shape \(2, 2\)$"):
             metric(ad.constant(np.ones((3, 3))), gt)
 

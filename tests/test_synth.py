@@ -45,7 +45,7 @@ class TestGenerateScene:
         for seed in range(100):
             style = "target" if seed % 2 else "source"
             s = synth.generate_scene(synth.SceneSpec(seed=seed, domain_style=style))
-            mask = geometry.occlusion_mask(s.disparities["left"], s.disparities["right"]).mask.data
+            mask = geometry.occlusion_mask(s.disparities["left"], s.disparities["right"])
             offset = geometry.signed_offset(s.disparities["left"].values, "left")
             warped = geometry.backward_warp(s.images["right"], offset).data
             err = np.abs(warped - s.images["left"].data).max(axis=0)
@@ -57,7 +57,7 @@ class TestGenerateScene:
             s = synth.generate_scene(synth.SceneSpec(seed=seed, integer_disparities=True))
             for base in ("left", "right"):
                 match = geometry.other_view(base)
-                mask = geometry.occlusion_mask(s.disparities[base], s.disparities[match]).mask.data
+                mask = geometry.occlusion_mask(s.disparities[base], s.disparities[match])
                 oracle = visibility_oracle(
                     s.disparities[base].values.data, s.disparities[match].values.data, base
                 )
@@ -73,13 +73,13 @@ class TestGenerateScene:
         mask = geometry.occlusion_mask(
             geometry.DisparityMap(ad.constant(dl), "left"),
             geometry.DisparityMap(ad.constant(dr), "right"),
-        ).mask.data
+        )
         oracle = lr_occlusion_oracle(dl, dr, "left")
         assert np.array_equal(mask, oracle)
         # the 8 background pixels left of the strip map into the foreground: occluded
-        assert np.all(mask[:, 32:40] == 0.0)
-        assert np.all(mask[:, 40:56] == 1.0)
-        assert np.all(mask[:, 2:32] == 1.0)
+        assert not np.any(mask[:, 32:40])
+        assert np.all(mask[:, 40:56])
+        assert np.all(mask[:, 2:32])
 
     def test_source_target_share_disparities_differ_photometrically(self):
         for seed in (1, 5, 9):

@@ -142,9 +142,9 @@ class TestStreams:
     def test_image_cloud_size_mismatch(self):
         tparams = tiny_translator()
         src, _ = scene_inputs()
-        cloud = geometry.PointCloudImage(ad.constant(np.zeros((3, 8, 8))), "left")
-        with pytest.raises(ValueError):
-            translation.content_stream(src.images["left"], cloud, tparams)
+        for shape in ((3, 8, 8), (2, 16, 32)):
+            with pytest.raises(ValueError, match="cloud must be"):
+                translation.content_stream(src.images["left"], ad.constant(np.zeros(shape)), tparams)
 
 
 class TestGenerate:
