@@ -28,6 +28,7 @@ directly on parameter tensors.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 
 import numpy as np
@@ -35,6 +36,33 @@ import numpy as np
 from .errors import NumericError
 
 Array = np.ndarray
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Fix the C allocator's thresholds so that every training step reuses the heap the last one freed.
+
+    A step allocates and frees tens of MB of op outputs, saved operands and
+    gradients. glibc's default thresholds adapt: an array above a moving size
+    limit is mmap'd afresh, and the top of the heap goes back to the kernel
+    once enough of it is free. Each step then page-faults that memory back in,
+    and how much depends on where a long-lived allocation last landed: a
+    64×128 adapt step took ~13k minor faults and 20–50 ms of system time in
+    most stage calls and almost none in others. With arrays up to 32 MB on the
+    heap and up to 256 MB of free heap top kept, a step faults only while the
+    heap grows to its peak. A no-op where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_memory()
 
 
 class _Node:

@@ -10,6 +10,7 @@ iteration counts are desk-scale and meant to be overridden per experiment.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +88,7 @@ class RunConfig:
                 if not ok(getattr(self, name)):
                     raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
+        check([name for name, kind in _FIELDS.items() if kind == "float"], math.isfinite, "finite")
         stages = ("pretrain", "translator", "adapt")
         counts = [f"{stage}_batch" for stage in stages] + ["val_interval", "num_layers"]
         counts += ["n_source_train", "n_source_val", "n_target_train", "n_target_test"]

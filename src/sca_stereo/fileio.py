@@ -45,8 +45,8 @@ def _header_int(tok: bytes, pos: int) -> int:
     return int(tok)
 
 
-def read_pfm(path) -> Tensor:
-    """Read a grayscale PFM; the scale line's sign selects endianness."""
+def decode_pfm(path) -> np.ndarray:
+    """A grayscale PFM as its read-only float32 [H,W] map, top row first; the scale line's sign selects endianness."""
     with open(path, "rb") as f:
         blob = f.read()
     magic, pos = _next_token(blob, 0)
@@ -76,7 +76,19 @@ def read_pfm(path) -> Tensor:
     finite = np.isfinite(data)
     if not finite.all():
         raise FormatError("PFM payload holds a non-finite value", pos + 4 * int(np.argmin(finite)))
-    return ad.constant(data.reshape(h, w)[::-1].astype(np.float64))
+    values = data.astype(np.float32, copy=False).reshape(h, w)[::-1]  # a big-endian payload becomes a copy
+    values.flags.writeable = False
+    return values
+
+
+def pfm_tensor(values: np.ndarray) -> Tensor:
+    """A decoded PFM map as a float64 tensor."""
+    return ad.constant(values.astype(np.float64))
+
+
+def read_pfm(path) -> Tensor:
+    """Read a grayscale PFM into a float64 [H,W] tensor."""
+    return pfm_tensor(decode_pfm(path))
 
 
 def write_ppm(image: Tensor | np.ndarray, path) -> None:
@@ -91,8 +103,8 @@ def write_ppm(image: Tensor | np.ndarray, path) -> None:
         f.write(quantized.transpose(1, 2, 0).tobytes())
 
 
-def read_ppm(path) -> Tensor:
-    """Read a binary P6 image into a [3,H,W] tensor with values in [0,1]."""
+def decode_ppm(path) -> np.ndarray:
+    """A binary P6 image as its read-only uint8 [3,H,W] array."""
     with open(path, "rb") as f:
         blob = f.read()
     magic, pos = _next_token(blob, 0)
@@ -113,5 +125,17 @@ def read_ppm(path) -> Tensor:
             f"truncated PPM payload: expected {3 * w * h} bytes, got {len(payload)}",
             pos + len(payload),
         )
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    return ad.constant(data.astype(np.float64) / 255.0)
+    # copied to C order once here, so that converting it to a (C-order) tensor needs no transposing copy
+    image = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1).copy()
+    image.flags.writeable = False
+    return image
+
+
+def ppm_tensor(image: np.ndarray) -> Tensor:
+    """A decoded PPM image as a float64 tensor with values in [0,1]."""
+    return ad.constant(image.astype(np.float64) / 255.0)
+
+
+def read_ppm(path) -> Tensor:
+    """Read a binary P6 image into a float64 [3,H,W] tensor with values in [0,1]."""
+    return ppm_tensor(decode_ppm(path))

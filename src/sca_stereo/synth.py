@@ -244,16 +244,29 @@ def write_sample(sample: StereoSample, directory: Path, stem: str) -> dict[str, 
     return paths
 
 
+@dataclass
+class StoredSample:
+    """One sample in its files' dtypes: read-only uint8 [3,H,W] images and float32 [H,W] disparities per view."""
+
+    images: dict[str, np.ndarray]
+    disparities: dict[str, np.ndarray]
+
+    def build(self, rig: CameraRig) -> StereoSample:
+        """The float64 sample, in fresh arrays on every call."""
+        images = {v: fileio.ppm_tensor(image) for v, image in self.images.items()}
+        disparities = {v: DisparityMap(fileio.pfm_tensor(d), v) for v, d in self.disparities.items()}
+        return StereoSample(images, disparities, rig)
+
+
+def read_stored_sample(directory: Path, row: dict[str, str]) -> StoredSample:
+    return StoredSample(
+        {v: fileio.decode_ppm(directory / row[f"{v}_image"]) for v in geometry.VIEWS},
+        {v: fileio.decode_pfm(directory / row[f"{v}_disp"]) for v in geometry.VIEWS},
+    )
+
+
 def read_sample(directory: Path, row: dict[str, str], rig: CameraRig) -> StereoSample:
-    images = {
-        "left": fileio.read_ppm(directory / row["left_image"]),
-        "right": fileio.read_ppm(directory / row["right_image"]),
-    }
-    disparities = {
-        "left": DisparityMap(fileio.read_pfm(directory / row["left_disp"]), "left"),
-        "right": DisparityMap(fileio.read_pfm(directory / row["right_disp"]), "right"),
-    }
-    return StereoSample(images, disparities, rig)
+    return read_stored_sample(directory, row).build(rig)
 
 
 def write_manifest(rows: list[dict[str, str]], path: Path) -> None:

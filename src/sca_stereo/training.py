@@ -20,7 +20,8 @@ import copy
 import csv
 import functools
 import itertools
-from collections.abc import Iterable, Iterator
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +106,16 @@ def gen_data(config: RunConfig) -> Path:
 
 
 class LoadedSplit:
-    """All samples of one split in memory; occlusion masks are built on first read."""
+    """One split in memory as its files hold it: per sample, read-only uint8 [3,H,W] images and
+    float32 [H,W] disparities (:class:`synth.StoredSample`).
 
-    def __init__(self, samples: list[synth.StereoSample]):
-        self.samples = samples
+    ``samples[k]`` builds sample k's float64 :class:`synth.StereoSample` afresh on every read, equal bit for
+    bit to :func:`synth.read_sample` of its files; occlusion masks are built on first read of ``masks``.
+    """
+
+    def __init__(self, stored: list[synth.StoredSample], rig: geometry.CameraRig):
+        self.stored = stored
+        self.samples = _BuiltSamples(stored, rig)
 
     @functools.cached_property
     def masks(self) -> list[dict[str, np.ndarray]]:
@@ -122,7 +129,20 @@ class LoadedSplit:
         ]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.stored)
+
+
+class _BuiltSamples(Sequence):
+    """The read-only sequence of a split's float64 samples, each built when it is read."""
+
+    def __init__(self, stored: list[synth.StoredSample], rig: geometry.CameraRig):
+        self._stored, self._rig = stored, rig
+
+    def __len__(self) -> int:
+        return len(self._stored)
+
+    def __getitem__(self, k: int) -> synth.StereoSample:
+        return self._stored[operator.index(k)].build(self._rig)
 
 
 def load_split(config: RunConfig, split: str) -> LoadedSplit:
@@ -136,15 +156,15 @@ def load_split(config: RunConfig, split: str) -> LoadedSplit:
     rows = [r for r in synth.read_manifest(manifest) if r["split"] == split]
     if not rows:
         raise ConfigError(f"split '{split}' is empty in {manifest}")
-    return LoadedSplit([_checked_sample(config, data_dir, row, rig) for row in rows])
+    return LoadedSplit([_checked_sample(config, data_dir, row) for row in rows], rig)
 
 
-def _checked_sample(config: RunConfig, data_dir: Path, row: dict, rig: geometry.CameraRig) -> synth.StereoSample:
-    """Read one sample: every map must be image_height x image_width, every disparity positive."""
-    sample = synth.read_sample(data_dir, row, rig)
+def _checked_sample(config: RunConfig, data_dir: Path, row: dict) -> synth.StoredSample:
+    """Read one sample's files: every map must be image_height x image_width, every disparity positive."""
+    sample = synth.read_stored_sample(data_dir, row)
     h, w = config.image_height, config.image_width
     for v in VIEWS:
-        disparity = sample.disparities[v].values.data
+        disparity = sample.disparities[v]
         for key, shape in ((f"{v}_image", sample.images[v].shape[1:]), (f"{v}_disp", disparity.shape)):
             if shape != (h, w):
                 raise ConfigError(f"{data_dir / row[key]} is {shape[0]}x{shape[1]}, but the config asks for {h}x{w}")

@@ -1,3 +1,5 @@
+import platform
+import resource
 import tracemalloc
 import weakref
 
@@ -213,6 +215,19 @@ class TestGraphLifetime:
         assert len(grads) == 1 and np.array_equal(grads[0], [1.0, 1.0])
         assert np.array_equal(x.grad, [2.0, -4.0])
         assert out._backward is not wrapper and out._parents == ()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator thresholds are glibc's")
+    def test_freed_step_memory_is_reused_without_page_faults(self):
+        # a step's worth of 1 MB arrays, freed and allocated again, as consecutive training steps do
+        def one_step():
+            arrays = [np.ones((16, 64, 128)) for _ in range(40)]
+            del arrays
+
+        one_step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        one_step()
+        # 40 MB faulted in afresh would be 10,240 faults of 4 KB pages
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 STACKED, PER_TAP = ad._STACK_BELOW_C_IN - 1, ad._STACK_BELOW_C_IN  # conv2d channel counts either side of the rule

@@ -1,13 +1,18 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import checkpoint, fileio, geometry, gradcheck, training
+from sca_stereo import checkpoint, fileio, geometry, gradcheck, synth, training
 from sca_stereo.cli import main
 from sca_stereo.config import RunConfig, apply_overrides, load_config
 from sca_stereo.errors import ConfigError, FormatError
 
 import golden
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
 
 
 def tiny_config_text(base, seed=0, sca=True):
@@ -147,6 +152,21 @@ class TestConfig:
         p.write_text(f"n_scales = 3\n{line}\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_float_fields_listed(self):
+        assert {"pretrain_lr", "cloud_scale", "lambda_stereo", "ssim_alpha", "d_min"} <= set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_floats_rejected(self, tmp_path, name, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"{name} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            load_config(p)
+        config = RunConfig()
+        setattr(config, name, float(value))
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            config.validate()
 
     def test_zero_iterations_accepted(self, tmp_path):
         p = tmp_path / "zero.cfg"
@@ -525,7 +545,15 @@ class TestPipelineCommands:
         config = load_config(cfg_path)
         split = training.load_split(config, "source_val")
         h, w = config.image_height, config.image_width
-        assert _array_nbytes(split.samples[0]) == 2 * (3 * h * w * 8) + 2 * (h * w * 8)
+        assert _array_nbytes(split.stored[0]) == 2 * (3 * h * w) + 2 * (h * w * 4)
+        assert _array_nbytes(split) == len(split) * 14 * h * w  # nothing else until masks are read
+        for stored in split.stored:
+            for image in stored.images.values():
+                assert image.dtype == np.uint8 and image.shape == (3, h, w)
+                assert not image.flags.writeable
+            for disparity in stored.disparities.values():
+                assert disparity.dtype == np.float32 and disparity.shape == (h, w)
+                assert not disparity.flags.writeable
         for masks in split.masks:
             for mask in masks.values():
                 assert mask.dtype == bool and mask.shape == (h, w)
@@ -570,6 +598,79 @@ class TestPipelineCommands:
         assert mean_epe == 0.0
         assert mean_d1 == 0.0
         assert len(rows) == 3
+
+
+class TestLoadedSplit:
+    def test_reads_equal_read_sample_and_the_file_bytes(self, tiny_env):
+        base, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        config = load_config(cfg_path)
+        h, w = config.image_height, config.image_width
+        split = training.load_split(config, "source_train")
+        rows = [r for r in synth.read_manifest(base / "data" / "manifest.csv") if r["split"] == "source_train"]
+        rig = synth.default_rig(h, w)
+        assert len(split) == len(split.samples) == len(rows)
+        for got, row in zip(split.samples, rows, strict=True):
+            want = synth.read_sample(base / "data", row, rig)
+            assert got.rig == want.rig
+            for v in geometry.VIEWS:
+                assert got.disparities[v].view == want.disparities[v].view == v
+                # the files' payloads, decoded here without fileio: P6 rows of RGB bytes, PFM rows bottom-up
+                ppm = (base / "data" / row[f"{v}_image"]).read_bytes()[-3 * h * w :]
+                pfm = (base / "data" / row[f"{v}_disp"]).read_bytes()[-4 * h * w :]
+                image = np.frombuffer(ppm, np.uint8).reshape(h, w, 3).transpose(2, 0, 1) / 255.0
+                disparity = np.frombuffer(pfm, "<f4").reshape(h, w)[::-1].astype(np.float64)
+                pairs = [
+                    (got.images[v].data, want.images[v].data, image),
+                    (got.disparities[v].values.data, want.disparities[v].values.data, disparity),
+                ]
+                for a, b, from_file in pairs:
+                    assert a.dtype == b.dtype == np.float64
+                    assert np.array_equal(a, b) and np.array_equal(a, from_file)
+
+    def test_samples_index_like_a_list(self, tiny_env):
+        _, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        split = training.load_split(load_config(cfg_path), "target_test")
+        n = len(split)
+        last, first = split.samples[-1], split.samples[-n]
+        assert np.array_equal(last.images["right"].data, split.samples[n - 1].images["right"].data)
+        assert np.array_equal(first.images["right"].data, split.samples[0].images["right"].data)
+        assert np.array_equal(split.samples[np.int64(1)].images["left"].data, split.samples[1].images["left"].data)
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                split.samples[k]
+        assert len(list(split.samples)) == n
+
+    def test_each_read_is_fresh(self, tiny_env):
+        _, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        split = training.load_split(load_config(cfg_path), "source_val")
+        before = split.samples[0].images["left"].data.copy()
+        written = split.samples[0]
+        written.images["left"].data[...] = -1.0
+        written.disparities["left"].values.data[...] = -1.0
+        again = split.samples[0]
+        assert np.array_equal(again.images["left"].data, before)
+        assert np.all(again.disparities["left"].values.data > 0)
+
+    def test_load_never_holds_the_split_in_float64(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path) + "image_height = 32\nimage_width = 64\nn_source_train = 16\n")
+        main(["--config", str(cfg_path), "gen-data"])
+        config = load_config(cfg_path)
+        h, w = config.image_height, config.image_width
+        stored_bytes = config.n_source_train * 14 * h * w
+        float64_sample = 2 * (3 * h * w * 8) + 2 * (h * w * 8)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            split = training.load_split(config, "source_train")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(split) == 16
+        assert peak < stored_bytes + 2 * float64_sample, (peak, stored_bytes, float64_sample)
 
 
 def _array_nbytes(obj, seen=None):

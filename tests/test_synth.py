@@ -129,6 +129,15 @@ class TestPfm:
         back = fileio.read_pfm(path)
         assert np.array_equal(back.data, values.astype(np.float64))
 
+    @pytest.mark.parametrize("scale", [b"-1.0", b"1.0"])
+    def test_decode_is_read_only_native_float32(self, tmp_path, scale):
+        values = np.array([[1.5, -2.25, 4.0], [3.0, 0.125, 7.5]], dtype="<f4" if scale == b"-1.0" else ">f4")
+        path = tmp_path / "map.pfm"
+        path.write_bytes(b"Pf\n3 2\n" + scale + b"\n" + values[::-1].tobytes())
+        decoded = fileio.decode_pfm(path)
+        assert decoded.dtype == np.dtype(np.float32) and not decoded.flags.writeable
+        assert np.array_equal(decoded, values)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"PF\n2 2\n-1.0\n" + b"\x00" * 48)
@@ -198,6 +207,13 @@ class TestPpm:
         path = tmp_path / "fix.ppm"
         fileio.write_ppm(img, path)
         assert path.read_bytes() == b"P6\n1 2\n255\n" + bytes([128] * 3 + [51] * 3)
+
+    def test_decode_is_read_only_uint8(self, tmp_path):
+        path = tmp_path / "fix.ppm"
+        path.write_bytes(b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
+        decoded = fileio.decode_ppm(path)
+        assert decoded.dtype == np.uint8 and not decoded.flags.writeable
+        assert decoded.tolist() == [[[1, 4]], [[2, 5]], [[3, 6]]]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
