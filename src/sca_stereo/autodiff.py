@@ -14,7 +14,11 @@ output holds its node; the node links to its parents' nodes (a leaf parent
 is linked as itself) and holds the op's backward closure. So the tape keeps
 only what the vjps read: each op saves its operands, or less (a shape, a
 sign mask, a sampling plan), and an op output that no vjp reads dies with
-the caller's last reference to it.
+the caller's last reference to it. No op saves a derived copy of an
+operand: :func:`conv2d` keeps its input, not the zero-padded phase images
+its forward reads, and its kernel vjp rebuilds those when it runs, so
+convs that read one input hold it once; a per-channel scale is a [C]
+vector (:func:`mul_spatial`), never a broadcast [C,H,W] map.
 
 Backward consumes the graph; ``detach()`` to reuse an output. Only leaves
 (parameters and inputs that require grad) keep a gradient. The walk unlinks
@@ -390,10 +394,15 @@ def sum_channels(a: Tensor) -> Tensor:
 
 
 def mul_spatial(a: Tensor, s: Tensor) -> Tensor:
-    """Scale every channel of [C,H,W] ``a`` by the [H,W] map ``s``."""
-    if a.ndim != 3 or s.shape != a.shape[1:]:
+    """Scale [C,H,W] ``a`` by the [H,W] map ``s``, alike in every channel, or by the [C] vector ``s``, per channel.
+
+    The same products and sums as :func:`mul` on ``s`` broadcast to ``a``'s
+    shape, but the tape keeps ``s`` as it is, not a broadcast copy.
+    """
+    if a.ndim != 3 or s.shape not in (a.shape[1:], a.shape[:1]):
         raise ValueError(f"mul_spatial: incompatible shapes {a.shape} and {s.shape}")
-    return _result(a.data * s.data[None], (a, s), (lambda g: g * s.data[None], lambda g: (g * a.data).sum(axis=0)))
+    factor, axes = (s.data[:, None, None], (1, 2)) if s.ndim == 1 else (s.data[None], 0)
+    return _result(a.data * factor, (a, s), (lambda g: g * factor, lambda g: (g * a.data).sum(axis=axes)))
 
 
 def pixel_norm(a: Tensor, eps: float = 1e-8) -> Tensor:
@@ -576,6 +585,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
     ``lead - off`` with ``K_t^T``; the result is copied back strided, and a
     phase no tap reads keeps zero gradient. The kernel gradient is one
     matmul per tap on the same buffer at ``[lead, lead + H'*wq)``.
+
+    The tape keeps the input itself, never its phase images: those die once
+    the forward tap sum is done, and the kernel vjp rebuilds them with the
+    forward's own code into a buffer that lives only while it runs. So a
+    padded conv holds no copy of its input, and every conv that reads one
+    input (FADE's γ and β convs read the same content map) holds it once.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d: expected [C,H,W] and [O,C,kh,kw], got {x.shape}, {kernel.shape}")
@@ -605,13 +620,23 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
         for a, (rows, x_rows) in enumerate(_phase_axis(s, padding, h, hq))
         for b, (cols, x_cols) in enumerate(_phase_axis(s, padding, w, wq))
     ]
-    flat = x.data.reshape(1, 1, c_in, n) if own else np.zeros((s, s, c_in, (hq + 1) * wq), dtype=np.float64)
-    for (a, b), rows, cols, src in phases:
-        flat[a, b].reshape(c_in, hq + 1, wq)[:, rows, cols] = x.data[src]
+    x_data = x.data
+
+    def phase_images():
+        """[s, s, C_in, (hq+1)*wq]: the zero-padded input's phase images, each flat; built afresh per call."""
+        if own:
+            return x_data.reshape(1, 1, c_in, n)
+        flat = np.zeros((s, s, c_in, (hq + 1) * wq), dtype=np.float64)
+        for (a, b), rows, cols, src in phases:
+            flat[a, b].reshape(c_in, hq + 1, wq)[:, rows, cols] = x_data[src]
+        return flat
+
     taps = [((di % s, dj % s), (di // s) * wq + dj // s) for di in range(kh) for dj in range(kw)]  # (phase, off)
     k_taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, c_in)
 
+    flat = phase_images()
     acc = _tap_sum(k_taps, [flat[ab][:, off : off + n] for ab, off in taps])
+    del flat
     out = acc.reshape(c_out, h_out, wq)[:, :, :w_out]
     out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
 
@@ -642,6 +667,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
 
     def vjp_kernel(g):
         g_pad = (shared.pop() if shared else lead_in(g))[:, lead : lead + n]
+        flat = phase_images()
         dk = np.empty((kh * kw, c_out, c_in), dtype=np.float64)
         for dk_tap, (ab, off) in zip(dk, taps):
             np.matmul(g_pad, flat[ab][:, off : off + n].T, out=dk_tap)
@@ -760,9 +786,8 @@ def _moments(a: Tensor, eps: float) -> tuple[Tensor, Tensor, Tensor]:
 
 def instance_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-channel zero-mean unit-variance normalization over H,W."""
-    c, h, w = a.shape
     _, centered, std = _moments(a, eps)
-    return mul(centered, broadcast_chan(div(constant(np.ones(c)), std), h, w))
+    return mul_spatial(centered, div(constant(np.ones(a.shape[0])), std))
 
 
 def channel_stats(a: Tensor, eps: float = 1e-5) -> tuple[Tensor, Tensor]:

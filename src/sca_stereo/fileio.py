@@ -45,6 +45,11 @@ def _header_int(tok: bytes, pos: int) -> int:
     return int(tok)
 
 
+def _check_no_trailing_bytes(blob: bytes, end: int, kind: str) -> None:
+    if len(blob) > end:
+        raise FormatError(f"{len(blob) - end} trailing bytes after the {kind} payload", end)
+
+
 def decode_pfm(path) -> np.ndarray:
     """A grayscale PFM as its read-only float32 [H,W] map, top row first; the scale line's sign selects endianness."""
     with open(path, "rb") as f:
@@ -71,6 +76,7 @@ def decode_pfm(path) -> np.ndarray:
             f"truncated PFM payload: expected {4 * w * h} bytes, got {len(payload)}",
             pos + len(payload),
         )
+    _check_no_trailing_bytes(blob, pos + 4 * w * h, "PFM")
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(payload, dtype=dtype)
     finite = np.isfinite(data)
@@ -125,6 +131,7 @@ def decode_ppm(path) -> np.ndarray:
             f"truncated PPM payload: expected {3 * w * h} bytes, got {len(payload)}",
             pos + len(payload),
         )
+    _check_no_trailing_bytes(blob, pos + 3 * w * h, "PPM")
     # copied to C order once here, so that converting it to a (C-order) tensor needs no transposing copy
     image = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1).copy()
     image.flags.writeable = False

@@ -152,13 +152,20 @@ def _lerp(flat: np.ndarray, plan: TentPlan) -> np.ndarray:
 def _scatter(g: np.ndarray, plan: TentPlan) -> np.ndarray:
     """Adjoint of :func:`_lerp` for a [C,H,W] gradient ``g``, as a fresh array.
 
-    Per channel, one sequential ``bincount`` over the left taps then the
-    right taps: the sums of ``np.add.at`` over each tap in turn, bit for bit.
+    Per channel, one sequential ``np.add.at`` over the left taps then the
+    right taps, straight into that channel's row of the output. The
+    channels' tap products share one [2, H*W] buffer, so the call holds one
+    channel's products at a time. (``np.bincount`` sums alike, but copies
+    the read-only ``plan.idx`` on every call.)
     """
     c, hw = g.shape[0], plan.in0.size
-    products = np.tile(g.reshape(c, hw), 2)
-    products *= plan.weights
-    return np.stack([np.bincount(plan.idx, p, hw) for p in products]).reshape(g.shape)
+    out = np.zeros((c, hw), dtype=np.float64)
+    products = np.empty((2, hw), dtype=np.float64)
+    tap_weights = plan.weights.reshape(2, hw)
+    for out_c, g_c in zip(out, g.reshape(c, hw)):
+        np.multiply(g_c, tap_weights, out=products)
+        np.add.at(out_c, plan.idx, products.reshape(-1))
+    return out.reshape(g.shape)
 
 
 def _check_warp_shapes(op: str, feature: Tensor, **maps: tuple) -> None:

@@ -323,6 +323,7 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     "sum_channels_mul_spatial": _row(
         lambda x, s: ad.sum_channels(ad.mul_spatial(x, s)), _normal(3, 4, 5), _normal(4, 5)
     ),
+    "mul_spatial_per_channel": _row(ad.mul_spatial, _normal(3, 4, 5), _normal(3)),
     "pixel_norm": _row(ad.pixel_norm, _normal(3, 4, 5)),
     "spectral_normalize": _spectral_normalize,
     "backward_warp_features": _row(geometry.backward_warp, _normal(2, 4, 8), _offsets(4, 8)),

@@ -87,28 +87,35 @@ def stereo_consistency_loss(
     one :meth:`geometry.DisparityMap.warp_plan`, which lives only as long
     as the tape. ``masks`` holds the bool occlusion mask of each base view;
     an empty mask adds no terms.
+
+    One scale is upsampled at a time, for both views, and both base views'
+    terms of that scale are built before the next: no term keeps a feature,
+    so only one scale's full-resolution maps are alive at once. The terms
+    are still summed base-major, every left-base term before every
+    right-base one, which fixes the value and the backward walk.
     """
-    full_res: dict[str, list[Tensor]] = {}
-    for v in VIEWS:
-        factors = [factor for _, factor in gen_feats[v]]
-        if factors != [factor for _, factor in gen_feats[geometry.other_view(v)]]:
-            raise ValueError("mismatched upsampling factors between views")
-        full_res[v] = [ad.upsample_bilinear2(f, factor) for f, factor in gen_feats[v]]
-        if images is not None:
-            full_res[v].append(images[v])
-    terms = []
-    for b in VIEWS:
-        m = geometry.other_view(b)
-        mask = masks[b]
-        plan = gt_disparities[b].warp_plan()
-        for f_b, f_m in zip(full_res[b], full_res[m]):
-            if f_b.shape[1:] != mask.shape:
+    factors = [factor for _, factor in gen_feats["left"]]
+    if factors != [factor for _, factor in gen_feats["right"]]:
+        raise ValueError("mismatched upsampling factors between views")
+    plans = {b: gt_disparities[b].warp_plan() for b in VIEWS}
+    terms: dict[str, list[Tensor]] = {b: [] for b in VIEWS}
+
+    def add_terms(full: dict[str, Tensor]) -> None:
+        """Both base views' terms of one scale; ``full`` dies with the call."""
+        for b in VIEWS:
+            mask = masks[b]
+            if full[b].shape[1:] != mask.shape:
                 raise ValueError(
-                    f"upsampled feature {f_b.shape} does not reach mask resolution {mask.shape}"
+                    f"upsampled feature {full[b].shape} does not reach mask resolution {mask.shape}"
                 )
             if mask.any():
-                terms.append(geometry.warped_l1(f_b, f_m, plan, mask))
-    return ad.add_n(terms)
+                terms[b].append(geometry.warped_l1(full[b], full[geometry.other_view(b)], plans[b], mask))
+
+    for scale in zip(*(gen_feats[v] for v in VIEWS)):
+        add_terms({v: ad.upsample_bilinear2(f, factor) for v, (f, factor) in zip(VIEWS, scale)})
+    if images is not None:
+        add_terms(images)
+    return ad.add_n([t for b in VIEWS for t in terms[b]])
 
 
 def smooth_l1(x: Tensor) -> Tensor:

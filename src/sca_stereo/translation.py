@@ -78,7 +78,7 @@ def fadain(f_g: Tensor, f_t: Tensor, eps: float = 1e-5) -> Tensor:
     _, h, w = f_g.shape
     normalized = ad.instance_norm(f_g, eps)
     mu_t, std_t = ad.channel_stats(f_t, eps)
-    return ad.add(ad.mul(normalized, ad.broadcast_chan(std_t, h, w)), ad.broadcast_chan(mu_t, h, w))
+    return ad.add(ad.mul_spatial(normalized, std_t), ad.broadcast_chan(mu_t, h, w))
 
 
 def init_fade_params(

@@ -2,8 +2,8 @@
 
 Everything here is written as plain nested loops or slice sums over the
 defining sums, on purpose: no code is shared with the library
-implementations. The one exception, :func:`tape_nbytes`, measures the
-gradient tape itself.
+implementations. The exceptions, :func:`tape_arrays` and
+:func:`tape_nbytes`, measure the gradient tape itself.
 """
 
 import types
@@ -229,8 +229,8 @@ def smooth_l1_oracle(x):
     return np.where(np.abs(x) < 1.0, 0.5 * x * x, np.abs(x) - 0.5)
 
 
-def tape_nbytes(loss):
-    """Bytes of the distinct arrays that the backward closures on ``loss``'s tape hold.
+def tape_arrays(loss):
+    """The distinct arrays that the backward closures on ``loss``'s tape hold, each as its base buffer.
 
     Walks the tape's nodes from ``loss`` along their parent links, and each
     node's closure through captured variables, default arguments, tuples,
@@ -249,7 +249,7 @@ def tape_nbytes(loss):
         if isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
-            bases[id(obj)] = obj.nbytes
+            bases[id(obj)] = obj
         elif isinstance(obj, ad._Node):
             stack.append(obj.backward)
             stack.extend(p for p in obj.parents if isinstance(p, ad._Node))
@@ -262,4 +262,9 @@ def tape_nbytes(loss):
         elif isinstance(obj, types.FunctionType):
             stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
             stack.extend(obj.__defaults__ or ())
-    return sum(bases.values())
+    return list(bases.values())
+
+
+def tape_nbytes(loss):
+    """Bytes of the distinct arrays that the backward closures on ``loss``'s tape hold (:func:`tape_arrays`)."""
+    return sum(a.nbytes for a in tape_arrays(loss))

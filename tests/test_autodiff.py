@@ -15,6 +15,7 @@ from oracles import (
     conv2d_input_grad_oracle,
     conv2d_oracle,
     downsample_avg2_oracle,
+    tape_nbytes,
     upsample_oracle,
 )
 
@@ -167,18 +168,25 @@ class TestGraphLifetime:
         ad.backward(loss)
         assert x.grad is not None and k.grad is not None
 
-    def test_padded_conv_does_not_pin_its_input(self):
+    def test_conv_keeps_its_input_once(self):
+        # the tape holds the input and one kernel-sized array per conv (its taps), never a padded copy;
+        # two convs reading one input hold it once
         rng = np.random.default_rng(5)
         x = ad.tensor(rng.standard_normal((2, 6, 7)), requires_grad=True)
-        k = rng.standard_normal((3, 2, 3, 3))
-        h = ad.mulc(x, 2.0)  # saves nothing
-        ref = weakref.ref(h.data)
-        loss = ad.sum_all(ad.conv2d(h, ad.tensor(k, requires_grad=True), padding=1))
-        del h
-        assert ref() is None
-        ad.backward(loss)
-        expected = 2.0 * conv2d_input_grad_oracle(np.ones((3, 6, 7)), k, (2, 6, 7), padding=1)
-        assert np.max(np.abs(x.grad - expected)) <= 1e-12
+        k1, k2 = (ad.tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True) for _ in range(2))
+        for stride in (1, 2):
+            h = ad.mulc(x, 2.0)  # saves nothing, so only the convs hold h
+            conv = lambda k: ad.sum_all(ad.conv2d(h, k, stride=stride, padding=1))
+            assert tape_nbytes(conv(k1)) == h.data.nbytes + k1.data.nbytes
+            both = ad.add(conv(k1), conv(k2))
+            assert tape_nbytes(both) == h.data.nbytes + k1.data.nbytes + k2.data.nbytes
+            x.grad = None
+            ad.backward(both)
+            g = np.ones((3,) + ad.conv2d(h, k1, stride=stride, padding=1).shape[1:])
+            expected = sum(
+                2.0 * conv2d_input_grad_oracle(g, k.data, (2, 6, 7), stride=stride, padding=1) for k in (k1, k2)
+            )
+            assert np.max(np.abs(x.grad - expected)) <= 1e-12
 
     def test_consumed_node_is_freed_before_the_walk_reaches_the_leaves(self):
         x = ad.tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)

@@ -5,7 +5,9 @@ every header prefix is followed by arbitrary input: raw binary, or tokens
 the header grammar uses (tabs, newlines, digits, long digit runs). The
 checkpoint reader also gets whole drawn header lines, ``name<TAB>dims``
 with the dimensions drawn as small, leading-zero or 19-and-more-digit
-runs, followed by a zero payload of a drawn length.
+runs, followed by a zero payload of a drawn length. An accepted file is
+exactly what its reader parsed: a checkpoint is what the writer makes of
+its arrays, and a PFM or PPM is its header and its payload, nothing more.
 """
 
 import numpy as np
@@ -87,17 +89,32 @@ def test_checkpoint_header_lines(tmp_path, lines, n_values):
     _check_checkpoint(tmp_path, checkpoint.MAGIC + b"".join(l + b"\n" for l in lines) + b"\n" + bytes(8 * n_values))
 
 
+def _header_length(blob: bytes) -> int:
+    """Bytes up to and including the one whitespace byte after the fourth whitespace-separated token."""
+    pos = 0
+    for _ in range(4):
+        while blob[pos : pos + 1].isspace():
+            pos += 1
+        while pos < len(blob) and not blob[pos : pos + 1].isspace():
+            pos += 1
+    return pos + 1
+
+
 @_FUZZ
 @given(data=st.data())
 def test_pfm_reader(tmp_path, valid, data):
-    image = _load(fileio.read_pfm, tmp_path / "f.pfm", _cut_and_extend(data, valid["pfm"]))
-    if image is not None:
+    blob = _cut_and_extend(data, valid["pfm"])
+    image = _load(fileio.read_pfm, tmp_path / "f.pfm", blob)
+    if image is not None:  # an accepted file is its header and its payload, nothing more
         assert image.ndim == 2 and np.all(np.isfinite(image.data))
+        assert len(blob) == _header_length(blob) + 4 * image.size
 
 
 @_FUZZ
 @given(data=st.data())
 def test_ppm_reader(tmp_path, valid, data):
-    image = _load(fileio.read_ppm, tmp_path / "f.ppm", _cut_and_extend(data, valid["ppm"]))
+    blob = _cut_and_extend(data, valid["ppm"])
+    image = _load(fileio.read_ppm, tmp_path / "f.ppm", blob)
     if image is not None:
         assert image.shape[0] == 3 and 0.0 <= image.data.min() and image.data.max() <= 1.0
+        assert len(blob) == _header_length(blob) + image.size

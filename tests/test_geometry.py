@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,21 @@ class TestBackwardWarp:
         (w0, f0, in0), (w1, f1, in1) = taps
         assert np.array_equal(out.data, w0[None] * f0 + w1[None] * f1)
         assert np.array_equal(offset_t.grad, (g * (f1 * in1[None] - f0 * in0[None])).sum(axis=0))
+
+    def test_scatter_holds_one_channel_at_a_time(self):
+        # past its output, the feature gradient holds one channel's [2, H*W] tap products and little else
+        rng = np.random.default_rng(7)
+        c, h, w = 32, 64, 128
+        plan = geometry.tent_plan(rng.uniform(-20.0, 5.0, (h, w)))
+        g = rng.standard_normal((c, h, w))
+        tracemalloc.start()
+        try:
+            out = geometry._scatter(g, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == g.shape
+        assert peak < out.nbytes + 3 * h * w * 8
 
 
 class TestOcclusion:

@@ -215,21 +215,39 @@ class TestWarpedL1:
             geometry.warped_l1(f, f, geometry.tent_plan(np.zeros((2, 4))), np.ones((2, 5)))
 
     def test_one_plan_per_base_view(self, monkeypatch):
-        calls = []
-        for name in ("tent_plan", "warped_l1"):
-            original = getattr(geometry, name)
-            monkeypatch.setattr(geometry, name, lambda *a, name=name, op=original: calls.append(name) or op(*a))
         rng = np.random.default_rng(5)
         h, w = 4, 12
         disp = {v: geometry.DisparityMap(ad.constant(rng.uniform(1.0, 3.0, (h, w))), v) for v in VIEWS}
         masks = {v: geometry.occlusion_mask(disp[v], disp[geometry.other_view(v)]) for v in VIEWS}
-        calls.clear()
+        made, handed = [], []  # (offset, plan) of each tent_plan call; (mask, plan) of each warped_l1 call
+        tent_plan, warped_l1 = geometry.tent_plan, geometry.warped_l1
+
+        def recording_tent_plan(offset):
+            made.append((offset, tent_plan(offset)))
+            return made[-1][1]
+
+        def recording_warped_l1(f_base, f_match, plan, mask):
+            handed.append((mask, plan))
+            return warped_l1(f_base, f_match, plan, mask)
+
+        monkeypatch.setattr(geometry, "tent_plan", recording_tent_plan)
+        monkeypatch.setattr(geometry, "warped_l1", recording_warped_l1)
         # three feature scales and the images: four terms per base view
         scales = [(2, 1), (3, 2), (4, 4)]
         feats = {v: [(ad.tensor(rng.standard_normal((c, h // k, w // k)), True), k) for c, k in scales] for v in VIEWS}
         images = {v: ad.tensor(rng.uniform(0, 1, (3, h, w)), requires_grad=True) for v in VIEWS}
         ad.backward(losses.stereo_consistency_loss(feats, images, disp, masks))
-        assert calls == ["tent_plan"] + ["warped_l1"] * 4 + ["tent_plan"] + ["warped_l1"] * 4
+        # exactly one plan per base view, built from that view's warp offset
+        assert len(made) == 2
+        plan_of = {}
+        for v in VIEWS:
+            offset = geometry.signed_offset(disp[v].values, v).data
+            (plan_of[v],) = [plan for o, plan in made if np.array_equal(o, offset)]
+        # eight terms, four per base view, each handed its own view's plan
+        assert len(handed) == 8
+        for v in VIEWS:
+            plans = [plan for mask, plan in handed if mask is masks[v]]
+            assert len(plans) == 4 and all(plan is plan_of[v] for plan in plans)
 
 
 class TestSmoothL1:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import geometry, losses, matcher, synth, training
+from sca_stereo import geometry, losses, matcher, synth, training, translation
 from sca_stereo.config import load_config
 
-from oracles import correlation_oracle, tape_nbytes
+from oracles import correlation_oracle, tape_arrays, tape_nbytes
 from test_cli import tiny_config_text
 
 
@@ -129,12 +129,12 @@ class TestTapeFootprint:
         mparams = matcher.MatcherParams(rng, channels=4, d_max=6)
         pair = {v: ad.constant(rng.random((3, 16, 32))) for v in ("left", "right")}
         pred = matcher.predict_disparity(pair["left"], pair["right"], mparams)
-        assert tape_nbytes(ad.sum_all(pred)) <= 405_000  # measured 368_096
+        assert tape_nbytes(ad.sum_all(pred)) <= 358_000  # measured 325_056
 
     def test_training_backpropagates_one_prediction_at_a_time(self, tmp_path, monkeypatch):
         # one prediction's loss: the predict_disparity pin plus one reprojection term's
-        # share (measured 545_248 - 368_096 = 177_152: its warp's and SSIM's arrays)
-        budget = 405_000 + 195_000
+        # share (measured 500_160 - 325_056 = 175_104: its warp's and SSIM's arrays)
+        budget = 358_000 + 193_000
         (tmp_path / "run.cfg").write_text(tiny_config_text(tmp_path))
         config = load_config(tmp_path / "run.cfg")
         config.pretrain_iters, config.adapt_iters, config.adapt_batch = 2, 2, 2
@@ -161,6 +161,37 @@ class TestTapeFootprint:
         training.adapt(config, ckpt / "translator.ckpt", ckpt / "matcher.ckpt")
         assert [len(t) for t in tapes[:-1]] == [4 * config.adapt_batch] * config.adapt_iters
         assert max(max(t) for t in pretrain_tapes + tapes[:-1]) <= budget
+
+    def test_generator_loss_of_one_sample(self, tmp_path, monkeypatch):
+        # the generator loss of one translator sample, as train_translator backpropagates it
+        (tmp_path / "run.cfg").write_text(tiny_config_text(tmp_path))
+        config = load_config(tmp_path / "run.cfg")
+        config.translator_iters, config.translator_batch = 1, 1
+        training.gen_data(config)
+        tapes, codes = [], []
+        backward, generate = training.backward, translation.generate
+
+        def recording_backward(loss):
+            tapes.append(tape_arrays(loss))
+            backward(loss)
+
+        def recording_generate(z, *args):
+            codes.append(z.data)
+            return generate(z, *args)
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        monkeypatch.setattr(translation, "generate", recording_generate)
+        training.train_translator(config)
+        generator_tape = tapes[0]  # then the discriminator's
+        assert sum(a.nbytes for a in generator_tape) <= 957_000  # measured 869_920
+        # no per-channel factor is saved as a broadcast [C,H,W] map; the one constant-per-channel
+        # map is the generator's input, the broadcast code z, which the gen.from_z conv's kernel vjp reads
+        (z,) = codes
+        constant_maps = [
+            a for a in generator_tape if a.ndim == 3 and a.shape[1] * a.shape[2] > 1 and np.all(a == a[:, :1, :1])
+        ]
+        assert [a.shape[0] for a in constant_maps] == [len(z)]
+        assert np.array_equal(constant_maps[0], np.broadcast_to(z[:, None, None], constant_maps[0].shape))
 
 
 class TestStreamedSteps:

@@ -181,6 +181,15 @@ class TestPfm:
             fileio.read_pfm(path)
         assert exc_info.value.offset == len(header) + 4
 
+    def test_trailing_bytes_rejected_at_their_offset(self, tmp_path):
+        path = tmp_path / "map.pfm"
+        fileio.write_pfm(np.ones((2, 3)), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"garbage!")
+        with pytest.raises(FormatError, match="8 trailing bytes") as exc_info:
+            fileio.decode_pfm(path)
+        assert exc_info.value.offset == size
+
 
 class TestPpm:
     def test_round_trip_error_bound(self, tmp_path):
@@ -214,6 +223,15 @@ class TestPpm:
         decoded = fileio.decode_ppm(path)
         assert decoded.dtype == np.uint8 and not decoded.flags.writeable
         assert decoded.tolist() == [[[1, 4]], [[2, 5]], [[3, 6]]]
+
+    def test_trailing_bytes_rejected_at_their_offset(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        fileio.write_ppm(np.ones((3, 2, 3)), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"garbage!")
+        with pytest.raises(FormatError, match="8 trailing bytes") as exc_info:
+            fileio.decode_ppm(path)
+        assert exc_info.value.offset == size
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
