@@ -440,51 +440,123 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 DIRECTIONS = ("left_to_right", "right_to_left")
 
 
-def _diagonal(width: int, d: int, direction: str):
-    """(query columns, flat positions in a row-major [W,W] matrix) of offset ``d``'s entries."""
-    if direction == "left_to_right":
-        return slice(d, width), slice(d * width, width * width, width + 1)  # (i, i-d)
-    # (i, i+d) for i < W-d; further on the stride wraps to (i+1, i+d-W), so stop there
-    return slice(0, width - d), slice(d, (width - d) * width, width + 1)
+_BLOCK = 32  # query columns per block of a row wider than two blocks
 
 
-def _band_matmul(weights: Array, x: Array, direction: str, transpose: bool) -> Array:
-    """[C,H,W]: each row's [C,W] slice of ``x`` times that row's band, or its transpose.
+def _blocking(width: int, d_max: int, direction: str) -> tuple[int, int, int, int]:
+    """(block width B, blocks n, window width V, zero columns before the other row) of a row's queries.
 
-    ``band[j, i, cand(i, d)] = weights[d, j, i]``. The transpose of one
-    direction's diagonal lies where the other direction's does, so either
-    layout is filled directly.
+    A row of at most 2B columns is one block, and its window is the other row
+    itself. A wider row splits into n = ceil(W/B) blocks of B queries, the
+    last one zero-padded. Block q's candidates lie in columns [qB, qB+V),
+    V = B + d_max, of the other row padded with d_max zero columns on the
+    side its candidates run off: before it for ``left_to_right`` (candidates
+    at i-d), after it for ``right_to_left``.
     """
-    _, h, w = weights.shape
-    layout = DIRECTIONS[DIRECTIONS.index(direction) ^ transpose]
-    band = np.zeros((h, w * w), dtype=np.float64)
-    for d in range(weights.shape[0]):
-        band[:, _diagonal(w, d, layout)[1]] = weights[d, :, _diagonal(w, d, direction)[0]]
-    out = np.empty(x.shape, dtype=np.float64)
-    np.matmul(np.ascontiguousarray(x.transpose(1, 0, 2)), band.reshape(h, w, w), out=out.transpose(1, 0, 2))
+    if width <= 2 * _BLOCK:
+        return width, 1, width, 0
+    return _BLOCK, -(-width // _BLOCK), _BLOCK + d_max, d_max if direction == "left_to_right" else 0
+
+
+@functools.lru_cache(maxsize=None)
+def _diagonals(d_max: int, direction: str, blocking: tuple[int, int, int, int], strides: tuple[int, int]):
+    """Per offset d: (queries t, window columns s, flat positions) of a block's candidates that lie in its window.
+
+    Query t's candidate at offset d is window column s = t + lead - d
+    (``left_to_right``) or t + lead + d; the flat positions are those of
+    (t, s) in a row-major matrix with these (query, window column) strides.
+    """
+    block, _, window, lead = blocking
+    step = sum(strides)
+    diagonals = []
+    for d in range(d_max + 1):
+        off = lead - d if direction == "left_to_right" else lead + d
+        t0, t1 = max(0, -off), min(block, window - off)
+        first = t0 * step + off * strides[1]
+        diagonals.append((slice(t0, t1), slice(t0 + off, t1 + off), slice(first, first + (t1 - t0) * step, step)))
+    return tuple(diagonals)
+
+
+def _pad_columns(x: Array, lead: int, total: int) -> Array:
+    """A C-contiguous ``x`` on ``total`` columns of its last axis from column ``lead``, zeros elsewhere."""
+    if total == x.shape[-1]:
+        return np.ascontiguousarray(x)
+    out = np.zeros(x.shape[:-1] + (total,), dtype=np.float64)
+    out[..., lead : lead + x.shape[-1]] = x
     return out
+
+
+def _column_windows(x: Array, lead: int, n: int, block: int, span: int) -> Array:
+    """[..., n, span]: block q's columns [qB, qB+span) of ``x``'s last axis, after ``lead`` zero columns.
+
+    Windows wider than a block overlap: they are strided views of one
+    zero-padded copy.
+    """
+    padded = _pad_columns(x, lead, (n - 1) * block + span)
+    if span == block:
+        return padded.reshape(x.shape[:-1] + (n, block))
+    strides = padded.strides[:-1] + (block * padded.itemsize, padded.itemsize)
+    return np.ndarray(x.shape[:-1] + (n, span), np.float64, padded, 0, strides)
+
+
+def _band_matmul(weights: Array, x: Array, direction: str, scatter: bool) -> Array:
+    """[C,H,W]: each block of output columns is its window of ``x`` times a [V,B] band of ``weights``.
+
+    The gather reads each query's candidates: ``band[s, t]`` holds
+    ``weights[d]`` of the block's query t, s its candidate's window column.
+    The scatter adds each query into its candidates. A block of candidates
+    is reached from the queries in a window of ``x`` along the other
+    direction, so it is the same gather with ``band[s, t]`` holding
+    ``weights[d]`` of window column s's query. Either way every output sums
+    its products in ascending column order.
+    """
+    n_d, h, w = weights.shape
+    layout = DIRECTIONS[DIRECTIONS.index(direction) ^ scatter]
+    blocking = block, n, window, lead = _blocking(w, n_d - 1, layout)
+    # per block, the weights of its window's queries (scatter) or of its own queries (gather)
+    if scatter:
+        sources = _column_windows(weights, lead, n, block, window)
+    else:
+        sources = _column_windows(weights, 0, n, block, block)
+    band = np.zeros((h, n, window * block), dtype=np.float64)
+    for d, (queries, columns, flat) in enumerate(_diagonals(n_d - 1, layout, blocking, (1, block))):
+        band[:, :, flat] = sources[d, :, :, columns if scatter else queries]
+    del sources  # the scatter's padded copy goes before the output exists
+    out = np.empty((x.shape[0], h, n * block), dtype=np.float64)
+    np.matmul(
+        _column_windows(x.transpose(1, 0, 2), lead, n, block, window).transpose(0, 2, 1, 3),
+        band.reshape(h, n, window, block),
+        out=out.reshape(x.shape[0], h, n, block).transpose(1, 2, 0, 3),
+    )
+    return out if n * block == w else np.ascontiguousarray(out[:, :, :w])
 
 
 def _shifted_dot(a: Array, b: Array, d_max: int, direction: str) -> Array:
-    """[d_max+1,H,W]: channel dot product of each query with each candidate."""
-    _, h, w = a.shape
-    rows_a, rows_b = np.ascontiguousarray(a.transpose(1, 2, 0)), np.ascontiguousarray(b.transpose(1, 0, 2))
-    dots = np.matmul(rows_a, rows_b).reshape(h, w * w)
-    out = np.zeros((d_max + 1, h, w), dtype=np.float64)
-    for d in range(d_max + 1):
-        qs, flat = _diagonal(w, d, direction)
-        out[d, :, qs] = dots[:, flat]
-    return out
+    """[d_max+1,H,W]: channel dot product of each query with each candidate, 0 outside the image."""
+    c, h, w = a.shape
+    blocking = block, n, window, lead = _blocking(w, d_max, direction)
+    # each block's queries times its window; both copies are freed before the output exists
+    dots = np.matmul(
+        np.ascontiguousarray(_pad_columns(a, 0, n * block).transpose(1, 2, 0)).reshape(h, n, block, c),
+        _column_windows(b.transpose(1, 0, 2), lead, n, block, window).transpose(0, 2, 1, 3),
+    ).reshape(h * n, block * window)
+    out = np.zeros((d_max + 1, h, n * block), dtype=np.float64)
+    blocks = out.reshape(d_max + 1, h * n, block)
+    for d, (queries, _, flat) in enumerate(_diagonals(d_max, direction, blocking, (window, 1))):
+        blocks[d, :, queries] = dots[:, flat]
+        if n > 1:  # candidates in the padding give exact zeros, not sums of products with zeros
+            out[d, :, slice(0, d) if direction == "left_to_right" else slice(w - d, w)] = 0.0
+    return out if n * block == w else np.ascontiguousarray(out[:, :, :w])
 
 
 def _shifted_gather(weights: Array, values: Array, direction: str) -> Array:
     """[C,H,W]: each query's candidate values summed with per-offset weights."""
-    return _band_matmul(weights, values, direction, transpose=True)
+    return _band_matmul(weights, values, direction, scatter=False)
 
 
 def _shifted_scatter(weights: Array, x: Array, direction: str) -> Array:
     """[C,H,W]: each query's ``x`` added into its candidates with per-offset weights."""
-    return _band_matmul(weights, x, direction, transpose=False)
+    return _band_matmul(weights, x, direction, scatter=True)
 
 
 def _check_shift(op: str, d_max: int, width: int, direction: str) -> None:
@@ -501,12 +573,18 @@ def shifted_dot(a: Tensor, b: Tensor, d_max: int, direction: str) -> Tensor:
     for ``left_to_right`` and ``b(c,j,i+d)`` for ``right_to_left``.
     Candidates outside the image give 0.
 
-    The forward is one batched [H,W,C] @ [H,C,W] matmul, all query-candidate
-    dot products of each row, read off on its d_max+1 diagonals. Both vjps
-    place their weights on the diagonals of an [H,W,W] band, one [W,W]
-    matrix per row, and multiply each row's [C,W] input by it or its
-    transpose. The band (H*W*W floats, 8.4 MB at 64x128) lives only during
-    the call and is never kept on the tape.
+    A row wider than 64 columns splits into blocks of 32 queries, and a
+    block's candidates lie in a window of 32 + d_max columns of the other
+    map, zero-padded past its edge; a narrower row is one block, its window
+    the whole row. The forward is one batched matmul of each block's
+    [B,C] queries by its [C,V] window, read off on the d_max+1 diagonals.
+    Both vjps place their weights on the diagonals of a [V,B] band per block
+    and multiply each block's [C,V] window of the other input by it, the
+    scatter as a gather over the window of queries that reach a block of
+    candidates. So only products near the diagonals are computed: at
+    [16,64,128], d_max 16, a call peaks at about 5.4 MB, where one [W,W]
+    band per row took 8.4 MB. Bands and windows live only during the call;
+    the tape keeps the operands.
     """
     if a.ndim != 3 or a.shape != b.shape:
         raise ValueError(f"shifted_dot: expected two equal [C,H,W] shapes, got {a.shape} and {b.shape}")
@@ -521,9 +599,9 @@ def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Ten
     ``weights`` is [n_d,H,W] and ``values`` [C,H,W]; output is [C,H,W] with
     ``out(c,j,i) = sum_d weights(d,j,i) values(c,j,i-d)`` (``i+d`` for
     ``right_to_left``), candidates outside the image skipped. This is the
-    adjoint of ``shifted_dot(., values)``: each row's [C,W] values times the
-    transpose of its band, one batched matmul against the transient [H,W,W]
-    band that :func:`shifted_dot` describes.
+    adjoint of ``shifted_dot(., values)``: each block's window of values
+    times its band of weights, the blocked gather that :func:`shifted_dot`
+    describes.
     """
     if weights.ndim != 3 or values.ndim != 3 or weights.shape[1:] != values.shape[1:]:
         raise ValueError(f"shifted_weighted_sum: incompatible shapes {weights.shape} and {values.shape}")

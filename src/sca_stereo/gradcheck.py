@@ -152,9 +152,9 @@ def _const(build):
     return lambda rng: ad.constant(build(rng).data)
 
 
-def _row(op, *builders):
+def _row(op, *builders, max_entries=None):
     """A case that calls ``op`` on one input from each builder."""
-    return lambda rng: Check(op, [build(rng) for build in builders])
+    return lambda rng: Check(op, [build(rng) for build in builders], max_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,15 @@ def _shifted_weighted_sums(p, p_widest, v):
         ad.shifted_weighted_sum(p, v, "right_to_left"),
         ad.shifted_weighted_sum(p_widest, v, "left_to_right"),
     ]
+
+
+def _shifted_dots_blocks(a, b):
+    # rows of three blocks, the last one partial, with d_max below and above the block width
+    return [ad.shifted_dot(a, b, d_max, direction) for d_max in (9, 40) for direction in ad.DIRECTIONS]
+
+
+def _shifted_weighted_sums_blocks(p, p_wide, v):
+    return [ad.shifted_weighted_sum(weights, v, direction) for weights in (p, p_wide) for direction in ad.DIRECTIONS]
 
 
 def _hinge_discriminator(fake, real_source, real_target):
@@ -329,6 +338,10 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     "backward_warp_features": _row(geometry.backward_warp, _normal(2, 4, 8), _offsets(4, 8)),
     "shifted_dot": _row(_shifted_dots, _normal(3, 4, 7), _normal(3, 4, 7)),
     "shifted_weighted_sum": _row(_shifted_weighted_sums, _normal(3, 4, 7), _normal(7, 4, 7), _normal(2, 4, 7)),
+    "shifted_dot_blocks": _row(_shifted_dots_blocks, _normal(2, 2, 72), _normal(2, 2, 72), max_entries=64),
+    "shifted_weighted_sum_blocks": _row(
+        _shifted_weighted_sums_blocks, _normal(10, 2, 72), _normal(41, 2, 72), _normal(2, 2, 72), max_entries=64
+    ),
     "epipolar_attention": _row(
         lambda q, k, f: [
             attention.epipolar_attention(q, k, f, 2, "left_to_right"),

@@ -109,14 +109,11 @@ class _Layer:
 
 
 def _smooth_rows(values: np.ndarray, width: int = 5) -> np.ndarray:
-    c, h, k = values.shape
+    """Running mean of a [C,H,K] array over the ``width`` rows centred on each row, edge rows repeated past the ends."""
     pad = width // 2
-    padded = np.concatenate([values[:, :1].repeat(pad, 1), values, values[:, -1:].repeat(pad, 1)], axis=1)
-    csum = np.cumsum(padded, axis=1)
-    out = np.empty_like(values)
-    for j in range(h):
-        out[:, j] = (csum[:, j + width - 1] - (csum[:, j - 1] if j > 0 else 0)) / width
-    return out
+    padded = [np.zeros_like(values[:, :1]), values[:, :1].repeat(pad, 1), values, values[:, -1:].repeat(pad, 1)]
+    csum = np.cumsum(np.concatenate(padded, axis=1), axis=1)
+    return (csum[:, width:] - csum[:, :-width]) / width
 
 
 def _make_texture(rng: np.random.Generator, h: int, knots: int) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Everything here is written as plain nested loops or slice sums over the
 defining sums, on purpose: no code is shared with the library
-implementations. The exceptions, :func:`tape_arrays` and
-:func:`tape_nbytes`, measure the gradient tape itself.
+implementations. The exceptions: :func:`tape_arrays` and
+:func:`tape_nbytes` measure the gradient tape itself, and
+:func:`dense_shifted_dot` and :func:`dense_band_matmul` keep the whole-row
+shifted-op kernels that the blocked ones must match bit for bit.
 """
 
 import types
@@ -174,6 +176,85 @@ def correlation_oracle(f_left, f_right, d_max):
     return out
 
 
+def shifted_dot_oracle(a, b, d_max, direction):
+    """Loop over offsets and columns: ``out(d,j,i) = a(:,j,i) . b(:,j,cand)``, 0 off the image."""
+    c, h, w = a.shape
+    step = -1 if direction == "left_to_right" else 1
+    out = np.zeros((d_max + 1, h, w))
+    for d in range(d_max + 1):
+        for i in range(w):
+            col = i + step * d
+            if 0 <= col < w:
+                out[d, :, i] = (a[:, :, i] * b[:, :, col]).sum(axis=0)
+    return out
+
+
+def shifted_gather_oracle(weights, values, direction):
+    """Loop over offsets and columns: each query's candidate values weighted and summed."""
+    _, h, w = weights.shape
+    step = -1 if direction == "left_to_right" else 1
+    out = np.zeros((values.shape[0], h, w))
+    for d in range(weights.shape[0]):
+        for i in range(w):
+            col = i + step * d
+            if 0 <= col < w:
+                out[:, :, i] += weights[d, :, i] * values[:, :, col]
+    return out
+
+
+def shifted_scatter_oracle(weights, x, direction):
+    """Loop over offsets and columns: each query's ``x`` weighted and added into its candidate."""
+    _, h, w = weights.shape
+    step = -1 if direction == "left_to_right" else 1
+    out = np.zeros((x.shape[0], h, w))
+    for d in range(weights.shape[0]):
+        for i in range(w):
+            col = i + step * d
+            if 0 <= col < w:
+                out[:, :, col] += weights[d, :, i] * x[:, :, i]
+    return out
+
+
+def _dense_diagonal(width, d, direction):
+    """(query columns, flat positions in a row-major [W,W] matrix) of offset ``d``'s entries."""
+    if direction == "left_to_right":
+        return slice(d, width), slice(d * width, width * width, width + 1)  # (i, i-d)
+    # (i, i+d) for i < W-d; further on the stride wraps to (i+1, i+d-W), so stop there
+    return slice(0, width - d), slice(d, (width - d) * width, width + 1)
+
+
+def dense_shifted_dot(a, b, d_max, direction):
+    """The shifted dot product as one [H,W,C] @ [H,C,W] matmul per row, read off on its d_max+1 diagonals.
+
+    The whole-row reference the blocked kernel must match bit for bit.
+    """
+    _, h, w = a.shape
+    rows_a, rows_b = np.ascontiguousarray(a.transpose(1, 2, 0)), np.ascontiguousarray(b.transpose(1, 0, 2))
+    dots = np.matmul(rows_a, rows_b).reshape(h, w * w)
+    out = np.zeros((d_max + 1, h, w))
+    for d in range(d_max + 1):
+        qs, flat = _dense_diagonal(w, d, direction)
+        out[d, :, qs] = dots[:, flat]
+    return out
+
+
+def dense_band_matmul(weights, x, direction, scatter):
+    """Shifted gather (or scatter) as each row of ``x`` times a dense [W,W] band (or its transpose).
+
+    ``band[j, i, cand(i, d)] = weights[d, j, i]``; the gather multiplies by
+    its transpose, whose diagonals lie where the other direction's do. The
+    whole-row reference the blocked kernels must match bit for bit.
+    """
+    _, h, w = weights.shape
+    layout = ad.DIRECTIONS[ad.DIRECTIONS.index(direction) ^ (not scatter)]
+    band = np.zeros((h, w * w))
+    for d in range(weights.shape[0]):
+        band[:, _dense_diagonal(w, d, layout)[1]] = weights[d, :, _dense_diagonal(w, d, direction)[0]]
+    out = np.empty(x.shape)
+    np.matmul(np.ascontiguousarray(x.transpose(1, 0, 2)), band.reshape(h, w, w), out=out.transpose(1, 0, 2))
+    return out
+
+
 def ssim_oracle(a, b, c1=0.01**2, c2=0.03**2):
     """Per-pixel SSIM from direct 3x3 windowed statistics (border-clipped)."""
     c, h, w = a.shape
@@ -223,6 +304,18 @@ def stereo_consistency_oracle(feats_by_view, images_by_view, disparities, masks)
             l1 = np.abs(f_b - warped).sum(axis=0)
             total += (l1 * mask).sum() / mask_sum
     return total
+
+
+def smooth_rows_oracle(values, width=5):
+    """Row-by-row running mean over ``width`` rows of a cumulative sum, edge rows repeated past the ends."""
+    c, h, k = values.shape
+    pad = width // 2
+    padded = np.concatenate([values[:, :1].repeat(pad, 1), values, values[:, -1:].repeat(pad, 1)], axis=1)
+    csum = np.cumsum(padded, axis=1)
+    out = np.empty_like(values)
+    for j in range(h):
+        out[:, j] = (csum[:, j + width - 1] - (csum[:, j - 1] if j > 0 else 0)) / width
+    return out
 
 
 def smooth_l1_oracle(x):

@@ -14,7 +14,12 @@ from oracles import (
     box_filter3_oracle,
     conv2d_input_grad_oracle,
     conv2d_oracle,
+    dense_band_matmul,
+    dense_shifted_dot,
     downsample_avg2_oracle,
+    shifted_dot_oracle,
+    shifted_gather_oracle,
+    shifted_scatter_oracle,
     tape_nbytes,
     upsample_oracle,
 )
@@ -413,6 +418,90 @@ class TestShiftedOps:
 
         first, second = run(), run()
         assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+    # rows of several blocks, the last one partial at widths 72 and 100, and d_max up to past one block
+    _WIDE = [(72, 9), (72, 40), (100, 7), (100, 33), (128, 16), (128, 127)]
+
+    @pytest.mark.parametrize("direction", ad.DIRECTIONS)
+    @pytest.mark.parametrize("w, d_max", _WIDE)
+    def test_wide_rows_match_loop_oracles(self, direction, w, d_max):
+        rng = np.random.default_rng(w + d_max)
+        c, h = 3, 2
+        a, b = (ad.tensor(rng.standard_normal((c, h, w)), requires_grad=True) for _ in range(2))
+        weights = ad.tensor(rng.standard_normal((d_max + 1, h, w)), requires_grad=True)
+        g_dot, g_sum = rng.standard_normal((d_max + 1, h, w)), rng.standard_normal((c, h, w))
+        close = lambda x, y: np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+
+        dot = ad.shifted_dot(a, b, d_max, direction)
+        close(dot.data, shifted_dot_oracle(a.data, b.data, d_max, direction))
+        ad.backward(ad.sum_all(ad.mul(dot, ad.constant(g_dot))))
+        close(a.grad, shifted_gather_oracle(g_dot, b.data, direction))
+        close(b.grad, shifted_scatter_oracle(g_dot, a.data, direction))
+
+        b.grad = None
+        mixed = ad.shifted_weighted_sum(weights, b, direction)
+        close(mixed.data, shifted_gather_oracle(weights.data, b.data, direction))
+        ad.backward(ad.sum_all(ad.mul(mixed, ad.constant(g_sum))))
+        close(weights.grad, shifted_dot_oracle(g_sum, b.data, d_max, direction))
+        close(b.grad, shifted_scatter_oracle(weights.data, g_sum, direction))
+
+    @pytest.mark.parametrize("direction", ad.DIRECTIONS)
+    @pytest.mark.parametrize("w, d_max", _WIDE)
+    def test_wide_rows_adjoint(self, direction, w, d_max):
+        rng = np.random.default_rng(w * d_max)
+        c, h = 3, 4
+        a, b = rng.standard_normal((c, h, w)), rng.standard_normal((c, h, w))
+        weights = rng.standard_normal((d_max + 1, h, w))
+        lhs = np.vdot(weights, ad._shifted_dot(a, b, d_max, direction))
+        rhs = np.vdot(a, ad._shifted_gather(weights, b, direction))
+        assert abs(lhs - rhs) <= 1e-12
+        # and the scatter is the gather's adjoint in the other input
+        assert abs(np.vdot(b, ad._shifted_scatter(weights, a, direction)) - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("direction", ad.DIRECTIONS)
+    def test_matcher_size_bit_identical_to_whole_rows(self, direction):
+        # the correlation's shape: blocks change which products are computed, not their sums
+        rng = np.random.default_rng(13)
+        c, h, w, d_max = 16, 64, 128, 16
+        a, b = rng.standard_normal((c, h, w)), rng.standard_normal((c, h, w))
+        weights = rng.standard_normal((d_max + 1, h, w))
+        pairs = [
+            (ad._shifted_dot(a, b, d_max, direction), dense_shifted_dot(a, b, d_max, direction)),
+            (ad._shifted_gather(weights, b, direction), dense_band_matmul(weights, b, direction, scatter=False)),
+            (ad._shifted_scatter(weights, a, direction), dense_band_matmul(weights, a, direction, scatter=True)),
+        ]
+        assert all(blocked.tobytes() == whole.tobytes() for blocked, whole in pairs)
+
+    @pytest.mark.parametrize("direction", ad.DIRECTIONS)
+    def test_candidates_off_the_image_are_zero_for_any_query(self, direction):
+        # past one block they are zero padding, and an infinite query times a zero would read nan
+        a, b = np.ones((2, 3, 72)), np.ones((2, 3, 72))
+        a[:, :, [0, 40, 71]] = np.inf
+        with np.errstate(invalid="ignore"):  # the padding's inf * 0 products
+            out = ad._shifted_dot(a, b, 40, direction)
+        assert np.array_equal(out, dense_shifted_dot(a, b, 40, direction))
+
+    @pytest.mark.parametrize("direction", ad.DIRECTIONS)
+    def test_no_row_matrix_allocated(self, direction):
+        # one [W,W] matrix per row is 8.4 MB here; the whole-row forward peaked at 11.6 MB
+        rng = np.random.default_rng(14)
+        c, h, w, d_max = 16, 64, 128, 16
+        a, b = (ad.tensor(rng.standard_normal((c, h, w)), requires_grad=True) for _ in range(2))
+        g = ad.constant(rng.standard_normal((d_max + 1, h, w)))
+        row_matrices = h * w * w * 8
+        tracemalloc.start()
+        try:
+            dot = ad.shifted_dot(a, b, d_max, direction)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            loss = ad.sum_all(ad.mul(dot, g))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= 11.6e6 / 2
+        assert backward_peak < row_matrices
 
     @pytest.mark.parametrize(
         "direction, d_max", [("up_to_down", 2), ("left_to_right", 9), ("right_to_left", -1)]

@@ -717,6 +717,6 @@ class TestGradcheckCommand:
         lines = [l for l in out.splitlines() if l.startswith("ok") or l.startswith("FAIL")]
         ops = {l.split()[1] for l in lines}
         assert ops == set(gradcheck.CASES)
-        assert len(ops) == 54
-        assert len(lines) == 54 * 3
+        assert len(ops) == 56
+        assert len(lines) == 56 * 3
         assert all(l.startswith("ok") for l in lines)

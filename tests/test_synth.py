@@ -5,7 +5,7 @@ from sca_stereo import autodiff as ad
 from sca_stereo import fileio, geometry, synth
 from sca_stereo.errors import FormatError
 
-from oracles import lr_occlusion_oracle, visibility_oracle
+from oracles import lr_occlusion_oracle, smooth_rows_oracle, visibility_oracle
 
 
 class TestSceneSpec:
@@ -18,6 +18,19 @@ class TestSceneSpec:
     def test_invalid_domain(self):
         with pytest.raises(ValueError):
             synth.SceneSpec(seed=0, domain_style="real")
+
+
+class TestSmoothRows:
+    def test_matches_row_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            values = rng.uniform(-1.0, 1.0, (3, 64, 150))
+            assert np.array_equal(synth._smooth_rows(values), smooth_rows_oracle(values))
+
+    @pytest.mark.parametrize("width, h", [(1, 4), (3, 1), (7, 2), (7, 9)])
+    def test_other_widths_and_short_columns(self, width, h):
+        values = np.random.default_rng(5).standard_normal((2, h, 6))
+        assert np.array_equal(synth._smooth_rows(values, width), smooth_rows_oracle(values, width))
 
 
 class TestGenerateScene:
