@@ -92,10 +92,10 @@ class RunConfig:
         stages = ("pretrain", "translator", "adapt")
         counts = [f"{stage}_batch" for stage in stages] + ["val_interval", "num_layers"]
         counts += ["n_source_train", "n_source_val", "n_target_train", "n_target_test"]
-        counts += ["base_channels", "z_channels", "matcher_channels"]
+        counts += ["base_channels", "z_channels", "matcher_channels", "image_height", "image_width"]
         check(counts, lambda v: v >= 1, "at least 1")
         check(["n_scales"], lambda v: v >= 2, "at least 2")
-        check([f"{stage}_iters" for stage in stages], lambda v: v >= 0, "non-negative")
+        check([f"{stage}_iters" for stage in stages] + ["master_seed"], lambda v: v >= 0, "non-negative")
         positives = ["pretrain_lr", "translator_lr_g", "translator_lr_c", "adapt_lr", "cloud_scale"]
         check(positives, lambda v: v > 0, "positive")
         betas = [f"{stage}_{beta}" for stage in stages for beta in ("beta1", "beta2")]

@@ -8,8 +8,10 @@ translated pairs plus photometric reprojection on target pairs, with the
 translator frozen.
 
 All three stages run through :func:`_fit`, the one iteration loop, which
-writes the stage's loss log; :func:`_descend` backpropagates the matcher
-stages' losses one prediction at a time. Every stage draws randomness from
+writes the stage's loss log. Every step streams its loss into :func:`_descend`
+one sample's term (adapt: one view's) at a time, so no tape holds two samples;
+the one exception is the discriminator step, one graph because all its calls
+share the step's spectral-weight nodes. Every stage draws randomness from
 generators seeded by (master_seed, stage tag), so re-running any command
 with the same config and seed reproduces logs and checkpoints bit for bit.
 """
@@ -21,7 +23,7 @@ import csv
 import functools
 import itertools
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +245,8 @@ def load_translator(config: RunConfig, path: Path, trainable: bool = True) -> tr
 
 
 def _descend(terms: Iterable[Tensor], params: dict[str, Tensor], state: AdamState) -> None:
-    """One Adam step along the summed gradient of ``terms``, each loss backpropagated as soon as it is produced."""
+    """One Adam step along the summed gradient of ``terms``, each loss backpropagated as soon as it is produced.
+    Every step passes one term per sample (or sample and view), bar the discriminator's one graph (shared σ nodes)."""
     zero_grads(params)
     for loss in terms:
         backward(loss)
@@ -321,6 +324,38 @@ def pretrain(config: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _generator_step(
+    sample: Callable[[int], tuple], n: int, tparams: translation.TranslatorParams,
+    dparams: translation.DiscriminatorParams, weights: losses.LossWeights, state: AdamState,
+) -> tuple[dict[str, Tensor], dict[int, dict[str, Tensor]]]:
+    """One step on n samples, ``sample(k)`` giving (source sample, its occlusion masks, target sample, z), against
+    the discriminator's detached kernels normalized with the current u; returns the four logged components and
+    each sample's detached fakes by index. Each sample's objective, scaled by 1/n, is backpropagated as soon as
+    it is built, last sample first: the order backward walks one batch graph (every loss head into the fakes,
+    then the translate graphs, last sample first), so every parameter sums its gradient in that order.
+    """
+    det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.sn_states, update=False)
+    parts, fakes_of = {}, {}
+
+    def term(k: int) -> Tensor:
+        src, masks, tgt, z = sample(k)
+        fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+        fakes_of[k] = {v: fakes[v].detach() for v in VIEWS}
+        fake = {v: translation.discriminate(fakes[v], det, dparams.n_scales) for v in VIEWS}
+        real_hidden = [h for v in VIEWS for h in translation.discriminate(tgt.images[v], det, dparams.n_scales)[1]]
+        sample_parts = {
+            "adv_g": losses.adv_loss_generator({v: fake[v][0] for v in VIEWS}),
+            "perc": ad.mean_n([losses.perceptual_loss(fakes[v], src.images[v]) for v in VIEWS]),
+            "feat": losses.feature_matching_loss([h for v in VIEWS for h in fake[v][1]], real_hidden),
+            "stereo": losses.stereo_consistency_loss(feats, fakes, src.disparities, masks),
+        }
+        parts[k] = {name: t.detach() for name, t in sample_parts.items()}
+        return losses.generator_objective(sample_parts, weights)
+
+    _descend(_stream(reversed(range(n)), term, (1.0 / n,), {}), tparams.params, state)
+    return {name: ad.mean_n([parts[k][name] for k in range(n)]) for name in parts[0]}, fakes_of
+
+
 def train_translator(config: RunConfig) -> tuple[Path, Path]:
     """Stage 2: adversarial translator training; returns (G, C) ckpt paths."""
     source = load_split(config, "source_train")
@@ -328,67 +363,31 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
     tparams = _init_translator(config)
     dparams = _init_discriminator(config)
     weights = config.loss_weights()
-    g_state = AdamState(
-        tparams.params, config.translator_lr_g, config.translator_beta1, config.translator_beta2
-    )
-    c_state = AdamState(
-        dparams.params, config.translator_lr_c, config.translator_beta1, config.translator_beta2
-    )
+    betas = (config.translator_beta1, config.translator_beta2)
+    g_state = AdamState(tparams.params, config.translator_lr_g, *betas)
+    c_state = AdamState(dparams.params, config.translator_lr_c, *betas)
     rng = _rng(config, _TAG_TRANSLATOR)
 
     def step(it: int) -> tuple[Tensor, ...]:
         src_idx = rng.integers(0, len(source), size=config.translator_batch)
         tgt_idx = rng.integers(0, len(target), size=config.translator_batch)
-        z_batch = [ad.constant(rng.standard_normal(config.z_channels)) for _ in src_idx]
+        codes = rng.standard_normal((config.translator_batch, config.z_channels))  # one z per sample
 
-        # generator step on detached discriminator kernels, normalized with the current u
-        det = translation.spectral_weights(
-            translation.detach_params(dparams.params), dparams.sn_states, update=False
-        )
-        adv_terms, perc_terms, feat_terms, stereo_terms = [], [], [], []
-        fakes_batch = []
-        for z, si, ti in zip(z_batch, src_idx, tgt_idx):
-            src = source.samples[si]
-            tgt = target.samples[ti]
-            fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
-            fakes_batch.append(fakes)
-            fake_logits, fake_hidden = {}, []
-            for v in VIEWS:
-                logits, hidden = translation.discriminate(fakes[v], det, dparams.n_scales)
-                fake_logits[v] = logits
-                fake_hidden.extend(hidden)
-            real_hidden = []
-            for v in VIEWS:
-                _, hidden = translation.discriminate(tgt.images[v], det, dparams.n_scales)
-                real_hidden.extend(hidden)
-            adv_terms.append(losses.adv_loss_generator(fake_logits))
-            perc_terms.append(
-                ad.mean_n([losses.perceptual_loss(fakes[v], src.images[v]) for v in VIEWS])
-            )
-            feat_terms.append(losses.feature_matching_loss(fake_hidden, real_hidden))
-            stereo_terms.append(
-                losses.stereo_consistency_loss(feats, fakes, src.disparities, source.masks[si])
-            )
-        components = {
-            "adv_g": ad.mean_n(adv_terms),
-            "perc": ad.mean_n(perc_terms),
-            "feat": ad.mean_n(feat_terms),
-            "stereo": ad.mean_n(stereo_terms),
-        }
-        loss_g = losses.generator_objective(components, weights)
-        _descend([loss_g], tparams.params, g_state)
+        def sample(k: int) -> tuple:  # built on each read, so a step holds only the samples it works on
+            si, ti = src_idx[k], tgt_idx[k]
+            return source.samples[si], source.masks[si], target.samples[ti], ad.constant(codes[k])
 
-        # discriminator step on pre-step fakes; one power iteration per kernel
+        components, fakes_of = _generator_step(sample, len(codes), tparams, dparams, weights, g_state)
+
+        # discriminator step on pre-step fakes; one power iteration per kernel. One graph, not streamed:
+        # every discriminate call shares the step's spectral-weight nodes.
         d_weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=True)
-        adv_c_terms = []
-        for fakes, si, ti in zip(fakes_batch, src_idx, tgt_idx):
-            src = source.samples[si]
-            tgt = target.samples[ti]
-            fl = {v: translation.discriminate(fakes[v].detach(), d_weights, dparams.n_scales)[0] for v in VIEWS}
-            rs = {v: translation.discriminate(src.images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
-            rt = {v: translation.discriminate(tgt.images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
-            adv_c_terms.append(losses.adv_loss_discriminator(fl, rs, rt))
-        loss_c = ad.mean_n(adv_c_terms)
+        logits = lambda images: {v: translation.discriminate(images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
+        terms = []
+        for k in range(len(codes)):
+            src, _, tgt, _ = sample(k)
+            terms.append(losses.adv_loss_discriminator(logits(fakes_of[k]), logits(src.images), logits(tgt.images)))
+        loss_c = ad.mean_n(terms)
         _descend([loss_c], dparams.params, c_state)
 
         return components["adv_g"], loss_c, components["perc"], components["feat"], components["stereo"]

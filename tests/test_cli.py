@@ -145,6 +145,11 @@ class TestConfig:
             "z_channels = 0",
             "matcher_channels = 0",
             "cloud_scale = 0",
+            "image_height = 0",
+            "image_height = -64",
+            "image_width = 0",
+            "image_width = -128",
+            "master_seed = -1",
         ],
     )
     def test_invalid_values_rejected_at_load(self, tmp_path, line):
@@ -187,6 +192,8 @@ class TestConfig:
         config.image_height = 60
         with pytest.raises(ConfigError):
             apply_overrides(config, seed=1)
+        with pytest.raises(ConfigError, match="^master_seed must be non-negative"):
+            apply_overrides(RunConfig(), seed=-1)
 
 
 class TestCheckpointContainer:

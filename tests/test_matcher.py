@@ -9,6 +9,7 @@ from sca_stereo.config import load_config
 
 from oracles import correlation_oracle, tape_arrays, tape_nbytes
 from test_cli import tiny_config_text
+from test_translation import scene_inputs, tiny_translator
 
 
 class TestCorrelation1d:
@@ -163,39 +164,51 @@ class TestTapeFootprint:
         assert max(max(t) for t in pretrain_tapes + tapes[:-1]) <= budget
 
     def test_generator_loss_of_one_sample(self, tmp_path, monkeypatch):
-        # the generator loss of one translator sample, as train_translator backpropagates it
+        # the generator loss of one translator sample, as train_translator backpropagates it at any batch size
         (tmp_path / "run.cfg").write_text(tiny_config_text(tmp_path))
         config = load_config(tmp_path / "run.cfg")
-        config.translator_iters, config.translator_batch = 1, 1
+        config.translator_iters = 2
         training.gen_data(config)
-        tapes, codes = [], []
-        backward, generate = training.backward, translation.generate
+        tapes: list[list] = []  # backward calls between optimizer steps
+        codes = []
+        backward, adam_step, generate = training.backward, training.adam_step, translation.generate
 
         def recording_backward(loss):
-            tapes.append(tape_arrays(loss))
+            tapes[-1].append(tape_arrays(loss))
             backward(loss)
+
+        def recording_adam_step(*args):
+            tapes.append([])
+            adam_step(*args)
 
         def recording_generate(z, *args):
             codes.append(z.data)
             return generate(z, *args)
 
         monkeypatch.setattr(training, "backward", recording_backward)
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
         monkeypatch.setattr(translation, "generate", recording_generate)
-        training.train_translator(config)
-        generator_tape = tapes[0]  # then the discriminator's
-        assert sum(a.nbytes for a in generator_tape) <= 957_000  # measured 869_920
-        # no per-channel factor is saved as a broadcast [C,H,W] map; the one constant-per-channel
-        # map is the generator's input, the broadcast code z, which the gen.from_z conv's kernel vjp reads
-        (z,) = codes
-        constant_maps = [
-            a for a in generator_tape if a.ndim == 3 and a.shape[1] * a.shape[2] > 1 and np.all(a == a[:, :1, :1])
-        ]
-        assert [a.shape[0] for a in constant_maps] == [len(z)]
-        assert np.array_equal(constant_maps[0], np.broadcast_to(z[:, None, None], constant_maps[0].shape))
+        for batch in (1, 2):
+            tapes[:], codes[:] = [[]], []
+            config.translator_batch = batch
+            training.train_translator(config)
+            # per iteration: one backward per sample for the generator, then one for the discriminator
+            assert [len(t) for t in tapes[:-1]] == [batch, 1] * config.translator_iters
+            generator_tapes = [tape for step in tapes[:-1:2] for tape in step]
+            assert len(codes) == len(generator_tapes)  # one generate per sample, in backward's order
+            for tape, z in zip(generator_tapes, codes):
+                assert sum(a.nbytes for a in tape) <= 957_000  # measured 869_920
+                # no per-channel factor is saved as a broadcast [C,H,W] map; the one constant-per-channel map
+                # is the generator's input, the broadcast code z, which the gen.from_z conv's kernel vjp reads
+                constant_maps = [
+                    a for a in tape if a.ndim == 3 and a.shape[1] * a.shape[2] > 1 and np.all(a == a[:, :1, :1])
+                ]
+                assert [a.shape[0] for a in constant_maps] == [len(z)]
+                assert np.array_equal(constant_maps[0], np.broadcast_to(z[:, None, None], constant_maps[0].shape))
 
 
 class TestStreamedSteps:
-    """The training steps backpropagate one prediction at a time; the one-graph step is the reference.
+    """The training steps backpropagate one sample's term at a time; the one-graph step is the reference.
 
     The streamed terms are visited in the order backward walks the one graph,
     so the parameter gradients are not merely close but bit-equal.
@@ -251,6 +264,47 @@ class TestStreamedSteps:
         state = ad.AdamState(mparams.params, 1e-3)
         assert training._pretrain_step(samples, mparams, state).item() == logged
         self._assert_streamed_grads_equal(mparams.params, expected)
+
+    def test_generator_step_matches_one_graph(self):
+        rng = np.random.default_rng(4)
+        tparams = tiny_translator()
+        dparams = translation.DiscriminatorParams(rng, base_channels=4)
+        weights = losses.LossWeights(lambda_perc=0.3, lambda_feat=0.7, lambda_stereo=1.3)
+        batch = []
+        for seed in (1, 2):
+            src, tgt = scene_inputs(seed)
+            disp = src.disparities
+            masks = {v: geometry.occlusion_mask(disp[v], disp[geometry.other_view(v)]) for v in geometry.VIEWS}
+            batch.append((src, masks, tgt, ad.constant(rng.standard_normal(4))))
+        # the one-graph generator objective of the batch, as train_translator built it before it streamed
+        det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.sn_states, update=False)
+        terms: dict[str, list] = {"adv_g": [], "perc": [], "feat": [], "stereo": []}
+        reference_fakes = []
+        for src, masks, tgt, z in batch:
+            fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+            reference_fakes.append({v: fakes[v].data for v in geometry.VIEWS})
+            fake_logits, fake_hidden, real_hidden = {}, [], []
+            for v in geometry.VIEWS:
+                fake_logits[v], hidden = translation.discriminate(fakes[v], det, dparams.n_scales)
+                fake_hidden.extend(hidden)
+            for v in geometry.VIEWS:
+                real_hidden.extend(translation.discriminate(tgt.images[v], det, dparams.n_scales)[1])
+            terms["adv_g"].append(losses.adv_loss_generator(fake_logits))
+            terms["perc"].append(ad.mean_n([losses.perceptual_loss(fakes[v], src.images[v]) for v in geometry.VIEWS]))
+            terms["feat"].append(losses.feature_matching_loss(fake_hidden, real_hidden))
+            terms["stereo"].append(losses.stereo_consistency_loss(feats, fakes, src.disparities, masks))
+        components = {name: ad.mean_n(t) for name, t in terms.items()}
+        loss = losses.generator_objective(components, weights)
+        logged = {name: t.item() for name, t in components.items()}
+        expected = self._one_graph_grads(loss, tparams.params)
+        state = ad.AdamState(tparams.params, 1e-3)
+        streamed, fakes_of = training._generator_step(batch.__getitem__, len(batch), tparams, dparams, weights, state)
+        assert {name: t.item() for name, t in streamed.items()} == logged
+        self._assert_streamed_grads_equal(tparams.params, expected)
+        for k, fakes in enumerate(reference_fakes):
+            for v in geometry.VIEWS:
+                assert fakes_of[k][v]._node is None
+                np.testing.assert_array_equal(fakes_of[k][v].data, fakes[v])
 
     def test_validation_records_no_tape(self):
         mparams, batch = self._setup(batch=1)
