@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -642,6 +643,47 @@ def _tap_sum(k_taps: np.ndarray, windows: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
+class _ConvPlan(NamedTuple):
+    """What :func:`conv2d` derives from (H, W, kh, kw, stride, padding) alone; see its docstring."""
+
+    h_out: int
+    w_out: int
+    hq: int  # phase rows, and row pitch ``wq`` of each flat phase image
+    wq: int
+    n: int  # H' * wq, the length of a tap window
+    lead: int  # the largest tap offset
+    own: bool  # an unpadded stride-1 1x1 input is its own phase image
+    phases: tuple  # per phase: ((a, b), phase rows, phase columns, input index)
+    taps: tuple  # per tap, row-major: ((a, b), flat window of the phase image)
+    grad_phases: tuple  # per phase a tap reads: (its taps' indices, their gradient windows, rows, cols, input index)
+
+
+@functools.lru_cache(maxsize=None)
+def _conv_plan(h: int, w: int, kh: int, kw: int, s: int, padding: int) -> _ConvPlan:
+    """The cached :class:`_ConvPlan` of one input size, kernel size, stride and padding; channel counts play no part."""
+    h_out = (h + 2 * padding - kh) // s + 1
+    w_out = (w + 2 * padding - kw) // s + 1
+    hq, wq = h_out + (kh - 1) // s, w_out + (kw - 1) // s
+    n, lead = h_out * wq, ((kh - 1) // s) * wq + (kw - 1) // s
+    own = s == 1 and padding == 0 and kh == kw == 1
+    # rows [0, hq) of each phase hold every input pixel a tap reads; a spare
+    # zero row holds the last tap's window, which runs (kw-1)//s past row hq-1
+    phases = () if own else tuple(
+        ((a, b), rows, cols, (slice(None), x_rows, x_cols))
+        for a, (rows, x_rows) in enumerate(_phase_axis(s, padding, h, hq))
+        for b, (cols, x_cols) in enumerate(_phase_axis(s, padding, w, wq))
+    )
+    offsets = [((di % s, dj % s), (di // s) * wq + dj // s) for di in range(kh) for dj in range(kw)]
+    taps = tuple((ab, slice(off, off + n)) for ab, off in offsets)
+    grad_phases = []
+    for ab, rows, cols, src in phases:
+        ts = [t for t, (tap_ab, _) in enumerate(offsets) if tap_ab == ab]
+        if ts:
+            windows = tuple(slice(lead - offsets[t][1], lead - offsets[t][1] + hq * wq) for t in ts)
+            grad_phases.append((tuple(ts), windows, rows, cols, src))
+    return _ConvPlan(h_out, w_out, hq, wq, n, lead, own, phases, taps, tuple(grad_phases))
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw], zero padding.
 
@@ -664,6 +706,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
     phase no tap reads keeps zero gradient. The kernel gradient is one
     matmul per tap on the same buffer at ``[lead, lead + H'*wq)``.
 
+    All of this bookkeeping depends only on (H, W, kh, kw, stride, padding),
+    so it comes from one cached :func:`_conv_plan` per shape.
+
     The tape keeps the input itself, never its phase images: those die once
     the forward tap sum is done, and the kernel vjp rebuilds them with the
     forward's own code into a buffer that lives only while it runs. So a
@@ -682,22 +727,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
         raise ValueError(f"conv2d: invalid stride {stride} or padding {padding}")
     if bias is not None and bias.shape != (c_out,):
         raise ValueError(f"conv2d: bias shape {bias.shape} does not match {c_out} output channels")
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
+    plan = _conv_plan(h, w, kh, kw, stride, padding)
+    h_out, w_out, hq, wq, n, lead, own = plan.h_out, plan.w_out, plan.hq, plan.wq, plan.n, plan.lead, plan.own
     if h_out <= 0 or w_out <= 0:
         raise ValueError(f"conv2d: empty output for input {x.shape} and kernel {kernel.shape}")
-
     s = stride
-    hq, wq = h_out + (kh - 1) // s, w_out + (kw - 1) // s
-    n, lead = h_out * wq, ((kh - 1) // s) * wq + (kw - 1) // s
-    own = s == 1 and padding == 0 and kh == kw == 1
-    # rows [0, hq) of each phase hold every input pixel a tap reads; a spare
-    # zero row holds the last tap's window, which runs (kw-1)//s past row hq-1
-    phases = [] if own else [
-        ((a, b), rows, cols, (slice(None), x_rows, x_cols))
-        for a, (rows, x_rows) in enumerate(_phase_axis(s, padding, h, hq))
-        for b, (cols, x_cols) in enumerate(_phase_axis(s, padding, w, wq))
-    ]
     x_data = x.data
 
     def phase_images():
@@ -705,15 +739,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
         if own:
             return x_data.reshape(1, 1, c_in, n)
         flat = np.zeros((s, s, c_in, (hq + 1) * wq), dtype=np.float64)
-        for (a, b), rows, cols, src in phases:
+        for (a, b), rows, cols, src in plan.phases:
             flat[a, b].reshape(c_in, hq + 1, wq)[:, rows, cols] = x_data[src]
         return flat
 
-    taps = [((di % s, dj % s), (di // s) * wq + dj // s) for di in range(kh) for dj in range(kw)]  # (phase, off)
     k_taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, c_in)
 
     flat = phase_images()
-    acc = _tap_sum(k_taps, [flat[ab][:, off : off + n] for ab, off in taps])
+    acc = _tap_sum(k_taps, [flat[ab][:, window] for ab, window in plan.taps])
     del flat
     out = acc.reshape(c_out, h_out, wq)[:, :, :w_out]
     out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
@@ -736,19 +769,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
         if own:
             return _tap_sum(k_taps.transpose(0, 2, 1), [g_buf]).reshape(c_in, h, w)
         dx = np.zeros((c_in, h, w), dtype=np.float64)
-        for ab, rows, cols, src in phases:
-            ts = [t for t, (tap_ab, _) in enumerate(taps) if tap_ab == ab]
-            if ts:
-                windows = [g_buf[:, lead - taps[t][1] : lead - taps[t][1] + hq * wq] for t in ts]
-                dx[src] = _tap_sum(k_taps[ts].transpose(0, 2, 1), windows).reshape(c_in, hq, wq)[:, rows, cols]
+        for ts, slices, rows, cols, src in plan.grad_phases:
+            windows = [g_buf[:, window] for window in slices]
+            phase_grad = _tap_sum(np.take(k_taps, ts, axis=0).transpose(0, 2, 1), windows)
+            dx[src] = phase_grad.reshape(c_in, hq, wq)[:, rows, cols]
         return dx
 
     def vjp_kernel(g):
         g_pad = (shared.pop() if shared else lead_in(g))[:, lead : lead + n]
         flat = phase_images()
         dk = np.empty((kh * kw, c_out, c_in), dtype=np.float64)
-        for dk_tap, (ab, off) in zip(dk, taps):
-            np.matmul(g_pad, flat[ab][:, off : off + n].T, out=dk_tap)
+        for dk_tap, (ab, window) in zip(dk, plan.taps):
+            np.matmul(g_pad, flat[ab][:, window].T, out=dk_tap)
         return np.ascontiguousarray(dk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
 
     if bias is None:

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, apply_overrides, load_config
+from .errors import ConfigError, FormatError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a bad config or a malformed file prints one error line and returns 2, as a bad flag does."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigError, FormatError) as err:
+        print(f"sca-stereo: error: {err}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     apply_overrides(config, seed=args.seed, no_sca=args.no_sca, out=args.out)
 

@@ -219,11 +219,21 @@ def warped_l1(f_base: Tensor, f_match: Tensor, plan: TentPlan, mask: np.ndarray)
     scale = 1.0 / float(mask.sum())
     d = _lerp(f_match.data.reshape(c, h * w), plan).reshape(c, h, w)
     np.subtract(f_base.data, d, out=d)
-    value = np.array((np.abs(d) * mask).sum() * scale)
-    # sign(d) and mask are exact in {-1, 0, 1}: int8 holds them, and int8 * float is the float64 product
-    np.sign(d, out=d)
-    d *= mask
-    sm = d if np.isnan(value) else d.astype(np.int8)  # a nan in d must still reach the gradients
+    # a float64 mask: multiplying by a bool one casts per element; the products are the same
+    weight = mask.astype(np.float64)
+    masked = np.abs(d)
+    masked *= weight
+    value = np.array(masked.sum() * scale)
+    del masked
+    if np.isnan(value):  # a nan in d must still reach the gradients
+        sm = np.sign(d) * weight
+    else:
+        # sign(d) and mask are exact in {-1, 0, 1}: int8 holds them, and int8 * float is the float64 product
+        inside = mask != 0
+        pos, neg = d > 0, d < 0
+        pos &= inside
+        neg &= inside
+        sm = np.subtract(pos, neg, dtype=np.int8)
     vjps = (lambda g: sm * (float(g) * scale), lambda g: _scatter(sm * -(float(g) * scale), plan))
     return ad._result(value, (f_base, f_match), vjps)
 

@@ -436,6 +436,27 @@ def _adapt_step(
     return components["disp"], components["reproj"], losses.matcher_objective(components, weights)
 
 
+def _translate_once(
+    source: LoadedSplit,
+    target: LoadedSplit,
+    tparams: translation.TranslatorParams,
+    z_channels: int,
+    rng: np.random.Generator,
+) -> list[dict[str, Tensor]]:
+    """The frozen translator's detached pair for each source sample, with its own z and a fixed style.
+
+    A helper, so that no sample, style or generator feature of the last translation outlives it into
+    the adapt steps.
+    """
+    translated = []
+    for k, s in enumerate(source.samples):
+        z = ad.constant(rng.standard_normal(z_channels))
+        style = target.samples[k % len(target)]
+        fakes, _ = translation.translate(s.images, s.disparities, style.images, z, tparams, s.rig)
+        translated.append({v: fakes[v].detach() for v in VIEWS})
+    return translated
+
+
 def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
     """Stage 3: adapt the matcher with translated supervision + reprojection."""
     source = load_split(config, "source_train")
@@ -446,13 +467,7 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
     state = AdamState(mparams.params, config.adapt_lr, config.adapt_beta1, config.adapt_beta2)
     rng = _rng(config, _TAG_ADAPT)
 
-    # translator is frozen: translate each source sample once, fixed z and style
-    translated: list[dict[str, Tensor]] = []
-    for k, s in enumerate(source.samples):
-        z = ad.constant(rng.standard_normal(config.z_channels))
-        style = target.samples[k % len(target)]
-        fakes, _ = translation.translate(s.images, s.disparities, style.images, z, tparams, s.rig)
-        translated.append({v: fakes[v].detach() for v in VIEWS})
+    translated = _translate_once(source, target, tparams, config.z_channels, rng)
 
     def step(it: int) -> tuple[Tensor, ...]:
         src_idx = rng.integers(0, len(source), size=config.adapt_batch)

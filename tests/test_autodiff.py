@@ -345,6 +345,18 @@ class TestConv2d:
         out = ad.conv2d(x, k, stride=2, padding=1)
         assert out.shape == (2, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
 
+    def test_one_plan_per_shape_whatever_the_channel_counts(self):
+        # the shape plan is keyed on (H, W, kh, kw, stride, padding): convs that differ only in channels share it
+        rng = np.random.default_rng(4)
+        ad._conv_plan.cache_clear()
+        for c_in, c_out in [(1, 2), (3, 5), (9, 1)]:
+            x = ad.tensor(rng.standard_normal((c_in, 7, 10)), requires_grad=True)
+            k = ad.tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True)
+            ad.backward(ad.sum_all(ad.conv2d(x, k, stride=2, padding=1)))
+        assert ad._conv_plan.cache_info().currsize == 1
+        ad.conv2d(x, k, stride=1, padding=1)
+        assert ad._conv_plan.cache_info().currsize == 2
+
     def test_rerun_bit_identical(self):
         rng = np.random.default_rng(3)
         x = ad.tensor(rng.standard_normal((3, 6, 6)))

@@ -1,11 +1,12 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import checkpoint, fileio, geometry, gradcheck, synth, training
+from sca_stereo import checkpoint, fileio, geometry, gradcheck, synth, training, translation
 from sca_stereo.cli import main
 from sca_stereo.config import RunConfig, apply_overrides, load_config
 from sca_stereo.errors import ConfigError, FormatError
@@ -516,6 +517,35 @@ class TestPipelineCommands:
         training.translate_export(config, base / "ckpt" / "translator.ckpt", [0])
         assert len(calls) == 2 * config.n_source_val  # both views of every source_val sample, once
 
+    def test_adapt_steps_hold_no_translation_of_the_pre_pass(self, tiny_env, monkeypatch):
+        # adapt translates every source sample once; nothing of the last translation may outlive that pass
+        base, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        config = load_config(cfg_path)
+        tckpt = training._save_params(config, "translator.ckpt", training._init_translator(config).params)
+        mckpt = training._save_params(config, "matcher.ckpt", training._init_matcher(config).params)
+        translate, adam_step = translation.translate, training.adam_step
+        features, alive_at_first_step = [], []
+
+        class Features:  # stands in for the generator features translate returns
+            pass
+
+        def recording_translate(*args):
+            fakes, _ = translate(*args)
+            sentinel = Features()
+            features.append(weakref.ref(sentinel))
+            return fakes, sentinel
+
+        def checking_adam_step(*args):
+            if not alive_at_first_step:
+                alive_at_first_step.append([ref() is not None for ref in features])
+            adam_step(*args)
+
+        monkeypatch.setattr(translation, "translate", recording_translate)
+        monkeypatch.setattr(training, "adam_step", checking_adam_step)
+        training.adapt(config, tckpt, mckpt)
+        assert alive_at_first_step == [[False] * config.n_source_train]
+
     def test_adapt_checkpoint_mismatch_is_config_error(self, tiny_env):
         base, cfg_path = tiny_env
         main(["--config", str(cfg_path), "gen-data"])
@@ -715,6 +745,36 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
+
+
+class TestErrorMessages:
+    """A bad config or a malformed file ends the command with one stderr line and status 2, as a bad flag does."""
+
+    @staticmethod
+    def _fails_with(argv, capsys, *words):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sca-stereo: error: ") and captured.err.count("\n") == 1
+        assert all(word in captured.err for word in words), captured.err
+
+    def test_negative_seed(self, capsys):
+        self._fails_with(["--seed", "-1", "gen-data"], capsys, "master_seed must be non-negative, got -1")
+
+    def test_bad_config_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("image_height = 0\n")
+        self._fails_with(["--config", str(cfg_path), "gen-data"], capsys, "image_height")
+
+    def test_malformed_pfm_reached_through_evaluate(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        config = load_config(cfg_path)
+        ckpt = training._save_params(config, "matcher.ckpt", training._init_matcher(config).params)
+        row = next(r for r in synth.read_manifest(base / "data" / "manifest.csv") if r["split"] == "target_test")
+        (base / "data" / row["left_disp"]).write_bytes(b"Pf\n4 4\n-1.0\n")  # no payload
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_test"]
+        self._fails_with(argv, capsys, "PFM")
 
 
 class TestGradcheckCommand:

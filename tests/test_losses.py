@@ -165,8 +165,15 @@ class TestWarpedL1:
 
     @pytest.mark.parametrize("term_first", [True, False])
     @pytest.mark.parametrize("view", VIEWS)
-    @pytest.mark.parametrize("kind", ["fractional", "integer"])
-    def test_bit_equal_to_composed_chain(self, view, kind, term_first):
+    @pytest.mark.parametrize(
+        "kind, mask_dtype",  # gradcheck passes a {0,1} float mask, stereo_consistency_loss a bool one
+        [
+            pytest.param(kind, dtype, id=kind + suffix)
+            for dtype, suffix in ((np.float64, ""), (bool, "-bool-mask"))
+            for kind in ("fractional", "integer")
+        ],
+    )
+    def test_bit_equal_to_composed_chain(self, view, kind, mask_dtype, term_first):
         rng = np.random.default_rng(11)
         c, h, w = 3, 5, 16
         disp = rng.uniform(0.0, 6.0, (h, w))
@@ -174,8 +181,8 @@ class TestWarpedL1:
             disp = np.round(disp)
         disp[:, :2] = 7.5  # samples past the left edge from the left view, ...
         disp[:, -2:] = 7.5  # ... past the right edge from the right view
-        mask = (rng.random((h, w)) > 0.3).astype(np.float64)
-        mask[1] = 0.0  # a zero row
+        mask = (rng.random((h, w)) > 0.3).astype(mask_dtype)
+        mask[1] = 0  # a zero row
         data_b, data_m = rng.standard_normal((c, h, w)), rng.standard_normal((c, h, w))
         data_b[:, 3, :2] = 0.0  # |d| at its kink: the left view reads zeros past the edge there
         results = []
