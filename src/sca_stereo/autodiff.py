@@ -620,6 +620,9 @@ def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Ten
 # ---------------------------------------------------------------------------
 
 _STACK_BELOW_C_IN = 8  # fewer columns per tap kernel (C_in forward, C_out input vjp): one GEMM on stacked windows
+# bytes of one tap GEMM's operands above which a tap sum runs in column blocks: 2.25 MiB, just above one core's
+# 2 MiB L2 and at least 25% from every default shape (largest unblocked 1.64 MiB, matcher.feat2 3.05 MiB)
+_TAP_SUM_BUDGET = 9 << 18
 
 
 def _phase_axis(s: int, padding: int, n_in: int, n_phase: int) -> list[tuple[slice, slice]]:
@@ -632,15 +635,45 @@ def _phase_axis(s: int, padding: int, n_in: int, n_phase: int) -> list[tuple[sli
     return pairs
 
 
+def _column_blocks(n_taps: int, rows: int, cols: int, n: int) -> tuple[slice, ...]:
+    """The column blocks in which a tap sum of ``n_taps`` [rows, cols] taps over n columns runs.
+
+    One block, unless the sum loops over its taps (more than one tap, at least
+    ``_STACK_BELOW_C_IN`` columns) and one tap's window, the accumulator and
+    the product, 8·n·(cols + 2·rows) bytes, exceed ``_TAP_SUM_BUDGET``: then
+    every tap would stream them from L3. Such a sum splits into equal blocks
+    of about half the budget each, rounded up to whole runs of 64 columns. So
+    every block starts on a micro-tile boundary of the whole product, and
+    OpenBLAS gives each column the bits the whole product has, except possibly
+    the ragged last ``n % 16`` columns, which it may run through another kernel
+    in the smaller last block. For ``matcher.feat2`` there are none in the
+    forward, and the input vjp's lie in its phase image's bottom padding row.
+    """
+    need = 8 * n * (cols + 2 * rows)
+    if n_taps == 1 or cols < _STACK_BELOW_C_IN or need <= _TAP_SUM_BUDGET:
+        return (slice(0, n),)
+    size = -(-n // -(-2 * need // _TAP_SUM_BUDGET))
+    size = -(-size // 64) * 64
+    return tuple(slice(j, min(j + size, n)) for j in range(0, n, size))
+
+
 def _tap_sum(k_taps: np.ndarray, windows: list[np.ndarray]) -> np.ndarray:
-    """``sum_t k_taps[t] @ windows[t]``: one matmul per tap, or one on the stacked windows for narrow taps."""
+    """``sum_t k_taps[t] @ windows[t]``: per column block (:func:`_column_blocks`) one matmul per tap, or one
+    on the stacked windows for narrow taps."""
     n_taps, rows, cols = k_taps.shape
     if cols < _STACK_BELOW_C_IN and n_taps > 1:
         return k_taps.transpose(1, 0, 2).reshape(rows, n_taps * cols) @ np.stack(windows).reshape(n_taps * cols, -1)
-    acc = k_taps[0] @ windows[0]
-    for k_tap, window in zip(k_taps[1:], windows[1:]):
-        acc += k_tap @ window
-    return acc
+    n = windows[0].shape[1]
+    blocks = _column_blocks(n_taps, rows, cols, n)
+    out = np.empty((rows, n), dtype=np.float64) if len(blocks) > 1 else None
+    for blk in blocks:
+        acc = k_taps[0] @ windows[0][:, blk]
+        for k_tap, window in zip(k_taps[1:], windows[1:]):
+            acc += k_tap @ window[:, blk]
+        if out is None:
+            return acc
+        out[:, blk] = acc
+    return out
 
 
 class _ConvPlan(NamedTuple):
@@ -708,6 +741,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
 
     All of this bookkeeping depends only on (H, W, kh, kw, stride, padding),
     so it comes from one cached :func:`_conv_plan` per shape.
+
+    A tap sum whose operands overflow L2 (only ``matcher.feat2`` at the
+    default 64x128) runs over contiguous column blocks (:func:`_column_blocks`):
+    each block sums its taps in its own accumulator, which is copied into the
+    output once, and gives the whole sum's bits, apart from the ragged end
+    that :func:`_column_blocks` describes. The kernel gradient then loops
+    over the same blocks outside its taps, so the output gradient and the
+    phase images are read once per block rather than once per tap. This
+    regroups each tap's sum over the columns, so the kernel gradient's low
+    bits differ from those of one matmul per tap.
 
     The tape keeps the input itself, never its phase images: those die once
     the forward tap sum is done, and the kernel vjp rebuilds them with the
@@ -778,9 +821,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, bias: T
     def vjp_kernel(g):
         g_pad = (shared.pop() if shared else lead_in(g))[:, lead : lead + n]
         flat = phase_images()
+        windows = [flat[ab][:, window] for ab, window in plan.taps]
         dk = np.empty((kh * kw, c_out, c_in), dtype=np.float64)
-        for dk_tap, (ab, window) in zip(dk, plan.taps):
-            np.matmul(g_pad, flat[ab][:, window].T, out=dk_tap)
+        blocks = _column_blocks(kh * kw, c_out, c_in, n)
+        for i, blk in enumerate(blocks):
+            g_blk = g_pad[:, blk]
+            for dk_tap, window in zip(dk, windows):
+                if i == 0:
+                    np.matmul(g_blk, window[:, blk].T, out=dk_tap)
+                else:
+                    dk_tap += g_blk @ window[:, blk].T
         return np.ascontiguousarray(dk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
 
     if bias is None:

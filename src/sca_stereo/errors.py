@@ -14,12 +14,13 @@ class NumericError(ArithmeticError):
 class FormatError(ValueError):
     """A file does not conform to its on-disk format.
 
-    ``offset`` is the byte position at which parsing failed.
+    ``offset`` is the byte position at which parsing failed, and ``path`` the
+    file, when the reader knows it; the message names both.
     """
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+    def __init__(self, message: str, offset: int, path=None):
+        super().__init__(f"{'' if path is None else f'{path}: '}{message} (byte offset {offset})")
+        self.message, self.offset, self.path = message, offset, path
 
 
 class ConfigError(ValueError):

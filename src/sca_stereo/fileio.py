@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,6 +51,20 @@ def _check_no_trailing_bytes(blob: bytes, end: int, kind: str) -> None:
         raise FormatError(f"{len(blob) - end} trailing bytes after the {kind} payload", end)
 
 
+def _naming_the_file(decode):
+    """``decode(path)``, with every FormatError it raises naming ``path`` beside the byte offset."""
+
+    @functools.wraps(decode)
+    def decode_file(path):
+        try:
+            return decode(path)
+        except FormatError as err:
+            raise FormatError(err.message, err.offset, path) from None
+
+    return decode_file
+
+
+@_naming_the_file
 def decode_pfm(path) -> np.ndarray:
     """A grayscale PFM as its read-only float32 [H,W] map, top row first; the scale line's sign selects endianness."""
     with open(path, "rb") as f:
@@ -109,6 +124,7 @@ def write_ppm(image: Tensor | np.ndarray, path) -> None:
         f.write(quantized.transpose(1, 2, 0).tobytes())
 
 
+@_naming_the_file
 def decode_ppm(path) -> np.ndarray:
     """A binary P6 image as its read-only uint8 [3,H,W] array."""
     with open(path, "rb") as f:

@@ -162,8 +162,12 @@ def load_split(config: RunConfig, split: str) -> LoadedSplit:
 
 
 def _checked_sample(config: RunConfig, data_dir: Path, row: dict) -> synth.StoredSample:
-    """Read one sample's files: every map must be image_height x image_width, every disparity positive."""
-    sample = synth.read_stored_sample(data_dir, row)
+    """Read one sample's files: each must exist, every map must be image_height x image_width, every disparity
+    positive."""
+    try:
+        sample = synth.read_stored_sample(data_dir, row)
+    except FileNotFoundError as err:
+        raise ConfigError(f"dataset file {err.filename} is missing; run gen-data again") from None
     h, w = config.image_height, config.image_width
     for v in VIEWS:
         disparity = sample.disparities[v]

@@ -4,7 +4,7 @@
 CSV and ``consistency.csv``, with the numpy and BLAS versions that wrote
 them. Low-order bits depend on both, so a run under other versions is not
 compared. A change that moves low-order bits on purpose regenerates the
-file, and the drift shows in the diff:
+file; the script prints each file's drift (:func:`drift`) before it writes:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -50,6 +52,33 @@ def version_mismatch(golden: dict) -> str | None:
     return "golden values were made under other versions: " + "; ".join(diff) if diff else None
 
 
+def drift(run: dict[str, str], golden: dict[str, str]) -> dict[str, tuple[int, float]]:
+    """Per file of FILES: how many of its comma- or space-separated values differ from golden, and the largest
+    relative drift among them (inf when a differing value is not a number, or the files differ in length)."""
+    report = {}
+    for name in FILES:
+        ours, theirs = (re.split(r"[,\s]+", texts.get(name, "").strip()) for texts in (run, golden))
+        moved, largest = abs(len(ours) - len(theirs)), math.inf if len(ours) != len(theirs) else 0.0
+        for a, b in zip(ours, theirs):
+            if a == b:
+                continue
+            moved += 1
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                largest = math.inf
+                continue
+            largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+        report[name] = (moved, largest)
+    return report
+
+
+def describe(report: dict[str, tuple[int, float]]) -> str:
+    """One line per file of a :func:`drift` report."""
+    lines = (f"{name}: {moved} values moved, largest relative drift {top:.2g}" for name, (moved, top) in report.items())
+    return "\n".join(lines)
+
+
 def run_pipeline(cfg_path: Path) -> dict[str, str]:
     """Every CLI stage once on the config at ``cfg_path``, whose directories lie beside it; the text of each of FILES."""
     base = cfg_path.parent
@@ -75,6 +104,7 @@ def regenerate() -> None:
         cfg_path = Path(tmp) / "run.cfg"
         cfg_path.write_text(tiny_config_text(tmp))
         files = run_pipeline(cfg_path)
+    print(describe(drift(files, load()["files"])) if GOLDEN.exists() else f"no {GOLDEN.name} yet")
     GOLDEN.write_text(json.dumps({**versions(), "files": files}, indent=1) + "\n")
 
 

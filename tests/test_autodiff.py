@@ -1,12 +1,18 @@
+import os
 import platform
 import resource
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
+from sca_stereo import geometry, synth, training
+from sca_stereo.config import RunConfig
 from sca_stereo.errors import NumericError
 from sca_stereo.gradcheck import check_gradients
 
@@ -364,6 +370,140 @@ class TestConv2d:
         a = ad.conv2d(x, k, padding=1).data
         b = ad.conv2d(x, k, padding=1).data
         assert np.array_equal(a, b)
+
+
+def _conv_and_grads(x_data, k_data, stride, padding):
+    """conv2d's output, input gradient and kernel gradient for a fixed random output gradient."""
+    x, k = ad.tensor(x_data, requires_grad=True), ad.tensor(k_data, requires_grad=True)
+    out = ad.conv2d(x, k, stride=stride, padding=padding)
+    g = np.random.default_rng(9).standard_normal(out.shape)
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+    return out.data, x.grad, k.grad, g
+
+
+class TestBlockedTapSums:
+    """A 1-byte budget splits every per-tap sum into 64-column blocks, so small shapes run the blocked path."""
+
+    # (stride, padding, input shape, C_out, kernel size, (forward blocks, input vjp blocks))
+    CASES = [
+        pytest.param(1, 1, (PER_TAP, 16, 20), PER_TAP, 3, (True, True), id="per-tap"),
+        pytest.param(1, 1, (PER_TAP + 1, 16, 20), PER_TAP + 1, 3, (True, True), id="per-tap-above-rule"),
+        pytest.param(1, 1, (STACKED, 16, 20), PER_TAP, 3, (False, True), id="stacked-forward"),
+        pytest.param(1, 1, (PER_TAP, 16, 20), STACKED, 3, (True, False), id="stacked-input-vjp"),
+        pytest.param(1, 0, (PER_TAP, 18, 22), PER_TAP, 3, (True, True), id="unpadded"),
+        pytest.param(2, 1, (PER_TAP, 31, 45), PER_TAP, 3, (True, True), id="stride2"),
+        pytest.param(1, 0, (PER_TAP, 16, 20), PER_TAP, 1, (False, False), id="1x1"),
+        pytest.param(2, 0, (PER_TAP, 31, 45), PER_TAP, 1, (False, False), id="1x1-strided"),
+    ]
+
+    @pytest.mark.parametrize("stride,padding,shape,c_out,ksize,blocked", CASES)
+    def test_blocks_give_the_whole_sums_bits(self, monkeypatch, stride, padding, shape, c_out, ksize, blocked):
+        rng = np.random.default_rng(sum(shape) + c_out)
+        x_data, k_data = rng.standard_normal(shape), rng.standard_normal((c_out, shape[0], ksize, ksize))
+        whole = _conv_and_grads(x_data, k_data, stride, padding)
+        column_blocks, calls = ad._column_blocks, {}
+
+        def recorded(n_taps, rows, cols, n):
+            blocks = column_blocks(n_taps, rows, cols, n)
+            calls[rows, cols, n] = max(calls.get((rows, cols, n), 1), len(blocks))
+            return blocks
+
+        monkeypatch.setattr(ad, "_TAP_SUM_BUDGET", 1)
+        monkeypatch.setattr(ad, "_column_blocks", recorded)
+        out, dx, dk, g = _conv_and_grads(x_data, k_data, stride, padding)
+        # the forward and kernel vjp use [C_out, C_in] taps over H'*wq columns, the input vjp [C_in, C_out] over hq*wq
+        plan = ad._conv_plan(*shape[1:], ksize, ksize, stride, padding)
+        forward = calls.get((c_out, shape[0], plan.n), 1) > 1
+        input_vjp = calls.get((shape[0], c_out, plan.hq * plan.wq), 1) > 1
+        assert (forward, input_vjp) == blocked
+        assert np.array_equal(out, whole[0]) and np.array_equal(dx, whole[1])
+        assert np.max(np.abs(out - conv2d_oracle(x_data, k_data, stride=stride, padding=padding))) <= 1e-12
+        expected_dx = conv2d_input_grad_oracle(g, k_data, shape, stride=stride, padding=padding)
+        assert np.max(np.abs(dx - expected_dx)) <= 1e-12
+        assert np.max(np.abs(dk - whole[2])) <= 1e-12 * np.max(np.abs(whole[2]))
+
+    def test_blocks_are_whole_64_column_runs_of_about_half_the_budget(self):
+        for n_taps, rows, cols, n in [(9, 16, 16, 64 * 130), (9, 16, 16, 66 * 130), (4, 40, 24, 5000)]:
+            blocks = ad._column_blocks(n_taps, rows, cols, n)
+            size = blocks[0].stop
+            assert len(blocks) > 1 and size % 64 == 0 and blocks[-1].stop == n
+            assert all(b.start == i * size and b.stop - b.start <= size for i, b in enumerate(blocks))
+            # at most half the budget before the rounding up to a whole run of 64 columns
+            assert 8 * (size - 64) * (cols + 2 * rows) <= ad._TAP_SUM_BUDGET / 2
+        assert ad._column_blocks(1, 49, 16, 64 * 128) == (slice(0, 64 * 128),)  # one tap: no accumulator to keep
+        assert ad._column_blocks(9, 16, STACKED, 64 * 130) == (slice(0, 64 * 130),)  # stacked: one GEMM
+
+    def test_only_matcher_feat2_blocks_at_the_default_size(self, monkeypatch):
+        # every tap sum of a default-size pretrain step (the matcher) and generator step (translator,
+        # discriminator, perceptual net); none sits within 25% of the budget, so no shape is a near tie
+        column_blocks, shapes = ad._column_blocks, {}
+
+        def recorded(*shape):
+            blocks = column_blocks(*shape)
+            shapes[shape] = len(blocks)
+            return blocks
+
+        monkeypatch.setattr(ad, "_column_blocks", recorded)
+        config = RunConfig()
+        size = (config.image_height, config.image_width)
+        src = synth.generate_scene(synth.SceneSpec(seed=1, image_size=size))
+        tgt = synth.generate_scene(synth.SceneSpec(seed=2, domain_style="target", image_size=size))
+        mparams = training._init_matcher(config)
+        training._pretrain_step([src], mparams, ad.AdamState(mparams.params, 1e-3))
+        tparams, dparams = training._init_translator(config), training._init_discriminator(config)
+        disp = src.disparities
+        masks = {v: geometry.occlusion_mask(disp[v], disp[geometry.other_view(v)]) for v in geometry.VIEWS}
+        z = ad.constant(np.random.default_rng(3).standard_normal(config.z_channels))
+        state = ad.AdamState(tparams.params, 1e-3)
+        training._generator_step(lambda k: (src, masks, tgt, z), 1, tparams, dparams, config.loss_weights(), state)
+        h, w, c = config.image_height, config.image_width, config.matcher_channels
+        # matcher.feat2: its forward and kernel vjp over H*(W+2) columns, its input vjp over (H+2)*(W+2)
+        assert {shape for shape, n_blocks in shapes.items() if n_blocks > 1} == {
+            (9, c, c, h * (w + 2)),
+            (9, c, c, (h + 2) * (w + 2)),
+        }
+        per_tap = [(n, rows, cols) for (n_taps, rows, cols, n) in shapes if n_taps > 1 and cols >= PER_TAP]
+        assert len(per_tap) > 20
+        for n, rows, cols in per_tap:
+            need = 8 * n * (cols + 2 * rows)
+            assert not 0.75 * ad._TAP_SUM_BUDGET < need < 1.25 * ad._TAP_SUM_BUDGET, (n, rows, cols)
+
+
+# Compared at one and two BLAS threads: matcher.feat2's blocked conv at the default 64x128 (output, input
+# and kernel gradients) and a default predict_disparity forward. The predict backward is not compared:
+# OpenBLAS runs the ragged last columns of a threaded GEMM through another kernel, so matcher.enc1's
+# stride-2 input gradient (2145 columns per phase) differs in its last bits between one and two threads,
+# with or without blocks.
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from sca_stereo import autodiff as ad
+from sca_stereo.matcher import MatcherParams, predict_disparity
+
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+x = ad.tensor(rng.standard_normal((16, 64, 128)), requires_grad=True)
+k = ad.tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+out = ad.conv2d(x, k, padding=1)
+ad.backward(ad.sum_all(ad.mul(out, ad.constant(rng.standard_normal(out.shape)))))
+for array in (out.data, x.grad, k.grad):
+    digest.update(array.tobytes())
+left, right = (ad.tensor(rng.random((3, 64, 128))) for _ in range(2))
+digest.update(predict_disparity(left, right, MatcherParams(np.random.default_rng(1))).data.tobytes())
+print(len(ad._column_blocks(9, 16, 16, 64 * 130)), digest.hexdigest())
+"""
+
+
+def test_blocked_conv_gives_the_same_bytes_at_one_and_two_blas_threads():
+    src = str(Path(ad.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout.split())
+    assert int(outputs[0][0]) > 1
+    assert outputs[0] == outputs[1]
 
 
 class TestSoftmax:

@@ -410,7 +410,7 @@ class TestPipelineCommands:
         reason = golden.version_mismatch(expected)
         if reason:
             pytest.skip(reason)
-        assert tiny_pipeline[2] == expected["files"]
+        assert tiny_pipeline[2] == expected["files"], golden.describe(golden.drift(tiny_pipeline[2], expected["files"]))
 
     def test_translate_consistency_matches_loss_module(self, tiny_env):
         base, cfg_path = tiny_env
@@ -774,7 +774,18 @@ class TestErrorMessages:
         (base / "data" / row["left_disp"]).write_bytes(b"Pf\n4 4\n-1.0\n")  # no payload
         capsys.readouterr()
         argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_test"]
-        self._fails_with(argv, capsys, "PFM")
+        self._fails_with(argv, capsys, "truncated PFM payload", "(byte offset 12)", str(base / "data" / row["left_disp"]))
+
+    def test_missing_dataset_file_reached_through_evaluate(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        config = load_config(cfg_path)
+        ckpt = training._save_params(config, "matcher.ckpt", training._init_matcher(config).params)
+        row = next(r for r in synth.read_manifest(base / "data" / "manifest.csv") if r["split"] == "target_train")
+        (base / "data" / row["right_image"]).unlink()
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_train"]
+        self._fails_with(argv, capsys, str(base / "data" / row["right_image"]), "missing", "run gen-data again")
 
 
 class TestGradcheckCommand:

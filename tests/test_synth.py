@@ -246,6 +246,18 @@ class TestPpm:
             fileio.decode_ppm(path)
         assert exc_info.value.offset == size
 
+    @pytest.mark.parametrize("kind", ["ppm", "pfm"])
+    def test_errors_name_the_file_and_offset(self, tmp_path, kind):
+        path = tmp_path / f"short.{kind}"
+        header = b"P6\n2 1\n255\n" if kind == "ppm" else b"Pf\n2 1\n-1.0\n"
+        path.write_bytes(header + b"\x00")
+        decode = fileio.decode_ppm if kind == "ppm" else fileio.decode_pfm
+        with pytest.raises(FormatError) as exc_info:
+            decode(path)
+        assert exc_info.value.path == path and exc_info.value.offset == len(header) + 1
+        assert str(exc_info.value).startswith(f"{path}: truncated {kind.upper()} payload")
+        assert str(exc_info.value).endswith(f"(byte offset {len(header) + 1})")
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")
