@@ -7,7 +7,7 @@ networks, a procedural two-domain dataset, and a staged training CLI.
 
 from .autodiff import Tensor, backward, tensor
 from .config import RunConfig, load_config
-from .geometry import CameraRig, DisparityMap
+from .geometry import CameraRig
 from .losses import LossWeights
 from .synth import SceneSpec, StereoSample, generate_scene
 
@@ -18,7 +18,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "CameraRig",
-    "DisparityMap",
     "LossWeights",
     "SceneSpec",
     "StereoSample",

@@ -90,11 +90,11 @@ class Tensor:
     """A dense float64 array, optionally participating in the gradient tape.
 
     ``data`` is stored row-major (C order). An op output that needs a
-    gradient holds its tape :class:`_Node`; ``_backward`` and ``_parents``
-    read through to it, and ``_backward`` may be replaced to wrap the
-    closure. ``grad`` is allocated lazily on first accumulation during
-    :func:`backward`, on leaves only. Tensors are treated as immutable once
-    created; only the optimizer mutates parameter data.
+    gradient holds its tape :class:`_Node`; ``_backward`` reads through to
+    the node's closure, and may be replaced to wrap it. ``grad`` is
+    allocated lazily on first accumulation during :func:`backward`, on
+    leaves only. Tensors are treated as immutable once created; only the
+    optimizer mutates parameter data.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
@@ -112,10 +112,6 @@ class Tensor:
     @_backward.setter
     def _backward(self, closure) -> None:
         self._node.backward = closure
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node.parents
 
     @property
     def shape(self) -> tuple:
@@ -550,16 +546,6 @@ def _shifted_dot(a: Array, b: Array, d_max: int, direction: str) -> Array:
     return out if n * block == w else np.ascontiguousarray(out[:, :, :w])
 
 
-def _shifted_gather(weights: Array, values: Array, direction: str) -> Array:
-    """[C,H,W]: each query's candidate values summed with per-offset weights."""
-    return _band_matmul(weights, values, direction, scatter=False)
-
-
-def _shifted_scatter(weights: Array, x: Array, direction: str) -> Array:
-    """[C,H,W]: each query's ``x`` added into its candidates with per-offset weights."""
-    return _band_matmul(weights, x, direction, scatter=True)
-
-
 def _check_shift(op: str, d_max: int, width: int, direction: str) -> None:
     if direction not in DIRECTIONS:
         raise ValueError(f"{op}: direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -590,7 +576,10 @@ def shifted_dot(a: Tensor, b: Tensor, d_max: int, direction: str) -> Tensor:
     if a.ndim != 3 or a.shape != b.shape:
         raise ValueError(f"shifted_dot: expected two equal [C,H,W] shapes, got {a.shape} and {b.shape}")
     _check_shift("shifted_dot", d_max, a.shape[2], direction)
-    vjps = (lambda g: _shifted_gather(g, b.data, direction), lambda g: _shifted_scatter(g, a.data, direction))
+    vjps = (
+        lambda g: _band_matmul(g, b.data, direction, scatter=False),
+        lambda g: _band_matmul(g, a.data, direction, scatter=True),
+    )
     return _result(_shifted_dot(a.data, b.data, d_max, direction), (a, b), vjps)
 
 
@@ -610,9 +599,9 @@ def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Ten
     _check_shift("shifted_weighted_sum", d_max, values.shape[2], direction)
     vjps = (
         lambda g: _shifted_dot(g, values.data, d_max, direction),
-        lambda g: _shifted_scatter(weights.data, g, direction),
+        lambda g: _band_matmul(weights.data, g, direction, scatter=True),
     )
-    return _result(_shifted_gather(weights.data, values.data, direction), (weights, values), vjps)
+    return _result(_band_matmul(weights.data, values.data, direction, scatter=False), (weights, values), vjps)
 
 
 # ---------------------------------------------------------------------------

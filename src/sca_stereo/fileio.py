@@ -102,14 +102,11 @@ def decode_pfm(path) -> np.ndarray:
     return values
 
 
-def pfm_tensor(values: np.ndarray) -> Tensor:
-    """A decoded PFM map as a float64 tensor."""
-    return ad.constant(values.astype(np.float64))
-
-
-def read_pfm(path) -> Tensor:
-    """Read a grayscale PFM into a float64 [H,W] tensor."""
-    return pfm_tensor(decode_pfm(path))
+def read_pfm(path) -> np.ndarray:
+    """Read a grayscale PFM into a fresh read-only float64 [H,W] map."""
+    values = decode_pfm(path).astype(np.float64)
+    values.flags.writeable = False
+    return values
 
 
 def write_ppm(image: Tensor | np.ndarray, path) -> None:

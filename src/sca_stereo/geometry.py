@@ -1,7 +1,9 @@
 """Camera model, disparity reprojection, differentiable warping and metrics.
 
-Ground truth is dense: every pixel of a :class:`DisparityMap` holds a
-strictly positive disparity, and reprojection and the metrics use them all.
+Ground truth is dense: a view's disparity is a read-only float64 [H,W]
+array, kept under the view's key, with a strictly positive disparity at
+every pixel, and reprojection and the metrics use them all. A function
+that needs to know a map's view takes the view as an argument.
 
 Index convention used throughout the package: ``i`` is the horizontal
 (column) index and ``j`` the vertical (row) index, while arrays are stored
@@ -53,29 +55,12 @@ class CameraRig:
             raise ValueError(f"focal lengths must be positive, got {self.f_u}, {self.f_v}")
 
 
-@dataclass
-class DisparityMap:
-    """Unsigned dense disparity for one view."""
-
-    values: Tensor
-    view: str
-
-    def __post_init__(self):
-        _check_view(self.view)
-        if self.values.ndim != 2:
-            raise ValueError(f"disparity values must be [H,W], got shape {self.values.shape}")
-
-    def warp_plan(self) -> "TentPlan":
-        """The :func:`tent_plan` that warps the other view into this one."""
-        return tent_plan(signed_offset(ad.constant(self.values.data), self.view).data)
-
-
 def signed_offset(disparity: Tensor, view: str) -> Tensor:
     """Signed horizontal sampling offset for warping *into* ``view``."""
     return ad.mulc(disparity, -1.0) if _check_view(view) == "left" else disparity
 
 
-def disparity_to_world_points(disparity: DisparityMap, rig: CameraRig) -> Tensor:
+def disparity_to_world_points(disparity: np.ndarray, view: str, rig: CameraRig) -> Tensor:
     """Reproject a disparity map to an organized [3,H,W] world-frame cloud, in meters.
 
     The camera frame puts ``x = b (u - c_u) / D``, ``y = f_u b (v - c_v) /
@@ -84,17 +69,16 @@ def disparity_to_world_points(disparity: DisparityMap, rig: CameraRig) -> Tensor
     ``-b/2`` in x and right-view points by ``+b/2``. Returned as a constant:
     clouds come from ground truth.
     """
-    d = disparity.values.data
-    if not np.all(d > 0):
+    if not np.all(disparity > 0):
         raise ValueError("disparity must be strictly positive")
-    h, w = d.shape
+    h, w = disparity.shape
     u = np.broadcast_to(np.arange(w, dtype=np.float64), (h, w))
     v = np.broadcast_to(np.arange(h, dtype=np.float64)[:, None], (h, w))
-    x = rig.baseline_b * (u - rig.c_u) / d
-    y = rig.f_u * rig.baseline_b * (v - rig.c_v) / (rig.f_v * d)
-    z = rig.f_u * rig.baseline_b / d
+    x = rig.baseline_b * (u - rig.c_u) / disparity
+    y = rig.f_u * rig.baseline_b * (v - rig.c_v) / (rig.f_v * disparity)
+    z = rig.f_u * rig.baseline_b / disparity
     half = rig.baseline_b / 2.0
-    x = x - half if disparity.view == "left" else x + half
+    x = x - half if _check_view(view) == "left" else x + half
     return ad.constant(np.stack([x, y, z]))
 
 
@@ -131,6 +115,11 @@ def tent_plan(offset: np.ndarray) -> TentPlan:
     for a in (idx, weights, in0, in1):
         a.flags.writeable = False
     return TentPlan(idx, weights, in0, in1)
+
+
+def warp_plan(disparity: np.ndarray, view: str) -> TentPlan:
+    """The :func:`tent_plan` that warps the other view into ``view``, whose disparity is ``disparity``."""
+    return tent_plan(-disparity if _check_view(view) == "left" else disparity)
 
 
 def _taps(flat: np.ndarray, plan: TentPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +191,7 @@ def warped_l1(f_base: Tensor, f_match: Tensor, plan: TentPlan, mask: np.ndarray)
     """``sum |f_base - warp(f_match)| * mask / sum(mask)`` as one tape op.
 
     ``f_match`` is warped by ``plan`` (a constant, such as the ground-truth
-    warp of :meth:`DisparityMap.warp_plan`) and compared with ``f_base``, both
+    warp of :func:`warp_plan`) and compared with ``f_base``, both
     [C,H,W]; ``mask`` is a non-empty [H,W] {0,1} map. The value, and the
     gradients of both features, equal bit for bit those of the composition
     ``mulc(sum_all(mul_spatial(absolute(sub(f_base, backward_warp(f_match,
@@ -238,38 +227,38 @@ def warped_l1(f_base: Tensor, f_match: Tensor, plan: TentPlan, mask: np.ndarray)
     return ad._result(value, (f_base, f_match), vjps)
 
 
-def occlusion_mask(d_base: DisparityMap, d_match: DisparityMap) -> np.ndarray:
-    """Left-right consistency check: a read-only bool [H,W] map, True where
-    |D_b - warp(D_m, D_b)| < 1, i.e. where the base pixel's match is visible
-    in the other view.
+def occlusion_mask(disparities: dict[str, np.ndarray], view: str) -> np.ndarray:
+    """Left-right consistency check of base view ``view``: a read-only bool
+    [H,W] map, True where |D_b - warp(D_m, D_b)| < 1, i.e. where the base
+    pixel's match is visible in the other view. ``disparities`` holds both
+    views' maps.
     """
-    if d_base.view == d_match.view:
-        raise ValueError("occlusion_mask requires maps from opposite views")
-    base = d_base.values.data
-    if d_match.values.shape != base.shape:
-        raise ValueError(f"occlusion_mask: shape mismatch {base.shape} vs {d_match.values.shape}")
-    warped = _lerp(d_match.values.data.reshape(1, base.size), d_base.warp_plan()).reshape(base.shape)
+    match = disparities[other_view(view)]
+    base = disparities[view]
+    if match.shape != base.shape:
+        raise ValueError(f"occlusion_mask: shape mismatch {base.shape} vs {match.shape}")
+    warped = _lerp(match.reshape(1, base.size), warp_plan(base, view)).reshape(base.shape)
     mask = np.abs(base - warped) < 1.0
     mask.flags.writeable = False
     return mask
 
 
-def _errors(pred: Tensor, gt: DisparityMap) -> np.ndarray:
+def _errors(pred: Tensor, gt: np.ndarray) -> np.ndarray:
     """The absolute error map of ``pred`` against ``gt``."""
     p = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
-    if p.shape != gt.values.shape:
-        raise ValueError(f"prediction shape {p.shape} != ground truth shape {gt.values.shape}")
-    return np.abs(p - gt.values.data)
+    if p.shape != gt.shape:
+        raise ValueError(f"prediction shape {p.shape} != ground truth shape {gt.shape}")
+    return np.abs(p - gt)
 
 
-def epe(pred: Tensor, gt: DisparityMap) -> float:
+def epe(pred: Tensor, gt: np.ndarray) -> float:
     """Mean absolute disparity error over all pixels."""
     err = _errors(pred, gt)
     return float(err.sum() / err.size)
 
 
-def d1_all(pred: Tensor, gt: DisparityMap) -> float:
+def d1_all(pred: Tensor, gt: np.ndarray) -> float:
     """Percentage of pixels with error strictly above max(3, 0.05 * gt)."""
     err = _errors(pred, gt)
-    outliers = err > np.maximum(3.0, 0.05 * gt.values.data)
+    outliers = err > np.maximum(3.0, 0.05 * gt)
     return float(100.0 * outliers.sum() / err.size)

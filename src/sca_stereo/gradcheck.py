@@ -203,18 +203,18 @@ def _hinge_discriminator(fake, real_source, real_target):
 
 def _stereo_consistency(fl, fr):
     h, w = fl.shape[1:]
-    d = ad.constant(np.full((h, w), 2.5))
+    d = np.full((h, w), 2.5)
     return losses.stereo_consistency_loss(
         {"left": [(fl, 1)], "right": [(fr, 1)]},
         None,
-        {v: geometry.DisparityMap(d, v) for v in VIEWS},
+        {v: d for v in VIEWS},
         {v: np.ones((h, w), dtype=bool) for v in VIEWS},
     )
 
 
 def _disparity(pl, pr):
-    gt = ad.constant(np.full(pl.shape, 3.25))
-    return losses.disparity_loss({"left": pl, "right": pr}, {v: geometry.DisparityMap(gt, v) for v in VIEWS})
+    gt = np.full(pl.shape, 3.25)
+    return losses.disparity_loss({"left": pl, "right": pr}, {v: gt for v in VIEWS})
 
 
 # ---------------------------------------------------------------------------

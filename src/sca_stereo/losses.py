@@ -73,7 +73,7 @@ def adv_loss_discriminator(
 def stereo_consistency_loss(
     gen_feats: dict[str, list[tuple[Tensor, int]]],
     images: dict[str, Tensor] | None,
-    gt_disparities: dict[str, geometry.DisparityMap],
+    gt_disparities: dict[str, np.ndarray],
     masks: dict[str, np.ndarray],
 ) -> Tensor:
     """Occlusion-masked L1 between each view and the warp of the other view.
@@ -84,7 +84,7 @@ def stereo_consistency_loss(
     ground-truth disparity of the base view, normalized by the unoccluded
     pixel count, and summed over scales and both view orderings. Each term
     is one :func:`geometry.warped_l1` op; the terms of one base view share
-    one :meth:`geometry.DisparityMap.warp_plan`, which lives only as long
+    one :func:`geometry.warp_plan`, which lives only as long
     as the tape. ``masks`` holds the bool occlusion mask of each base view;
     an empty mask adds no terms.
 
@@ -97,7 +97,7 @@ def stereo_consistency_loss(
     factors = [factor for _, factor in gen_feats["left"]]
     if factors != [factor for _, factor in gen_feats["right"]]:
         raise ValueError("mismatched upsampling factors between views")
-    plans = {b: gt_disparities[b].warp_plan() for b in VIEWS}
+    plans = {b: geometry.warp_plan(gt_disparities[b], b) for b in VIEWS}
     terms: dict[str, list[Tensor]] = {b: [] for b in VIEWS}
 
     def add_terms(full: dict[str, Tensor]) -> None:
@@ -126,20 +126,18 @@ def smooth_l1(x: Tensor) -> Tensor:
     return ad._result(out, (x,), (lambda g: g * dfactor,))
 
 
-def _mean_penalty(penalty, pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
+def _mean_penalty(penalty, pred: Tensor, gt: np.ndarray) -> Tensor:
     """Mean of ``penalty(pred - gt)`` over the pixels of ``gt``."""
-    diff = ad.sub(pred, ad.constant(gt.values.data))
-    return ad.mulc(ad.sum_all(penalty(diff)), 1.0 / gt.values.size)
+    diff = ad.sub(pred, ad.constant(gt))
+    return ad.mulc(ad.sum_all(penalty(diff)), 1.0 / gt.size)
 
 
-def l1_disparity_loss(pred: Tensor, gt: geometry.DisparityMap) -> Tensor:
+def l1_disparity_loss(pred: Tensor, gt: np.ndarray) -> Tensor:
     """Mean absolute disparity error over the pixels of one view."""
     return _mean_penalty(ad.absolute, pred, gt)
 
 
-def disparity_loss(
-    predictions: dict[str, Tensor], gt_disparities: dict[str, geometry.DisparityMap]
-) -> Tensor:
+def disparity_loss(predictions: dict[str, Tensor], gt_disparities: dict[str, np.ndarray]) -> Tensor:
     """Mean smooth-L1 disparity error over all pixels, summed over each view given."""
     return ad.add_n([_mean_penalty(smooth_l1, predictions[v], gt_disparities[v]) for v in VIEWS if v in predictions])
 

@@ -15,6 +15,10 @@ The target domain applies gamma, per-channel gain and seeded Gaussian noise
 to the layer textures before rendering: both views keep sampling one shared
 texture, so cross-view consistency survives the photometric shift and the
 ground-truth disparity maps of the two domains are bit-identical.
+
+Each view's disparity map is a plain read-only float64 [H,W] array under
+that view's key of :attr:`StereoSample.disparities`. On disk it is a float32
+PFM, and :meth:`StoredSample.build` gives a fresh read-only float64 copy.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import numpy as np
 from . import autodiff as ad
 from . import fileio, geometry
 from .autodiff import Tensor
-from .geometry import CameraRig, DisparityMap
+from .errors import FormatError
+from .geometry import CameraRig
 
 DOMAIN_STYLES = ("source", "target")
 
@@ -68,10 +73,10 @@ class SceneSpec:
 
 @dataclass
 class StereoSample:
-    """Rectified pair with ground-truth disparities for both views."""
+    """Rectified pair with a read-only float64 [H,W] ground-truth disparity under each view."""
 
     images: dict[str, Tensor]
-    disparities: dict[str, DisparityMap]
+    disparities: dict[str, np.ndarray]
     rig: CameraRig
 
 
@@ -215,7 +220,8 @@ def generate_scene(spec: SceneSpec) -> StereoSample:
             image[:, mask] = layer.sample(world_x[mask], rows[mask])
             dmap[mask] = layer.disparity
         images[view] = ad.constant(image)
-        disparity_maps[view] = DisparityMap(ad.constant(dmap), view)
+        dmap.flags.writeable = False
+        disparity_maps[view] = dmap
     return StereoSample(images, disparity_maps, default_rig(h, w))
 
 
@@ -236,8 +242,8 @@ def write_sample(sample: StereoSample, directory: Path, stem: str) -> dict[str, 
     }
     fileio.write_ppm(sample.images["left"], directory / paths["left_image"])
     fileio.write_ppm(sample.images["right"], directory / paths["right_image"])
-    fileio.write_pfm(sample.disparities["left"].values, directory / paths["left_disp"])
-    fileio.write_pfm(sample.disparities["right"].values, directory / paths["right_disp"])
+    fileio.write_pfm(sample.disparities["left"], directory / paths["left_disp"])
+    fileio.write_pfm(sample.disparities["right"], directory / paths["right_disp"])
     return paths
 
 
@@ -251,7 +257,9 @@ class StoredSample:
     def build(self, rig: CameraRig) -> StereoSample:
         """The float64 sample, in fresh arrays on every call."""
         images = {v: fileio.ppm_tensor(image) for v, image in self.images.items()}
-        disparities = {v: DisparityMap(fileio.pfm_tensor(d), v) for v, d in self.disparities.items()}
+        disparities = {v: d.astype(np.float64) for v, d in self.disparities.items()}
+        for d in disparities.values():
+            d.flags.writeable = False
         return StereoSample(images, disparities, rig)
 
 
@@ -267,12 +275,29 @@ def read_sample(directory: Path, row: dict[str, str], rig: CameraRig) -> StereoS
 
 
 def write_manifest(rows: list[dict[str, str]], path: Path) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, fieldnames=MANIFEST_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
 
 def read_manifest(path: Path) -> list[dict[str, str]]:
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
+    """The rows under a :data:`MANIFEST_FIELDS` header; another header, or a row without exactly those fields (as
+    in a file cut off mid-row), is a :class:`FormatError` at the start of its line."""
+    try:
+        lines = Path(path).read_bytes().decode("utf-8").splitlines(keepends=True)
+    except UnicodeDecodeError as err:
+        raise FormatError("manifest is not UTF-8 text", err.start, path) from None
+    reader = csv.DictReader(lines)
+
+    def malformed(message: str) -> FormatError:
+        return FormatError(message, len("".join(lines[: max(reader.line_num - 1, 0)]).encode()), path)
+
+    if tuple(reader.fieldnames or ()) != MANIFEST_FIELDS:
+        raise malformed(f"manifest header is {reader.fieldnames}, expected {list(MANIFEST_FIELDS)}")
+    rows = []
+    for row in reader:
+        if None in row or None in row.values():  # DictReader's keys for extra fields and values for missing ones
+            raise malformed(f"manifest row {len(rows) + 1} does not hold exactly the fields {list(MANIFEST_FIELDS)}")
+        rows.append(row)
+    return rows

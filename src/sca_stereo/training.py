@@ -122,13 +122,7 @@ class LoadedSplit:
     @functools.cached_property
     def masks(self) -> list[dict[str, np.ndarray]]:
         """Each sample's bool left-right consistency mask per view; only stereo-consistency terms read them."""
-        return [
-            {
-                v: geometry.occlusion_mask(s.disparities[v], s.disparities[geometry.other_view(v)])
-                for v in VIEWS
-            }
-            for s in self.samples
-        ]
+        return [{v: geometry.occlusion_mask(s.disparities, v) for v in VIEWS} for s in self.samples]
 
     def __len__(self) -> int:
         return len(self.stored)
@@ -152,7 +146,7 @@ def load_split(config: RunConfig, split: str) -> LoadedSplit:
         raise ConfigError(f"unknown split '{split}', expected one of {SPLITS}")
     data_dir = Path(config.data_dir)
     manifest = data_dir / "manifest.csv"
-    if not manifest.exists():
+    if not manifest.is_file():
         raise ConfigError(f"dataset manifest not found at {manifest}; run gen-data first")
     rig = synth.default_rig(config.image_height, config.image_width)
     rows = [r for r in synth.read_manifest(manifest) if r["split"] == split]
@@ -193,8 +187,8 @@ def _save_params(config: RunConfig, filename: str, params: dict[str, Tensor], **
 
 def _load_params(path: Path, params: dict[str, Tensor], context: str, trainable: bool) -> None:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{context} checkpoint not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{context} checkpoint not found: no file at {path}")
     arrays = checkpoint.load_arrays(path)
     if set(arrays) != set(params):
         missing = set(params) - set(arrays)
@@ -522,7 +516,7 @@ def evaluate(config: RunConfig, matcher_ckpt: Path, split: str) -> dict[str, flo
 
 def image_consistency(
     images: dict[str, Tensor],
-    disparities: dict[str, geometry.DisparityMap],
+    disparities: dict[str, np.ndarray],
     masks: dict[str, np.ndarray],
 ) -> float:
     """Image-level stereo-consistency score (no feature scales)."""

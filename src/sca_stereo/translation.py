@@ -282,14 +282,14 @@ def generate(
 
 def translate(
     src_images: dict[str, Tensor],
-    src_disparities: dict[str, geometry.DisparityMap],
+    src_disparities: dict[str, np.ndarray],
     style_images: dict[str, Tensor],
     z: Tensor,
     tparams: TranslatorParams,
     rig: geometry.CameraRig,
 ) -> tuple[dict[str, Tensor], dict[str, list[tuple[Tensor, int]]]]:
     """Full translation call: clouds are derived from the disparity maps."""
-    clouds = {v: geometry.disparity_to_world_points(src_disparities[v], rig) for v in VIEWS}
+    clouds = {v: geometry.disparity_to_world_points(src_disparities[v], v, rig) for v in VIEWS}
     content = {v: content_stream(src_images[v], clouds[v], tparams) for v in VIEWS}
     style = {v: style_stream(style_images[v], tparams) for v in VIEWS}
     return generate(z, content, style, tparams)

@@ -344,8 +344,8 @@ class TestPipelineCommands:
             base / "data", row, synth.default_rig(config.image_height, config.image_width)
         )
         assert np.array_equal(
-            stored.disparities["left"].values.data,
-            regenerated.disparities["left"].values.data.astype(np.float32).astype(np.float64),
+            stored.disparities["left"],
+            regenerated.disparities["left"].astype(np.float32).astype(np.float64),
         )
         assert np.max(np.abs(stored.images["left"].data - regenerated.images["left"].data)) <= 1 / 510 + 1e-12
 
@@ -617,7 +617,7 @@ class TestPipelineCommands:
         base, cfg_path = tiny_env
         main(["--config", str(cfg_path), "gen-data"])
         path = base / "data" / "target_test" / "sample_00002_left.pfm"
-        d = fileio.read_pfm(path).data.copy()
+        d = fileio.read_pfm(path).copy()
         d[5, 7] = bad
         fileio.write_pfm(d, path)
         message = r"target_test/sample_00002_left\.pfm holds a disparity that is not strictly positive"
@@ -630,7 +630,7 @@ class TestPipelineCommands:
         config = load_config(cfg_path)
         split = training.load_split(config, "source_val")
         rows, mean_epe, mean_d1 = training.evaluate_samples(
-            split, lambda s: s.disparities["left"].values
+            split, lambda s: s.disparities["left"]
         )
         assert mean_epe == 0.0
         assert mean_d1 == 0.0
@@ -650,8 +650,9 @@ class TestLoadedSplit:
         for got, row in zip(split.samples, rows, strict=True):
             want = synth.read_sample(base / "data", row, rig)
             assert got.rig == want.rig
+            assert set(got.disparities) == set(want.disparities) == set(geometry.VIEWS)
             for v in geometry.VIEWS:
-                assert got.disparities[v].view == want.disparities[v].view == v
+                assert not got.disparities[v].flags.writeable and not want.disparities[v].flags.writeable
                 # the files' payloads, decoded here without fileio: P6 rows of RGB bytes, PFM rows bottom-up
                 ppm = (base / "data" / row[f"{v}_image"]).read_bytes()[-3 * h * w :]
                 pfm = (base / "data" / row[f"{v}_disp"]).read_bytes()[-4 * h * w :]
@@ -659,7 +660,7 @@ class TestLoadedSplit:
                 disparity = np.frombuffer(pfm, "<f4").reshape(h, w)[::-1].astype(np.float64)
                 pairs = [
                     (got.images[v].data, want.images[v].data, image),
-                    (got.disparities[v].values.data, want.disparities[v].values.data, disparity),
+                    (got.disparities[v], want.disparities[v], disparity),
                 ]
                 for a, b, from_file in pairs:
                     assert a.dtype == b.dtype == np.float64
@@ -686,10 +687,12 @@ class TestLoadedSplit:
         before = split.samples[0].images["left"].data.copy()
         written = split.samples[0]
         written.images["left"].data[...] = -1.0
-        written.disparities["left"].values.data[...] = -1.0
+        with pytest.raises(ValueError):
+            written.disparities["left"][...] = -1.0
         again = split.samples[0]
         assert np.array_equal(again.images["left"].data, before)
-        assert np.all(again.disparities["left"].values.data > 0)
+        assert not np.shares_memory(again.disparities["left"], written.disparities["left"])
+        assert not np.shares_memory(again.disparities["left"], split.stored[0].disparities["left"])
 
     def test_load_never_holds_the_split_in_float64(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -786,6 +789,60 @@ class TestErrorMessages:
         capsys.readouterr()
         argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_train"]
         self._fails_with(argv, capsys, str(base / "data" / row["right_image"]), "missing", "run gen-data again")
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        self._fails_with(["--config", str(tmp_path), "gen-data"], capsys, f"cannot read config file {tmp_path}")
+
+    def test_config_that_is_not_text(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"\xff\xfe")
+        self._fails_with(["--config", str(cfg_path), "gen-data"], capsys, f"cannot read config file {cfg_path}")
+
+    def test_checkpoint_that_is_a_directory(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(base), "--split", "target_test"]
+        self._fails_with(argv, capsys, "matcher checkpoint not found", f"no file at {base}")
+
+    @staticmethod
+    def _rewrite_manifest(base, edit):
+        manifest = base / "data" / "manifest.csv"
+        manifest.write_text(edit(manifest.read_text()))
+        return manifest
+
+    def test_manifest_without_a_column(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        k = synth.MANIFEST_FIELDS.index("left_disp")
+        drop = lambda line: ",".join(line.split(",")[:k] + line.split(",")[k + 1 :])
+        manifest = self._rewrite_manifest(base, lambda text: "".join(drop(l) + "\n" for l in text.splitlines()))
+        capsys.readouterr()
+        self._fails_with(["--config", str(cfg_path), "pretrain"], capsys, str(manifest), "manifest header", "(byte offset 0)")
+
+    def test_manifest_cut_off_mid_row(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        text = (base / "data" / "manifest.csv").read_text()
+        second = text.index("\n") + 1  # the first row starts here
+        manifest = self._rewrite_manifest(base, lambda text: text[: second + 20])
+        capsys.readouterr()
+        self._fails_with(
+            ["--config", str(cfg_path), "pretrain"], capsys, str(manifest), "manifest row 1", f"(byte offset {second})"
+        )
+
+    def test_manifest_that_is_not_text(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        manifest = base / "data" / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes()[:40] + b"\xff\xfe")
+        capsys.readouterr()
+        self._fails_with(["--config", str(cfg_path), "pretrain"], capsys, str(manifest), "(byte offset 40)")
+
+    def test_manifest_that_is_a_directory(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        (base / "data" / "manifest.csv").mkdir(parents=True)
+        self._fails_with(["--config", str(cfg_path), "pretrain"], capsys, "dataset manifest not found")
 
 
 class TestGradcheckCommand:

@@ -9,17 +9,13 @@ from sca_stereo import geometry
 from oracles import backward_warp_oracle, lr_occlusion_oracle
 
 
-def disparity_map(values, view):
-    return geometry.DisparityMap(ad.constant(np.asarray(values, dtype=float)), view)
-
-
 class TestReprojection:
     RIG = geometry.CameraRig(baseline_b=2.0, f_u=100.0, f_v=100.0, c_u=50.0, c_v=50.0)
 
     def test_left_pixel_off_axis(self):
         d = np.full((64, 80), 5.0)
         d[50, 60] = 10.0
-        cloud = geometry.disparity_to_world_points(disparity_map(d, "left"), self.RIG)
+        cloud = geometry.disparity_to_world_points(d, "left", self.RIG)
         assert cloud.shape == (3, 64, 80)
         assert np.allclose(cloud.data[:, 50, 60], [1.0, 0.0, 20.0], atol=1e-12)
         assert np.allclose(cloud.data[:, 50, 61], [3.4, 0.0, 40.0], atol=1e-12)  # a neighbour at d = 5
@@ -27,7 +23,7 @@ class TestReprojection:
     def test_left_pixel_at_principal_point(self):
         d = np.full((64, 80), 5.0)
         d[50, 50] = 20.0
-        cloud = geometry.disparity_to_world_points(disparity_map(d, "left"), self.RIG)
+        cloud = geometry.disparity_to_world_points(d, "left", self.RIG)
         assert np.allclose(cloud.data[:, 50, 50], [-1.0, 0.0, 10.0], atol=1e-12)
 
     def test_nonpositive_disparity_rejected(self):
@@ -35,13 +31,13 @@ class TestReprojection:
             d = np.full((3, 3), 2.0)
             d[1, 2] = bad
             with pytest.raises(ValueError, match="strictly positive"):
-                geometry.disparity_to_world_points(disparity_map(d, "left"), self.RIG)
+                geometry.disparity_to_world_points(d, "left", self.RIG)
 
     def test_fronto_parallel_views_match_in_world(self):
         h, w, disp = 10, 40, 7.0
         rig = geometry.CameraRig(baseline_b=0.5, f_u=90.0, f_v=110.0, c_u=(w - 1) / 2, c_v=(h - 1) / 2)
-        cloud_l = geometry.disparity_to_world_points(disparity_map(np.full((h, w), disp), "left"), rig)
-        cloud_r = geometry.disparity_to_world_points(disparity_map(np.full((h, w), disp), "right"), rig)
+        cloud_l = geometry.disparity_to_world_points(np.full((h, w), disp), "left", rig)
+        cloud_r = geometry.disparity_to_world_points(np.full((h, w), disp), "right", rig)
         d = int(disp)
         left = cloud_l.data[:, :, d:]
         right = cloud_r.data[:, :, : w - d]
@@ -137,10 +133,9 @@ class TestBackwardWarp:
 class TestOcclusion:
     def test_consistent_constant_scene(self):
         h, w, d = 4, 16, 3.0
-        dl = disparity_map(np.full((h, w), d), "left")
-        dr = disparity_map(np.full((h, w), d), "right")
-        mask = geometry.occlusion_mask(dl, dr)
-        expected = lr_occlusion_oracle(dl.values.data, dr.values.data, "left")
+        disparities = {v: np.full((h, w), d) for v in geometry.VIEWS}
+        mask = geometry.occlusion_mask(disparities, "left")
+        expected = lr_occlusion_oracle(disparities["left"], disparities["right"], "left")
         assert np.array_equal(mask, expected)
         # in-range columns are all consistent
         assert np.all(mask[:, int(d) :])
@@ -148,9 +143,8 @@ class TestOcclusion:
     def test_tiny_epsilon_disparity_all_ones(self):
         h, w = 3, 10
         eps = 1e-9
-        dl = disparity_map(np.full((h, w), eps), "left")
-        dr = disparity_map(np.full((h, w), eps), "right")
-        assert np.all(geometry.occlusion_mask(dl, dr))
+        disparities = {v: np.full((h, w), eps) for v in geometry.VIEWS}
+        assert np.all(geometry.occlusion_mask(disparities, "left"))
 
     def test_step_edge_occlusion_band(self):
         h, w = 4, 32
@@ -160,7 +154,7 @@ class TestOcclusion:
         # right view: foreground region shifts left by its disparity
         dr = np.full((h, w), 2.0)
         dr[:, jump_from - int(2.0 + jump) :] = 2.0 + jump
-        mask = geometry.occlusion_mask(disparity_map(dl, "left"), disparity_map(dr, "right"))
+        mask = geometry.occlusion_mask({"left": dl, "right": dr}, "left")
         expected = lr_occlusion_oracle(dl, dr, "left")
         assert np.array_equal(mask, expected)
         # the 8-px band left of the edge samples the foreground: occluded
@@ -170,19 +164,19 @@ class TestOcclusion:
 
     def test_mask_is_read_only_bool(self):
         d = np.full((2, 6), 1.5)
-        mask = geometry.occlusion_mask(disparity_map(d, "left"), disparity_map(d, "right"))
+        mask = geometry.occlusion_mask({"left": d, "right": d}, "left")
         assert mask.dtype == bool and mask.shape == (2, 6)
         with pytest.raises(ValueError):
             mask[0, 0] = False
 
-    def test_same_view_rejected(self):
-        d = disparity_map(np.ones((2, 4)), "left")
-        with pytest.raises(ValueError):
-            geometry.occlusion_mask(d, d)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            geometry.occlusion_mask(disparity_map(np.ones((2, 8)), "left"), disparity_map(np.ones((4, 4)), "right"))
+            geometry.occlusion_mask({"left": np.ones((2, 8)), "right": np.ones((4, 4))}, "left")
+
+    def test_non_map_rejected(self):
+        d = np.ones(8)
+        with pytest.raises(ValueError):
+            geometry.occlusion_mask({"left": d, "right": d}, "left")
 
 
 class TestTentPlan:
@@ -192,55 +186,61 @@ class TestTentPlan:
             with pytest.raises(ValueError):
                 a[...] = 0
 
+    @pytest.mark.parametrize("view", geometry.VIEWS)
+    def test_warp_plan_is_the_plan_of_the_signed_offset(self, view):
+        d = np.random.default_rng(4).uniform(0.5, 6.0, (3, 9))
+        want = geometry.tent_plan(geometry.signed_offset(ad.constant(d), view).data)
+        got = geometry.warp_plan(d, view)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
 
 class TestMetrics:
     def test_epe_constant_offset(self):
-        gt = disparity_map(np.full((5, 6), 4.0), "left")
+        gt = np.full((5, 6), 4.0)
         pred = ad.constant(np.full((5, 6), 5.0))
         assert geometry.epe(pred, gt) == pytest.approx(1.0)
 
     def test_epe_perfect(self):
-        gt = disparity_map(np.full((5, 6), 4.0), "left")
-        assert geometry.epe(gt.values, gt) == 0.0
+        gt = np.full((5, 6), 4.0)
+        assert geometry.epe(ad.constant(gt), gt) == 0.0
 
     def test_epe_hand_summed(self):
         rng = np.random.default_rng(8)
-        gt_vals = rng.uniform(1, 10, (4, 5))
-        pred = gt_vals + rng.standard_normal((4, 5))
-        gt = disparity_map(gt_vals, "left")
-        expected = sum(abs(pred[j, i] - gt_vals[j, i]) for j in range(4) for i in range(5)) / 20
+        gt = rng.uniform(1, 10, (4, 5))
+        pred = gt + rng.standard_normal((4, 5))
+        expected = sum(abs(pred[j, i] - gt[j, i]) for j in range(4) for i in range(5)) / 20
         assert geometry.epe(ad.constant(pred), gt) == pytest.approx(expected, abs=1e-15)
 
     def test_d1_small_gt_counts_outlier(self):
-        gt = disparity_map(np.full((1, 1), 10.0), "left")
+        gt = np.full((1, 1), 10.0)
         pred = ad.constant(np.full((1, 1), 14.0))  # error 4 > max(3, 0.5)
         assert geometry.d1_all(pred, gt) == pytest.approx(100.0)
 
     def test_d1_large_gt_not_outlier(self):
-        gt = disparity_map(np.full((1, 1), 100.0), "left")
+        gt = np.full((1, 1), 100.0)
         pred = ad.constant(np.full((1, 1), 104.0))  # error 4 <= max(3, 5)
         assert geometry.d1_all(pred, gt) == pytest.approx(0.0)
 
     def test_d1_perfect(self):
-        gt = disparity_map(np.full((3, 3), 7.0), "left")
-        assert geometry.d1_all(gt.values, gt) == 0.0
+        gt = np.full((3, 3), 7.0)
+        assert geometry.d1_all(ad.constant(gt), gt) == 0.0
 
     def test_d1_strict_threshold_boundaries(self):
         # errors of exactly 3 px and exactly 0.05 d are NOT outliers
-        gt = disparity_map(np.array([[10.0, 100.0]]), "left")
+        gt = np.array([[10.0, 100.0]])
         pred = ad.constant(np.array([[13.0, 105.0]]))
         assert geometry.d1_all(pred, gt) == pytest.approx(0.0)
         pred_over = ad.constant(np.array([[13.0 + 1e-9, 105.0 + 1e-9]]))
         assert geometry.d1_all(pred_over, gt) == pytest.approx(100.0)
 
     def test_shape_mismatch(self):
-        gt = disparity_map(np.ones((2, 2)), "left")
+        gt = np.ones((2, 2))
         with pytest.raises(ValueError):
             geometry.epe(ad.constant(np.ones((3, 3))), gt)
 
     @pytest.mark.parametrize("metric", [geometry.epe, geometry.d1_all])
     def test_both_metrics_check_shape(self, metric):
-        gt = disparity_map(np.ones((2, 2)), "left")
+        gt = np.ones((2, 2))
         with pytest.raises(ValueError, match=r"^prediction shape \(3, 3\) != ground truth shape \(2, 2\)$"):
             metric(ad.constant(np.ones((3, 3))), gt)
 
@@ -254,3 +254,17 @@ class TestSignedOffset:
     def test_bad_view(self):
         with pytest.raises(ValueError):
             geometry.signed_offset(ad.constant(np.ones((2, 2))), "middle")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: geometry.warp_plan(d, "middle"),
+        lambda d: geometry.disparity_to_world_points(d, "middle", TestReprojection.RIG),
+        lambda d: geometry.occlusion_mask({"left": d, "right": d, "middle": d}, "middle"),
+    ],
+    ids=["warp_plan", "disparity_to_world_points", "occlusion_mask"],
+)
+def test_functions_taking_a_view_check_it(call):
+    with pytest.raises(ValueError, match="view must be one of"):
+        call(np.ones((2, 3)))

@@ -50,12 +50,8 @@ class TestAdvDiscriminator:
 
 class TestStereoConsistency:
     def _setup(self, h=6, w=12, d=2.5):
-        disp = {
-            v: geometry.DisparityMap(ad.constant(np.full((h, w), d)), v) for v in VIEWS
-        }
-        masks = {
-            v: geometry.occlusion_mask(disp[v], disp[geometry.other_view(v)]) for v in VIEWS
-        }
+        disp = {v: np.full((h, w), d) for v in VIEWS}
+        masks = {v: geometry.occlusion_mask(disp, v) for v in VIEWS}
         return disp, masks
 
     def test_identical_features_tiny_disparity(self):
@@ -63,8 +59,8 @@ class TestStereoConsistency:
         eps = 1e-9
         rng = np.random.default_rng(0)
         f = ad.constant(rng.standard_normal((2, h, w)))
-        disp = {v: geometry.DisparityMap(ad.constant(np.full((h, w), eps)), v) for v in VIEWS}
-        masks = {v: geometry.occlusion_mask(disp[v], disp[geometry.other_view(v)]) for v in VIEWS}
+        disp = {v: np.full((h, w), eps) for v in VIEWS}
+        masks = {v: geometry.occlusion_mask(disp, v) for v in VIEWS}
         loss = losses.stereo_consistency_loss(
             {v: [(f, 1)] for v in VIEWS}, None, disp, masks
         )
@@ -93,7 +89,7 @@ class TestStereoConsistency:
         expected = stereo_consistency_oracle(
             {v: [(f.data, k) for f, k in feats[v]] for v in VIEWS},
             {v: images[v].data for v in VIEWS},
-            {v: disp[v].values.data for v in VIEWS},
+            disp,
             masks,
         )
         assert abs(loss.item() - expected) <= 1e-12
@@ -102,7 +98,7 @@ class TestStereoConsistency:
         h, w = 3, 6
         rng = np.random.default_rng(3)
         feats = {v: [(ad.constant(rng.standard_normal((1, h, w))), 1)] for v in VIEWS}
-        disp = {v: geometry.DisparityMap(ad.constant(np.full((h, w), 2.0)), v) for v in VIEWS}
+        disp = {v: np.full((h, w), 2.0) for v in VIEWS}
         masks = {v: np.zeros((h, w), dtype=bool) for v in VIEWS}
         loss = losses.stereo_consistency_loss(feats, None, disp, masks)
         assert loss.item() == 0.0
@@ -112,7 +108,7 @@ class TestStereoConsistency:
         h, w = 4, 12
         f_l = ad.constant(np.zeros((1, h, w)))
         f_r = ad.constant(np.ones((1, h, w)))
-        disp = {v: geometry.DisparityMap(ad.constant(np.full((h, w), 1e-12)), v) for v in VIEWS}
+        disp = {v: np.full((h, w), 1e-12) for v in VIEWS}
         losses_by_mask = []
         for cols in (w, w // 2):
             m = np.zeros((h, w), dtype=bool)
@@ -135,30 +131,28 @@ class TestStereoConsistency:
             {"left": [(f_l, 1)], "right": [(f_r, 1)]}, None, disp, masks
         ).item()
         # replace the left features by the ground-truth warp of the right view
-        warped_l = ad.constant(
-            backward_warp_oracle(f_r.data, -disp["left"].values.data)
-        )
+        warped_l = ad.constant(backward_warp_oracle(f_r.data, -disp["left"]))
         tight = losses.stereo_consistency_loss(
             {"left": [(warped_l, 1)], "right": [(f_r, 1)]}, None, disp, masks
         ).item()
         assert tight < loose
 
 
-def _composed_l1(f_base, f_match, disparity, mask):
+def _composed_l1(f_base, f_match, disparity, view, mask):
     """The masked L1 term as the op chain it replaced: warp, sub, abs, mask, sum, scale."""
-    offset = geometry.signed_offset(ad.constant(disparity.values.data), disparity.view)
+    offset = geometry.signed_offset(ad.constant(disparity), view)
     diff = ad.absolute(ad.sub(f_base, geometry.backward_warp(f_match, offset)))
     return ad.mulc(ad.sum_all(ad.mul_spatial(diff, ad.constant(mask))), 1.0 / float(mask.sum()))
 
 
 class TestWarpedL1:
     @staticmethod
-    def _value_and_grads(term_fn, data_b, data_m, disparity, mask, term_first):
+    def _value_and_grads(term_fn, data_b, data_m, mask, term_first):
         f_b = ad.tensor(data_b, requires_grad=True)
         f_m = ad.tensor(data_m, requires_grad=True)
         # a second consumer of both inputs; whichever reaches them first sets their gradient arrays
         other = ad.sum_all(ad.mulc(ad.add(f_b, f_m), 0.5))
-        term = term_fn(f_b, f_m, disparity, mask)
+        term = term_fn(f_b, f_m, mask)
         value = term.item()
         ad.backward(ad.add(other, term) if term_first else ad.add(term, other))
         return value, f_b.grad, f_m.grad
@@ -186,9 +180,11 @@ class TestWarpedL1:
         data_b, data_m = rng.standard_normal((c, h, w)), rng.standard_normal((c, h, w))
         data_b[:, 3, :2] = 0.0  # |d| at its kink: the left view reads zeros past the edge there
         results = []
-        for term_fn in (_composed_l1, lambda fb, fm, d, m: geometry.warped_l1(fb, fm, d.warp_plan(), m)):
-            disparity = geometry.DisparityMap(ad.constant(disp), view)
-            results.append(self._value_and_grads(term_fn, data_b, data_m, disparity, mask, term_first))
+        for term_fn in (
+            lambda fb, fm, m: _composed_l1(fb, fm, disp, view, m),
+            lambda fb, fm, m: geometry.warped_l1(fb, fm, geometry.warp_plan(disp, view), m),
+        ):
+            results.append(self._value_and_grads(term_fn, data_b, data_m, mask, term_first))
         (value, grad_b, grad_m), (fused_value, fused_b, fused_m) = results
         assert fused_value == value
         assert np.array_equal(fused_b.view(np.int64), grad_b.view(np.int64))
@@ -224,8 +220,8 @@ class TestWarpedL1:
     def test_one_plan_per_base_view(self, monkeypatch):
         rng = np.random.default_rng(5)
         h, w = 4, 12
-        disp = {v: geometry.DisparityMap(ad.constant(rng.uniform(1.0, 3.0, (h, w))), v) for v in VIEWS}
-        masks = {v: geometry.occlusion_mask(disp[v], disp[geometry.other_view(v)]) for v in VIEWS}
+        disp = {v: rng.uniform(1.0, 3.0, (h, w)) for v in VIEWS}
+        masks = {v: geometry.occlusion_mask(disp, v) for v in VIEWS}
         made, handed = [], []  # (offset, plan) of each tent_plan call; (mask, plan) of each warped_l1 call
         tent_plan, warped_l1 = geometry.tent_plan, geometry.warped_l1
 
@@ -248,7 +244,7 @@ class TestWarpedL1:
         assert len(made) == 2
         plan_of = {}
         for v in VIEWS:
-            offset = geometry.signed_offset(disp[v].values, v).data
+            offset = geometry.signed_offset(ad.constant(disp[v]), v).data
             (plan_of[v],) = [plan for o, plan in made if np.array_equal(o, offset)]
         # eight terms, four per base view, each handed its own view's plan
         assert len(handed) == 8
@@ -276,16 +272,16 @@ class TestSmoothL1:
 
 class TestDisparityLoss:
     def _gt(self, h=4, w=6, d=3.0):
-        return {v: geometry.DisparityMap(ad.constant(np.full((h, w), d)), v) for v in VIEWS}
+        return {v: np.full((h, w), d) for v in VIEWS}
 
     def test_perfect_prediction(self):
         gts = self._gt()
-        preds = {v: ad.constant(gts[v].values.data.copy()) for v in VIEWS}
+        preds = {v: ad.constant(gts[v].copy()) for v in VIEWS}
         assert losses.disparity_loss(preds, gts).item() == 0.0
 
     def test_uniform_half_pixel_error(self):
         gts = self._gt()
-        preds = {v: ad.constant(gts[v].values.data + 0.5) for v in VIEWS}
+        preds = {v: ad.constant(gts[v] + 0.5) for v in VIEWS}
         assert losses.disparity_loss(preds, gts).item() == pytest.approx(0.25, abs=1e-12)
 
     def test_sums_the_views_given(self):

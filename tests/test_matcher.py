@@ -220,7 +220,7 @@ class TestStreamedSteps:
         mparams = matcher.MatcherParams(rng, channels=4, d_max=6)
         views = geometry.VIEWS
         pair = lambda: {v: ad.constant(rng.random((3, 16, 32))) for v in views}
-        gt = lambda: {v: geometry.DisparityMap(ad.constant(rng.uniform(2.0, 5.0, (16, 32))), v) for v in views}
+        gt = lambda: {v: rng.uniform(2.0, 5.0, (16, 32)) for v in views}
         return mparams, [(pair(), gt(), pair()) for _ in range(batch)]
 
     @staticmethod
@@ -273,8 +273,7 @@ class TestStreamedSteps:
         batch = []
         for seed in (1, 2):
             src, tgt = scene_inputs(seed)
-            disp = src.disparities
-            masks = {v: geometry.occlusion_mask(disp[v], disp[geometry.other_view(v)]) for v in geometry.VIEWS}
+            masks = {v: geometry.occlusion_mask(src.disparities, v) for v in geometry.VIEWS}
             batch.append((src, masks, tgt, ad.constant(rng.standard_normal(4))))
         # the one-graph generator objective of the batch, as train_translator built it before it streamed
         det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.sn_states, update=False)

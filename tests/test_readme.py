@@ -1,4 +1,4 @@
-"""The README's commands, config keys and paper-to-code names exist in the package."""
+"""The README's commands, config keys and paper-to-code names, and the package's exports, exist in the package."""
 
 import importlib
 import re
@@ -46,3 +46,8 @@ def test_paper_to_code_table_names_resolve():
     for name in names:
         module, attr = name.split(".")
         assert callable(getattr(importlib.import_module(f"sca_stereo.{module}"), attr, None)), name
+
+
+def test_every_export_resolves():
+    package = importlib.import_module("sca_stereo")
+    assert package.__all__ and all(hasattr(package, name) for name in package.__all__)

@@ -39,16 +39,23 @@ class TestGenerateScene:
         b = synth.generate_scene(synth.SceneSpec(seed=7))
         for v in ("left", "right"):
             assert np.array_equal(a.images[v].data, b.images[v].data)
-            assert np.array_equal(a.disparities[v].values.data, b.disparities[v].values.data)
+            assert np.array_equal(a.disparities[v], b.disparities[v])
+
+    def test_disparities_are_read_only_float64_maps_keyed_by_view(self):
+        s = synth.generate_scene(synth.SceneSpec(seed=2, image_size=(16, 32)))
+        assert set(s.disparities) == set(geometry.VIEWS)
+        for d in s.disparities.values():
+            assert type(d) is np.ndarray and d.dtype == np.float64 and d.shape == (16, 32)
+            assert not d.flags.writeable
 
     def test_single_layer_constant_disparity(self):
         spec = synth.SceneSpec(seed=3, num_layers=1, image_size=(16, 48))
         s = synth.generate_scene(spec)
-        d = s.disparities["left"].values.data
+        d = s.disparities["left"]
         assert len(np.unique(d)) == 1
-        assert np.array_equal(d, s.disparities["right"].values.data)
+        assert np.array_equal(d, s.disparities["right"])
         disp = float(d[0, 0])
-        offset = geometry.signed_offset(s.disparities["left"].values, "left")
+        offset = geometry.signed_offset(ad.constant(d), "left")
         warped = geometry.backward_warp(s.images["right"], offset).data
         cols = np.arange(48) - disp >= 0
         assert np.max(np.abs(warped - s.images["left"].data)[:, :, cols]) <= 1e-6
@@ -58,8 +65,8 @@ class TestGenerateScene:
         for seed in range(100):
             style = "target" if seed % 2 else "source"
             s = synth.generate_scene(synth.SceneSpec(seed=seed, domain_style=style))
-            mask = geometry.occlusion_mask(s.disparities["left"], s.disparities["right"])
-            offset = geometry.signed_offset(s.disparities["left"].values, "left")
+            mask = geometry.occlusion_mask(s.disparities, "left")
+            offset = geometry.signed_offset(ad.constant(s.disparities["left"]), "left")
             warped = geometry.backward_warp(s.images["right"], offset).data
             err = np.abs(warped - s.images["left"].data).max(axis=0)
             worst = max(worst, float((err * mask).max()))
@@ -70,10 +77,8 @@ class TestGenerateScene:
             s = synth.generate_scene(synth.SceneSpec(seed=seed, integer_disparities=True))
             for base in ("left", "right"):
                 match = geometry.other_view(base)
-                mask = geometry.occlusion_mask(s.disparities[base], s.disparities[match])
-                oracle = visibility_oracle(
-                    s.disparities[base].values.data, s.disparities[match].values.data, base
-                )
+                mask = geometry.occlusion_mask(s.disparities, base)
+                oracle = visibility_oracle(s.disparities[base], s.disparities[match], base)
                 assert np.array_equal(mask, oracle)
 
     def test_two_layer_occlusion_band(self):
@@ -83,10 +88,7 @@ class TestGenerateScene:
         dl[:, 40:56] = 10.0
         dr = np.full((h, w), 2.0)
         dr[:, 30:46] = 10.0  # shifted left by 10
-        mask = geometry.occlusion_mask(
-            geometry.DisparityMap(ad.constant(dl), "left"),
-            geometry.DisparityMap(ad.constant(dr), "right"),
-        )
+        mask = geometry.occlusion_mask({"left": dl, "right": dr}, "left")
         oracle = lr_occlusion_oracle(dl, dr, "left")
         assert np.array_equal(mask, oracle)
         # the 8 background pixels left of the strip map into the foreground: occluded
@@ -99,9 +101,7 @@ class TestGenerateScene:
             src = synth.generate_scene(synth.SceneSpec(seed=seed, domain_style="source"))
             tgt = synth.generate_scene(synth.SceneSpec(seed=seed, domain_style="target"))
             for v in ("left", "right"):
-                assert np.array_equal(
-                    src.disparities[v].values.data, tgt.disparities[v].values.data
-                )
+                assert np.array_equal(src.disparities[v], tgt.disparities[v])
                 assert not np.array_equal(src.images[v].data, tgt.images[v].data)
 
     def test_target_photometry_shifts_statistics(self):
@@ -125,7 +125,8 @@ class TestPfm:
         path = tmp_path / "map.pfm"
         fileio.write_pfm(ad.constant(values), path)
         back = fileio.read_pfm(path)
-        assert np.array_equal(back.data, values)
+        assert np.array_equal(back, values)
+        assert back.dtype == np.float64 and not back.flags.writeable
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "map.pfm"
@@ -140,7 +141,7 @@ class TestPfm:
             f.write(b"Pf\n2 2\n1.0\n")
             f.write(values[::-1].tobytes())
         back = fileio.read_pfm(path)
-        assert np.array_equal(back.data, values.astype(np.float64))
+        assert np.array_equal(back, values.astype(np.float64))
 
     @pytest.mark.parametrize("scale", [b"-1.0", b"1.0"])
     def test_decode_is_read_only_native_float32(self, tmp_path, scale):
@@ -288,8 +289,8 @@ class TestPpm:
         back = synth.read_sample(tmp_path, {k: v for k, v in paths.items()}, rig)
         assert np.max(np.abs(back.images["left"].data - s.images["left"].data)) <= 1 / 510 + 1e-12
         assert np.array_equal(
-            back.disparities["left"].values.data,
-            s.disparities["left"].values.data.astype(np.float32).astype(np.float64),
+            back.disparities["left"],
+            s.disparities["left"].astype(np.float32).astype(np.float64),
         )
 
 
