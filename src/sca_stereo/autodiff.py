@@ -417,7 +417,7 @@ def pixel_norm(a: Tensor, eps: float = 1e-8) -> Tensor:
 def softmax(a: Tensor, axis: int) -> Tensor:
     """Max-stabilized softmax along ``axis``.
 
-    Entries of ``-inf`` act as masks and receive zero weight; a slice that is
+    Entries of ``-inf`` are masked out and receive zero weight; a slice that is
     entirely masked returns all zeros instead of raising.
     """
     if not -a.ndim <= axis < a.ndim:

@@ -3,11 +3,13 @@
 The file is the line ``sca-ckpt 1``, one ``name<TAB>shape`` line per array
 (comma-separated dimensions, empty for a scalar), an empty line, then the
 little-endian float64 payloads back to back in header order. Round-trips
-are bit-exact. The reader accepts exactly what :func:`save_arrays` writes
-(unique UTF-8 names, canonical decimal dimensions, no trailing bytes) and
-raises :class:`FormatError` on anything else. A save writes a temporary
-file beside the target and moves it over the target with ``os.replace``,
-so a save that fails or is killed part way leaves the previous checkpoint.
+are bit-exact, and every value is finite (the writer raises ``ValueError``
+on any other). The reader accepts exactly what :func:`save_arrays` writes
+(unique UTF-8 names, canonical decimal dimensions, finite values, no
+trailing bytes) and raises :class:`FormatError` on anything else. A save
+writes a temporary file beside the target and moves it over the target
+with ``os.replace``, so a save that fails or is killed part way leaves the
+previous checkpoint.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ def save_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
     try:
         with open(tmp, "wb") as f:
             f.write(header)
-            for a in arrays.values():
-                f.write(np.asarray(a, dtype="<f8", order="C").tobytes())
+            for name, a in arrays.items():
+                payload = np.asarray(a, dtype="<f8", order="C")
+                if not np.isfinite(payload).all():
+                    raise ValueError(f"array {name!r} holds a non-finite value; a checkpoint holds finite values only")
+                f.write(payload.tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -66,8 +71,12 @@ def load_arrays(path: Path) -> dict[str, np.ndarray]:
         stop = pos + 8 * math.prod(shape)  # Python ints: no overflow
         if stop > len(blob):
             raise FormatError(f"array {name!r} extends past end of checkpoint", pos)
+        values = np.frombuffer(blob[pos:stop], dtype="<f8")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise FormatError(f"array {name!r} holds a non-finite value", pos + 8 * int(np.argmin(finite)))
         try:
-            arrays[name] = np.frombuffer(blob[pos:stop], dtype="<f8").reshape(shape).copy()
+            arrays[name] = values.reshape(shape).copy()
         except ValueError:  # an empty array with a dimension numpy cannot index
             raise FormatError(f"array {name!r}: shape {shape} is too large", line_pos) from None
         line_pos, pos = line_pos + len(line) + 1, stop

@@ -90,7 +90,7 @@ class TentPlan(NamedTuple):
     source index of every left tap, then of every right tap, clipped into
     the image; ``weights`` holds their tent weights in the same order,
     ``1 - frac`` and ``frac``, zero for a tap outside the image. ``in0`` and
-    ``in1`` are the [H,W] masks of taps inside the image. All four arrays
+    ``in1`` are the [H,W] bool maps of taps inside the image. All four arrays
     are read-only, so one plan may serve any number of warps.
     """
 
@@ -227,20 +227,24 @@ def warped_l1(f_base: Tensor, f_match: Tensor, plan: TentPlan, mask: np.ndarray)
     return ad._result(value, (f_base, f_match), vjps)
 
 
-def occlusion_mask(disparities: dict[str, np.ndarray], view: str) -> np.ndarray:
-    """Left-right consistency check of base view ``view``: a read-only bool
-    [H,W] map, True where |D_b - warp(D_m, D_b)| < 1, i.e. where the base
-    pixel's match is visible in the other view. ``disparities`` holds both
-    views' maps.
+def lr_mask(disparities: dict[str, np.ndarray], view: str, plan: TentPlan) -> np.ndarray:
+    """Left-right consistency check of base view ``view`` on ``plan``, the :func:`warp_plan` of its map: a
+    read-only bool [H,W] map, True where |D_b - warp(D_m, D_b)| < 1, i.e. where the base pixel's match is
+    visible in the other view. ``disparities`` holds both views' maps.
     """
     match = disparities[other_view(view)]
     base = disparities[view]
     if match.shape != base.shape:
         raise ValueError(f"occlusion_mask: shape mismatch {base.shape} vs {match.shape}")
-    warped = _lerp(match.reshape(1, base.size), warp_plan(base, view)).reshape(base.shape)
+    warped = _lerp(match.reshape(1, base.size), plan).reshape(base.shape)
     mask = np.abs(base - warped) < 1.0
     mask.flags.writeable = False
     return mask
+
+
+def occlusion_mask(disparities: dict[str, np.ndarray], view: str) -> np.ndarray:
+    """The :func:`lr_mask` of base view ``view``, on a plan of its own."""
+    return lr_mask(disparities, view, warp_plan(disparities[view], view))
 
 
 def _errors(pred: Tensor, gt: np.ndarray) -> np.ndarray:
@@ -258,7 +262,7 @@ def epe(pred: Tensor, gt: np.ndarray) -> float:
 
 
 def d1_all(pred: Tensor, gt: np.ndarray) -> float:
-    """Percentage of pixels with error strictly above max(3, 0.05 * gt)."""
+    """Percentage of pixels whose error is not at most max(3, 0.05 * gt): a NaN prediction counts as an outlier."""
     err = _errors(pred, gt)
-    outliers = err > np.maximum(3.0, 0.05 * gt)
+    outliers = ~(err <= np.maximum(3.0, 0.05 * gt))
     return float(100.0 * outliers.sum() / err.size)

@@ -202,14 +202,9 @@ def _hinge_discriminator(fake, real_source, real_target):
 
 
 def _stereo_consistency(fl, fr):
-    h, w = fl.shape[1:]
-    d = np.full((h, w), 2.5)
-    return losses.stereo_consistency_loss(
-        {"left": [(fl, 1)], "right": [(fr, 1)]},
-        None,
-        {v: d for v in VIEWS},
-        {v: np.ones((h, w), dtype=bool) for v in VIEWS},
-    )
+    # d = 2.5 leaves 3 border columns of each view out of its occlusion mask
+    d = np.full(fl.shape[1:], 2.5)
+    return losses.stereo_consistency_loss({"left": [(fl, 1)], "right": [(fr, 1)]}, None, {v: d for v in VIEWS})
 
 
 def _disparity(pl, pr):

@@ -74,7 +74,6 @@ def stereo_consistency_loss(
     gen_feats: dict[str, list[tuple[Tensor, int]]],
     images: dict[str, Tensor] | None,
     gt_disparities: dict[str, np.ndarray],
-    masks: dict[str, np.ndarray],
 ) -> Tensor:
     """Occlusion-masked L1 between each view and the warp of the other view.
 
@@ -84,9 +83,10 @@ def stereo_consistency_loss(
     ground-truth disparity of the base view, normalized by the unoccluded
     pixel count, and summed over scales and both view orderings. Each term
     is one :func:`geometry.warped_l1` op; the terms of one base view share
-    one :func:`geometry.warp_plan`, which lives only as long
-    as the tape. ``masks`` holds the bool occlusion mask of each base view;
-    an empty mask adds no terms.
+    one :func:`geometry.warp_plan`, which lives only as long as the tape,
+    and that plan also gives the view's occlusion mask, the
+    :func:`geometry.lr_mask` of the two ground-truth maps. A base view
+    whose mask is empty adds no terms.
 
     One scale is upsampled at a time, for both views, and both base views'
     terms of that scale are built before the next: no term keeps a feature,
@@ -98,12 +98,13 @@ def stereo_consistency_loss(
     if factors != [factor for _, factor in gen_feats["right"]]:
         raise ValueError("mismatched upsampling factors between views")
     plans = {b: geometry.warp_plan(gt_disparities[b], b) for b in VIEWS}
+    visible = {b: geometry.lr_mask(gt_disparities, b, plans[b]) for b in VIEWS}
     terms: dict[str, list[Tensor]] = {b: [] for b in VIEWS}
 
     def add_terms(full: dict[str, Tensor]) -> None:
         """Both base views' terms of one scale; ``full`` dies with the call."""
         for b in VIEWS:
-            mask = masks[b]
+            mask = visible[b]
             if full[b].shape[1:] != mask.shape:
                 raise ValueError(
                     f"upsampled feature {full[b].shape} does not reach mask resolution {mask.shape}"

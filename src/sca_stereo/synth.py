@@ -73,11 +73,11 @@ class SceneSpec:
 
 @dataclass
 class StereoSample:
-    """Rectified pair with a read-only float64 [H,W] ground-truth disparity under each view."""
+    """Rectified pair with a read-only float64 [H,W] ground-truth disparity under each view, and nothing else: the
+    camera rig is :func:`default_rig` of the maps' size, and each view's occlusion mask a function of both maps."""
 
     images: dict[str, Tensor]
     disparities: dict[str, np.ndarray]
-    rig: CameraRig
 
 
 def default_rig(height: int, width: int) -> CameraRig:
@@ -222,7 +222,7 @@ def generate_scene(spec: SceneSpec) -> StereoSample:
         images[view] = ad.constant(image)
         dmap.flags.writeable = False
         disparity_maps[view] = dmap
-    return StereoSample(images, disparity_maps, default_rig(h, w))
+    return StereoSample(images, disparity_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +254,13 @@ class StoredSample:
     images: dict[str, np.ndarray]
     disparities: dict[str, np.ndarray]
 
-    def build(self, rig: CameraRig) -> StereoSample:
+    def build(self) -> StereoSample:
         """The float64 sample, in fresh arrays on every call."""
         images = {v: fileio.ppm_tensor(image) for v, image in self.images.items()}
         disparities = {v: d.astype(np.float64) for v, d in self.disparities.items()}
         for d in disparities.values():
             d.flags.writeable = False
-        return StereoSample(images, disparities, rig)
+        return StereoSample(images, disparities)
 
 
 def read_stored_sample(directory: Path, row: dict[str, str]) -> StoredSample:
@@ -270,8 +270,8 @@ def read_stored_sample(directory: Path, row: dict[str, str]) -> StoredSample:
     )
 
 
-def read_sample(directory: Path, row: dict[str, str], rig: CameraRig) -> StereoSample:
-    return read_stored_sample(directory, row).build(rig)
+def read_sample(directory: Path, row: dict[str, str]) -> StereoSample:
+    return read_stored_sample(directory, row).build()
 
 
 def write_manifest(rows: list[dict[str, str]], path: Path) -> None:

@@ -109,20 +109,15 @@ def gen_data(config: RunConfig) -> Path:
 
 class LoadedSplit:
     """One split in memory as its files hold it: per sample, read-only uint8 [3,H,W] images and
-    float32 [H,W] disparities (:class:`synth.StoredSample`).
+    float32 [H,W] disparities (:class:`synth.StoredSample`), and nothing derived from them.
 
     ``samples[k]`` builds sample k's float64 :class:`synth.StereoSample` afresh on every read, equal bit for
-    bit to :func:`synth.read_sample` of its files; occlusion masks are built on first read of ``masks``.
+    bit to :func:`synth.read_sample` of its files.
     """
 
-    def __init__(self, stored: list[synth.StoredSample], rig: geometry.CameraRig):
+    def __init__(self, stored: list[synth.StoredSample]):
         self.stored = stored
-        self.samples = _BuiltSamples(stored, rig)
-
-    @functools.cached_property
-    def masks(self) -> list[dict[str, np.ndarray]]:
-        """Each sample's bool left-right consistency mask per view; only stereo-consistency terms read them."""
-        return [{v: geometry.occlusion_mask(s.disparities, v) for v in VIEWS} for s in self.samples]
+        self.samples = _BuiltSamples(stored)
 
     def __len__(self) -> int:
         return len(self.stored)
@@ -131,14 +126,14 @@ class LoadedSplit:
 class _BuiltSamples(Sequence):
     """The read-only sequence of a split's float64 samples, each built when it is read."""
 
-    def __init__(self, stored: list[synth.StoredSample], rig: geometry.CameraRig):
-        self._stored, self._rig = stored, rig
+    def __init__(self, stored: list[synth.StoredSample]):
+        self._stored = stored
 
     def __len__(self) -> int:
         return len(self._stored)
 
     def __getitem__(self, k: int) -> synth.StereoSample:
-        return self._stored[operator.index(k)].build(self._rig)
+        return self._stored[operator.index(k)].build()
 
 
 def load_split(config: RunConfig, split: str) -> LoadedSplit:
@@ -148,20 +143,20 @@ def load_split(config: RunConfig, split: str) -> LoadedSplit:
     manifest = data_dir / "manifest.csv"
     if not manifest.is_file():
         raise ConfigError(f"dataset manifest not found at {manifest}; run gen-data first")
-    rig = synth.default_rig(config.image_height, config.image_width)
     rows = [r for r in synth.read_manifest(manifest) if r["split"] == split]
     if not rows:
         raise ConfigError(f"split '{split}' is empty in {manifest}")
-    return LoadedSplit([_checked_sample(config, data_dir, row) for row in rows], rig)
+    return LoadedSplit([_checked_sample(config, data_dir, row) for row in rows])
 
 
 def _checked_sample(config: RunConfig, data_dir: Path, row: dict) -> synth.StoredSample:
-    """Read one sample's files: each must exist, every map must be image_height x image_width, every disparity
-    positive."""
+    """Read one sample's files: each must be a readable file, every map must be image_height x image_width, every
+    disparity positive."""
     try:
         sample = synth.read_stored_sample(data_dir, row)
-    except FileNotFoundError as err:
-        raise ConfigError(f"dataset file {err.filename} is missing; run gen-data again") from None
+    except OSError as err:
+        problem = "is missing" if isinstance(err, FileNotFoundError) else f"cannot be read ({err.strerror})"
+        raise ConfigError(f"dataset file {err.filename} {problem}; run gen-data again") from None
     h, w = config.image_height, config.image_width
     for v in VIEWS:
         disparity = sample.disparities[v]
@@ -326,18 +321,19 @@ def _generator_step(
     sample: Callable[[int], tuple], n: int, tparams: translation.TranslatorParams,
     dparams: translation.DiscriminatorParams, weights: losses.LossWeights, state: AdamState,
 ) -> tuple[dict[str, Tensor], dict[int, dict[str, Tensor]]]:
-    """One step on n samples, ``sample(k)`` giving (source sample, its occlusion masks, target sample, z), against
-    the discriminator's detached kernels normalized with the current u; returns the four logged components and
-    each sample's detached fakes by index. Each sample's objective, scaled by 1/n, is backpropagated as soon as
-    it is built, last sample first: the order backward walks one batch graph (every loss head into the fakes,
-    then the translate graphs, last sample first), so every parameter sums its gradient in that order.
+    """One step on n samples, ``sample(k)`` giving (source sample, target sample, z), against the discriminator's
+    detached kernels normalized with the current u; returns the four logged components and each sample's detached
+    fakes by index. The stereo term derives each view's occlusion mask from the disparities. Each sample's
+    objective, scaled by 1/n, is backpropagated as soon as it is built, last sample first: the order backward walks
+    one batch graph (every loss head into the fakes, then the translate graphs, last sample first), so every
+    parameter sums its gradient in that order.
     """
     det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.sn_states, update=False)
     parts, fakes_of = {}, {}
 
     def term(k: int) -> Tensor:
-        src, masks, tgt, z = sample(k)
-        fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+        src, tgt, z = sample(k)
+        fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
         fakes_of[k] = {v: fakes[v].detach() for v in VIEWS}
         fake = {v: translation.discriminate(fakes[v], det, dparams.n_scales) for v in VIEWS}
         real_hidden = [h for v in VIEWS for h in translation.discriminate(tgt.images[v], det, dparams.n_scales)[1]]
@@ -345,7 +341,7 @@ def _generator_step(
             "adv_g": losses.adv_loss_generator({v: fake[v][0] for v in VIEWS}),
             "perc": ad.mean_n([losses.perceptual_loss(fakes[v], src.images[v]) for v in VIEWS]),
             "feat": losses.feature_matching_loss([h for v in VIEWS for h in fake[v][1]], real_hidden),
-            "stereo": losses.stereo_consistency_loss(feats, fakes, src.disparities, masks),
+            "stereo": losses.stereo_consistency_loss(feats, fakes, src.disparities),
         }
         parts[k] = {name: t.detach() for name, t in sample_parts.items()}
         return losses.generator_objective(sample_parts, weights)
@@ -372,8 +368,7 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
         codes = rng.standard_normal((config.translator_batch, config.z_channels))  # one z per sample
 
         def sample(k: int) -> tuple:  # built on each read, so a step holds only the samples it works on
-            si, ti = src_idx[k], tgt_idx[k]
-            return source.samples[si], source.masks[si], target.samples[ti], ad.constant(codes[k])
+            return source.samples[src_idx[k]], target.samples[tgt_idx[k]], ad.constant(codes[k])
 
         components, fakes_of = _generator_step(sample, len(codes), tparams, dparams, weights, g_state)
 
@@ -383,7 +378,7 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
         logits = lambda images: {v: translation.discriminate(images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
         terms = []
         for k in range(len(codes)):
-            src, _, tgt, _ = sample(k)
+            src, tgt, _ = sample(k)
             terms.append(losses.adv_loss_discriminator(logits(fakes_of[k]), logits(src.images), logits(tgt.images)))
         loss_c = ad.mean_n(terms)
         _descend([loss_c], dparams.params, c_state)
@@ -434,25 +429,26 @@ def _adapt_step(
     return components["disp"], components["reproj"], losses.matcher_objective(components, weights)
 
 
-def _translate_once(
+def _translations(
     source: LoadedSplit,
     target: LoadedSplit,
     tparams: translation.TranslatorParams,
     z_channels: int,
     rng: np.random.Generator,
-) -> list[dict[str, Tensor]]:
-    """The frozen translator's detached pair for each source sample, with its own z and a fixed style.
+    ids: Iterable[int],
+) -> Iterator[tuple[int, synth.StereoSample, dict[str, Tensor]]]:
+    """``(k, source sample k, its detached translated pair)`` for each k of ``ids``, by the frozen translator.
 
-    A helper, so that no sample, style or generator feature of the last translation outlives it into
-    the adapt steps.
+    Sample k is translated with its own z, row k of one draw for the whole source split (so no z depends on
+    which ids are asked for), styled by target sample ``k % len(target)``. A generator, so that no style or
+    generator feature of one translation outlives it into the next, or into the adapt steps.
     """
-    translated = []
-    for k, s in enumerate(source.samples):
-        z = ad.constant(rng.standard_normal(z_channels))
+    codes = rng.standard_normal((len(source), z_channels))
+    for k in ids:
+        src = source.samples[k]
         style = target.samples[k % len(target)]
-        fakes, _ = translation.translate(s.images, s.disparities, style.images, z, tparams, s.rig)
-        translated.append({v: fakes[v].detach() for v in VIEWS})
-    return translated
+        fakes, _ = translation.translate(src.images, src.disparities, style.images, ad.constant(codes[k]), tparams)
+        yield k, src, {v: fakes[v].detach() for v in VIEWS}
 
 
 def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
@@ -465,7 +461,8 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
     state = AdamState(mparams.params, config.adapt_lr, config.adapt_beta1, config.adapt_beta2)
     rng = _rng(config, _TAG_ADAPT)
 
-    translated = _translate_once(source, target, tparams, config.z_channels, rng)
+    everything = range(len(source))
+    translated = [pair for _, _, pair in _translations(source, target, tparams, config.z_channels, rng, everything)]
 
     def step(it: int) -> tuple[Tensor, ...]:
         src_idx = rng.integers(0, len(source), size=config.adapt_batch)
@@ -514,14 +511,10 @@ def evaluate(config: RunConfig, matcher_ckpt: Path, split: str) -> dict[str, flo
     return {"epe": mean_epe, "d1_all": mean_d1}
 
 
-def image_consistency(
-    images: dict[str, Tensor],
-    disparities: dict[str, np.ndarray],
-    masks: dict[str, np.ndarray],
-) -> float:
+def image_consistency(images: dict[str, Tensor], disparities: dict[str, np.ndarray]) -> float:
     """Image-level stereo-consistency score (no feature scales)."""
     empty: dict[str, list] = {"left": [], "right": []}
-    return losses.stereo_consistency_loss(empty, images, disparities, masks).item()
+    return losses.stereo_consistency_loss(empty, images, disparities).item()
 
 
 def translate_export(
@@ -539,17 +532,11 @@ def translate_export(
             raise ConfigError(f"unknown sample id {sid}; source_val has {len(source)} samples")
     out_dir = Path(config.output_dir) / "translated"
     out_dir.mkdir(parents=True, exist_ok=True)
-    # z must not depend on which ids were requested
-    z_all = {sid: ad.constant(rng.standard_normal(config.z_channels)) for sid in range(len(source))}
     rows = []
-    for sid in sample_ids:
-        src = source.samples[sid]
-        tgt = target.samples[sid % len(target)]
-        fakes, _ = translation.translate(src.images, src.disparities, tgt.images, z_all[sid], tparams, src.rig)
-        fileio.write_ppm(fakes["left"], out_dir / f"sample_{sid:05d}_left.ppm")
-        fileio.write_ppm(fakes["right"], out_dir / f"sample_{sid:05d}_right.ppm")
-        score = image_consistency(fakes, src.disparities, source.masks[sid])
-        rows.append([sid, _fmt(score)])
+    for sid, src, fakes in _translations(source, target, tparams, config.z_channels, rng, sample_ids):
+        for v in VIEWS:
+            fileio.write_ppm(fakes[v], out_dir / f"sample_{sid:05d}_{v}.ppm")
+        rows.append([sid, _fmt(image_consistency(fakes, src.disparities))])
     csv_path = Path(config.output_dir) / "consistency.csv"
     _write_csv(csv_path, ["sample", "consistency"], rows)
     return csv_path

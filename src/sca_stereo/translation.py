@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry
+from . import geometry, synth
 from .attention import sca_cross_attend, scaled_d_max
 from .autodiff import SpectralNormState, Tensor
 from .geometry import VIEWS
@@ -286,9 +286,10 @@ def translate(
     style_images: dict[str, Tensor],
     z: Tensor,
     tparams: TranslatorParams,
-    rig: geometry.CameraRig,
 ) -> tuple[dict[str, Tensor], dict[str, list[tuple[Tensor, int]]]]:
-    """Full translation call: clouds are derived from the disparity maps."""
+    """Full translation call: clouds are derived from the disparity maps, in the
+    :func:`synth.default_rig` of their size."""
+    rig = synth.default_rig(*src_disparities["left"].shape)
     clouds = {v: geometry.disparity_to_world_points(src_disparities[v], v, rig) for v in VIEWS}
     content = {v: content_stream(src_images[v], clouds[v], tparams) for v in VIEWS}
     style = {v: style_stream(style_images[v], tparams) for v in VIEWS}

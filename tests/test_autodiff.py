@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import geometry, synth, training
+from sca_stereo import synth, training
 from sca_stereo.config import RunConfig
 from sca_stereo.errors import NumericError
 from sca_stereo.gradcheck import check_gradients
@@ -451,10 +451,9 @@ class TestBlockedTapSums:
         mparams = training._init_matcher(config)
         training._pretrain_step([src], mparams, ad.AdamState(mparams.params, 1e-3))
         tparams, dparams = training._init_translator(config), training._init_discriminator(config)
-        masks = {v: geometry.occlusion_mask(src.disparities, v) for v in geometry.VIEWS}
         z = ad.constant(np.random.default_rng(3).standard_normal(config.z_channels))
         state = ad.AdamState(tparams.params, 1e-3)
-        training._generator_step(lambda k: (src, masks, tgt, z), 1, tparams, dparams, config.loss_weights(), state)
+        training._generator_step(lambda k: (src, tgt, z), 1, tparams, dparams, config.loss_weights(), state)
         h, w, c = config.image_height, config.image_width, config.matcher_channels
         # matcher.feat2: its forward and kernel vjp over H*(W+2) columns, its input vjp over (H+2)*(W+2)
         assert {shape for shape, n_blocks in shapes.items() if n_blocks > 1} == {

@@ -284,6 +284,16 @@ class TestCheckpointContainer:
         with pytest.raises(FormatError):
             checkpoint.load_arrays(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_at_its_offset(self, tmp_path, value):
+        path = tmp_path / "net.ckpt"
+        checkpoint.save_arrays(path, {"a": np.zeros(2), "head.b": np.arange(3.0)})
+        blob = path.read_bytes()
+        offset = len(blob) - 16  # the second value of head.b
+        path.write_bytes(blob[:offset] + np.array([value], "<f8").tobytes() + blob[offset + 8 :])
+        with pytest.raises(FormatError, match=rf"^array 'head\.b' holds a non-finite value \(byte offset {offset}\)$"):
+            checkpoint.load_arrays(path)
+
     def test_two_file_format_rejected(self, tmp_path):
         # the earlier layout: a bare payload, with name, shape and offset in a .manifest sidecar
         path = tmp_path / "net.ckpt"
@@ -292,7 +302,7 @@ class TestCheckpointContainer:
         with pytest.raises(FormatError):
             checkpoint.load_arrays(path)
 
-    @pytest.mark.parametrize("failure", ["unconvertible-array", "replace-fails"])
+    @pytest.mark.parametrize("failure", ["unconvertible-array", "replace-fails", "non-finite-array"])
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "net.ckpt"
         checkpoint.save_arrays(path, {"x": np.arange(4.0)})
@@ -300,6 +310,8 @@ class TestCheckpointContainer:
         arrays = {"x": np.ones(4), "y": np.ones(3)}
         if failure == "unconvertible-array":
             arrays["y"] = "not a number"  # fails after the header and x are written
+        elif failure == "non-finite-array":
+            arrays["y"] = np.array([1.0, np.inf, 2.0])
         else:
             def refuse(src, dst):
                 raise OSError("replace refused")
@@ -340,9 +352,7 @@ class TestPipelineCommands:
             d_max_full=config.d_max_full,
         )
         regenerated = synth.generate_scene(spec)
-        stored = synth.read_sample(
-            base / "data", row, synth.default_rig(config.image_height, config.image_width)
-        )
+        stored = synth.read_sample(base / "data", row)
         assert np.array_equal(
             stored.disparities["left"],
             regenerated.disparities["left"].astype(np.float32).astype(np.float64),
@@ -434,7 +444,7 @@ class TestPipelineCommands:
         }
         src = source.samples[sid]
         # quantization moves each channel by <= 1/510; compare at that tolerance
-        score = training.image_consistency(images, src.disparities, source.masks[sid])
+        score = training.image_consistency(images, src.disparities)
         assert float(row["consistency"]) == pytest.approx(score, abs=0.02)
 
     def test_loss_log_keeps_finished_iterations_when_a_step_raises(self, tiny_env, monkeypatch):
@@ -508,14 +518,14 @@ class TestPipelineCommands:
         main(["--config", str(cfg_path), "train-translator"])
         config = load_config(cfg_path)
         calls = []
-        original = geometry.occlusion_mask
-        monkeypatch.setattr(geometry, "occlusion_mask", lambda *a: calls.append(1) or original(*a))
+        original = geometry.lr_mask  # every occlusion mask is built here, from a stereo loss or occlusion_mask
+        monkeypatch.setattr(geometry, "lr_mask", lambda *a: calls.append(1) or original(*a))
         training.pretrain(config)
         training.adapt(config, base / "ckpt" / "translator.ckpt", base / "ckpt" / "matcher.ckpt")
         training.evaluate(config, base / "ckpt" / "matcher_adapted.ckpt", "target_test")
         assert calls == []
         training.translate_export(config, base / "ckpt" / "translator.ckpt", [0])
-        assert len(calls) == 2 * config.n_source_val  # both views of every source_val sample, once
+        assert len(calls) == 2  # both views of the one sample asked for
 
     def test_adapt_steps_hold_no_translation_of_the_pre_pass(self, tiny_env, monkeypatch):
         # adapt translates every source sample once; nothing of the last translation may outlive that pass
@@ -583,7 +593,7 @@ class TestPipelineCommands:
         split = training.load_split(config, "source_val")
         h, w = config.image_height, config.image_width
         assert _array_nbytes(split.stored[0]) == 2 * (3 * h * w) + 2 * (h * w * 4)
-        assert _array_nbytes(split) == len(split) * 14 * h * w  # nothing else until masks are read
+        assert _array_nbytes(split) == len(split) * 14 * h * w  # nothing else
         for stored in split.stored:
             for image in stored.images.values():
                 assert image.dtype == np.uint8 and image.shape == (3, h, w)
@@ -591,10 +601,6 @@ class TestPipelineCommands:
             for disparity in stored.disparities.values():
                 assert disparity.dtype == np.float32 and disparity.shape == (h, w)
                 assert not disparity.flags.writeable
-        for masks in split.masks:
-            for mask in masks.values():
-                assert mask.dtype == bool and mask.shape == (h, w)
-                assert not mask.flags.writeable
 
     def test_dataset_of_another_size_is_config_error(self, tiny_env):
         _, cfg_path = tiny_env
@@ -645,11 +651,9 @@ class TestLoadedSplit:
         h, w = config.image_height, config.image_width
         split = training.load_split(config, "source_train")
         rows = [r for r in synth.read_manifest(base / "data" / "manifest.csv") if r["split"] == "source_train"]
-        rig = synth.default_rig(h, w)
         assert len(split) == len(split.samples) == len(rows)
         for got, row in zip(split.samples, rows, strict=True):
-            want = synth.read_sample(base / "data", row, rig)
-            assert got.rig == want.rig
+            want = synth.read_sample(base / "data", row)
             assert set(got.disparities) == set(want.disparities) == set(geometry.VIEWS)
             for v in geometry.VIEWS:
                 assert not got.disparities[v].flags.writeable and not want.disparities[v].flags.writeable
@@ -789,6 +793,31 @@ class TestErrorMessages:
         capsys.readouterr()
         argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_train"]
         self._fails_with(argv, capsys, str(base / "data" / row["right_image"]), "missing", "run gen-data again")
+
+    def test_dataset_file_that_is_a_directory_reached_through_evaluate(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        config = load_config(cfg_path)
+        ckpt = training._save_params(config, "matcher.ckpt", training._init_matcher(config).params)
+        row = next(r for r in synth.read_manifest(base / "data" / "manifest.csv") if r["split"] == "target_test")
+        path = base / "data" / row["left_image"]
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_test"]
+        self._fails_with(argv, capsys, str(path), "cannot be read")
+
+    def test_checkpoint_with_a_non_finite_value_reached_through_evaluate(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        config = load_config(cfg_path)
+        ckpt = training._save_params(config, "matcher.ckpt", training._init_matcher(config).params)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:-8] + np.array([np.nan], "<f8").tobytes())  # the last array is matcher.head2.b
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_test"]
+        offset = f"(byte offset {len(blob) - 8})"
+        self._fails_with(argv, capsys, "array 'matcher.head2.b' holds a non-finite value", offset)
 
     def test_config_that_is_a_directory(self, tmp_path, capsys):
         self._fails_with(["--config", str(tmp_path), "gen-data"], capsys, f"cannot read config file {tmp_path}")

@@ -233,6 +233,12 @@ class TestMetrics:
         pred_over = ad.constant(np.array([[13.0 + 1e-9, 105.0 + 1e-9]]))
         assert geometry.d1_all(pred_over, gt) == pytest.approx(100.0)
 
+    def test_d1_nan_prediction_is_an_outlier(self):
+        gt = np.full((2, 3), 7.0)
+        pred = np.full((2, 3), np.nan)
+        pred[0, 0] = 7.0
+        assert geometry.d1_all(ad.constant(pred), gt) == pytest.approx(100.0 * 5 / 6)
+
     def test_shape_mismatch(self):
         gt = np.ones((2, 2))
         with pytest.raises(ValueError):

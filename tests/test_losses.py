@@ -4,7 +4,14 @@ import pytest
 from sca_stereo import autodiff as ad
 from sca_stereo import geometry, losses
 
-from oracles import backward_warp_oracle, smooth_l1_oracle, ssim_oracle, stereo_consistency_oracle, tape_nbytes
+from oracles import (
+    backward_warp_oracle,
+    lr_occlusion_oracle,
+    smooth_l1_oracle,
+    ssim_oracle,
+    stereo_consistency_oracle,
+    tape_nbytes,
+)
 
 VIEWS = ("left", "right")
 
@@ -50,9 +57,7 @@ class TestAdvDiscriminator:
 
 class TestStereoConsistency:
     def _setup(self, h=6, w=12, d=2.5):
-        disp = {v: np.full((h, w), d) for v in VIEWS}
-        masks = {v: geometry.occlusion_mask(disp, v) for v in VIEWS}
-        return disp, masks
+        return {v: np.full((h, w), d) for v in VIEWS}
 
     def test_identical_features_tiny_disparity(self):
         h, w = 4, 10
@@ -60,10 +65,7 @@ class TestStereoConsistency:
         rng = np.random.default_rng(0)
         f = ad.constant(rng.standard_normal((2, h, w)))
         disp = {v: np.full((h, w), eps) for v in VIEWS}
-        masks = {v: geometry.occlusion_mask(disp, v) for v in VIEWS}
-        loss = losses.stereo_consistency_loss(
-            {v: [(f, 1)] for v in VIEWS}, None, disp, masks
-        )
+        loss = losses.stereo_consistency_loss({v: [(f, 1)] for v in VIEWS}, None, disp)
         assert loss.item() <= 1e-6
 
     def test_shifted_features_zero_on_unmasked(self):
@@ -73,10 +75,8 @@ class TestStereoConsistency:
         # left column i shows world x = i, right column k shows world x = k + d
         f_l = ad.constant(base[:, :, :w])
         f_r = ad.constant(base[:, :, d:])
-        disp, masks = self._setup(h, w, float(d))
-        loss = losses.stereo_consistency_loss(
-            {"left": [(f_l, 1)], "right": [(f_r, 1)]}, None, disp, masks
-        )
+        disp = self._setup(h, w, float(d))
+        loss = losses.stereo_consistency_loss({"left": [(f_l, 1)], "right": [(f_r, 1)]}, None, disp)
         assert loss.item() <= 1e-12
 
     def test_matches_brute_force_oracle(self):
@@ -84,8 +84,11 @@ class TestStereoConsistency:
         rng = np.random.default_rng(2)
         feats = {v: [(ad.constant(rng.standard_normal((3, h, w))), 1)] for v in VIEWS}
         images = {v: ad.constant(rng.uniform(0, 1, (3, h, w))) for v in VIEWS}
-        disp, masks = self._setup(h, w, 2.5)
-        loss = losses.stereo_consistency_loss(feats, images, disp, masks)
+        disp = {v: rng.uniform(1.0, 3.0, (h, w)) for v in VIEWS}
+        # the loss derives its masks; the oracle gets them from the brute-force left-right check
+        masks = {b: lr_occlusion_oracle(disp[b], disp[geometry.other_view(b)], b) for b in VIEWS}
+        assert all(0 < masks[b].sum() < h * w for b in VIEWS)
+        loss = losses.stereo_consistency_loss(feats, images, disp)
         expected = stereo_consistency_oracle(
             {v: [(f.data, k) for f, k in feats[v]] for v in VIEWS},
             {v: images[v].data for v in VIEWS},
@@ -98,43 +101,22 @@ class TestStereoConsistency:
         h, w = 3, 6
         rng = np.random.default_rng(3)
         feats = {v: [(ad.constant(rng.standard_normal((1, h, w))), 1)] for v in VIEWS}
-        disp = {v: np.full((h, w), 2.0) for v in VIEWS}
-        masks = {v: np.zeros((h, w), dtype=bool) for v in VIEWS}
-        loss = losses.stereo_consistency_loss(feats, None, disp, masks)
+        # no pixel of either view passes the left-right check: |2 - 5| = 3, and 2 or 5 against a zero past the edge
+        disp = {"left": np.full((h, w), 2.0), "right": np.full((h, w), 5.0)}
+        assert not any(geometry.occlusion_mask(disp, v).any() for v in VIEWS)
+        loss = losses.stereo_consistency_loss(feats, None, disp)
         assert loss.item() == 0.0
-
-    def test_mask_normalization_scale_free(self):
-        # uniform per-pixel error: halving the mask area leaves the loss unchanged
-        h, w = 4, 12
-        f_l = ad.constant(np.zeros((1, h, w)))
-        f_r = ad.constant(np.ones((1, h, w)))
-        disp = {v: np.full((h, w), 1e-12) for v in VIEWS}
-        losses_by_mask = []
-        for cols in (w, w // 2):
-            m = np.zeros((h, w), dtype=bool)
-            m[:, :cols] = True
-            masks = {v: m for v in VIEWS}
-            losses_by_mask.append(
-                losses.stereo_consistency_loss(
-                    {"left": [(f_l, 1)], "right": [(f_r, 1)]}, None, disp, masks
-                ).item()
-            )
-        assert losses_by_mask[0] == pytest.approx(losses_by_mask[1], abs=1e-12)
 
     def test_warped_features_strictly_reduce_loss(self):
         h, w, d = 4, 14, 3.0
         rng = np.random.default_rng(4)
         f_l = ad.constant(rng.standard_normal((2, h, w)))
         f_r = ad.constant(rng.standard_normal((2, h, w)))
-        disp, masks = self._setup(h, w, d)
-        loose = losses.stereo_consistency_loss(
-            {"left": [(f_l, 1)], "right": [(f_r, 1)]}, None, disp, masks
-        ).item()
+        disp = self._setup(h, w, d)
+        loose = losses.stereo_consistency_loss({"left": [(f_l, 1)], "right": [(f_r, 1)]}, None, disp).item()
         # replace the left features by the ground-truth warp of the right view
         warped_l = ad.constant(backward_warp_oracle(f_r.data, -disp["left"]))
-        tight = losses.stereo_consistency_loss(
-            {"left": [(warped_l, 1)], "right": [(f_r, 1)]}, None, disp, masks
-        ).item()
+        tight = losses.stereo_consistency_loss({"left": [(warped_l, 1)], "right": [(f_r, 1)]}, None, disp).item()
         assert tight < loose
 
 
@@ -190,6 +172,19 @@ class TestWarpedL1:
         assert np.array_equal(fused_b.view(np.int64), grad_b.view(np.int64))
         assert np.array_equal(fused_m.view(np.int64), grad_m.view(np.int64))
 
+    def test_mask_normalization_scale_free(self):
+        # uniform per-pixel error: halving the mask area leaves the term unchanged
+        h, w = 4, 12
+        f_b = ad.constant(np.zeros((1, h, w)))
+        f_m = ad.constant(np.ones((1, h, w)))
+        plan = geometry.warp_plan(np.full((h, w), 1e-12), "left")
+        values = []
+        for cols in (w, w // 2):
+            mask = np.zeros((h, w), dtype=bool)
+            mask[:, :cols] = True
+            values.append(geometry.warped_l1(f_b, f_m, plan, mask).item())
+        assert values[0] == pytest.approx(values[1], abs=1e-12)
+
     def test_tape_keeps_an_int8_signed_mask_and_the_plan(self):
         rng = np.random.default_rng(12)
         c, h, w = 3, 5, 16
@@ -221,7 +216,7 @@ class TestWarpedL1:
         rng = np.random.default_rng(5)
         h, w = 4, 12
         disp = {v: rng.uniform(1.0, 3.0, (h, w)) for v in VIEWS}
-        masks = {v: geometry.occlusion_mask(disp, v) for v in VIEWS}
+        masks = {v: geometry.occlusion_mask(disp, v) for v in VIEWS}  # built before the recording starts
         made, handed = [], []  # (offset, plan) of each tent_plan call; (mask, plan) of each warped_l1 call
         tent_plan, warped_l1 = geometry.tent_plan, geometry.warped_l1
 
@@ -239,18 +234,18 @@ class TestWarpedL1:
         scales = [(2, 1), (3, 2), (4, 4)]
         feats = {v: [(ad.tensor(rng.standard_normal((c, h // k, w // k)), True), k) for c, k in scales] for v in VIEWS}
         images = {v: ad.tensor(rng.uniform(0, 1, (3, h, w)), requires_grad=True) for v in VIEWS}
-        ad.backward(losses.stereo_consistency_loss(feats, images, disp, masks))
+        ad.backward(losses.stereo_consistency_loss(feats, images, disp))
         # exactly one plan per base view, built from that view's warp offset
         assert len(made) == 2
         plan_of = {}
         for v in VIEWS:
             offset = geometry.signed_offset(ad.constant(disp[v]), v).data
             (plan_of[v],) = [plan for o, plan in made if np.array_equal(o, offset)]
-        # eight terms, four per base view, each handed its own view's plan
+        # eight terms, four per base view, each handed its own view's plan and occlusion mask
         assert len(handed) == 8
         for v in VIEWS:
-            plans = [plan for mask, plan in handed if mask is masks[v]]
-            assert len(plans) == 4 and all(plan is plan_of[v] for plan in plans)
+            view_masks = [mask for mask, plan in handed if plan is plan_of[v]]
+            assert len(view_masks) == 4 and all(np.array_equal(mask, masks[v]) for mask in view_masks)
 
 
 class TestSmoothL1:

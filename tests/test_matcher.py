@@ -251,7 +251,7 @@ class TestStreamedSteps:
 
     def test_pretrain_step_matches_one_graph(self):
         mparams, batch = self._setup()
-        samples = [synth.StereoSample(pair, gt, synth.default_rig(16, 32)) for pair, gt, _ in batch]
+        samples = [synth.StereoSample(pair, gt) for pair, gt, _ in batch]
         terms = [
             losses.l1_disparity_loss(
                 matcher.predict_disparity(s.images["left"], s.images["right"], mparams), s.disparities["left"]
@@ -273,14 +273,13 @@ class TestStreamedSteps:
         batch = []
         for seed in (1, 2):
             src, tgt = scene_inputs(seed)
-            masks = {v: geometry.occlusion_mask(src.disparities, v) for v in geometry.VIEWS}
-            batch.append((src, masks, tgt, ad.constant(rng.standard_normal(4))))
+            batch.append((src, tgt, ad.constant(rng.standard_normal(4))))
         # the one-graph generator objective of the batch, as train_translator built it before it streamed
         det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.sn_states, update=False)
         terms: dict[str, list] = {"adv_g": [], "perc": [], "feat": [], "stereo": []}
         reference_fakes = []
-        for src, masks, tgt, z in batch:
-            fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+        for src, tgt, z in batch:
+            fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
             reference_fakes.append({v: fakes[v].data for v in geometry.VIEWS})
             fake_logits, fake_hidden, real_hidden = {}, [], []
             for v in geometry.VIEWS:
@@ -291,7 +290,7 @@ class TestStreamedSteps:
             terms["adv_g"].append(losses.adv_loss_generator(fake_logits))
             terms["perc"].append(ad.mean_n([losses.perceptual_loss(fakes[v], src.images[v]) for v in geometry.VIEWS]))
             terms["feat"].append(losses.feature_matching_loss(fake_hidden, real_hidden))
-            terms["stereo"].append(losses.stereo_consistency_loss(feats, fakes, src.disparities, masks))
+            terms["stereo"].append(losses.stereo_consistency_loss(feats, fakes, src.disparities))
         components = {name: ad.mean_n(t) for name, t in terms.items()}
         loss = losses.generator_objective(components, weights)
         logged = {name: t.item() for name, t in components.items()}
@@ -308,7 +307,7 @@ class TestStreamedSteps:
     def test_validation_records_no_tape(self):
         mparams, batch = self._setup(batch=1)
         (pair, gt, _), = batch
-        sample = synth.StereoSample(pair, gt, synth.default_rig(16, 32))
+        sample = synth.StereoSample(pair, gt)
         assert all(p.requires_grad for p in mparams.params.values())
         pred = training._left_disparity(mparams)(sample)
         assert pred._node is None

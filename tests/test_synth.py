@@ -285,8 +285,7 @@ class TestPpm:
     def test_written_sample_parses(self, tmp_path):
         s = synth.generate_scene(synth.SceneSpec(seed=2, image_size=(16, 32)))
         paths = synth.write_sample(s, tmp_path, "sample")
-        rig = synth.default_rig(16, 32)
-        back = synth.read_sample(tmp_path, {k: v for k, v in paths.items()}, rig)
+        back = synth.read_sample(tmp_path, {k: v for k, v in paths.items()})
         assert np.max(np.abs(back.images["left"].data - s.images["left"].data)) <= 1 / 510 + 1e-12
         assert np.array_equal(
             back.disparities["left"],

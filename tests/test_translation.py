@@ -114,7 +114,7 @@ class TestStreams:
     def test_scale_shapes(self):
         tparams = tiny_translator()
         src, _ = scene_inputs()
-        cloud = geometry.disparity_to_world_points(src.disparities["left"], "left", src.rig)
+        cloud = geometry.disparity_to_world_points(src.disparities["left"], "left", synth.default_rig(16, 32))
         feats = translation.content_stream(src.images["left"], cloud, tparams)
         # scale n (1-based) has spatial size (H / 2**n, W / 2**n)
         assert feats[0].shape == (tparams.channels[0], 8, 16)
@@ -126,7 +126,7 @@ class TestStreams:
     def test_deterministic(self):
         tparams = tiny_translator()
         src, _ = scene_inputs()
-        cloud = geometry.disparity_to_world_points(src.disparities["left"], "left", src.rig)
+        cloud = geometry.disparity_to_world_points(src.disparities["left"], "left", synth.default_rig(16, 32))
         a = translation.content_stream(src.images["left"], cloud, tparams)
         b = translation.content_stream(src.images["left"], cloud, tparams)
         for x, y in zip(a, b):
@@ -135,7 +135,7 @@ class TestStreams:
     def test_finite_outputs(self):
         tparams = tiny_translator()
         src, _ = scene_inputs()
-        cloud = geometry.disparity_to_world_points(src.disparities["right"], "right", src.rig)
+        cloud = geometry.disparity_to_world_points(src.disparities["right"], "right", synth.default_rig(16, 32))
         for f in translation.content_stream(src.images["right"], cloud, tparams):
             assert np.all(np.isfinite(f.data))
 
@@ -151,7 +151,7 @@ class TestGenerate:
     def _translate(self, tparams, seed=0, z_seed=42):
         src, tgt = scene_inputs(seed)
         z = ad.constant(np.random.default_rng(z_seed).standard_normal(tparams.z_channels))
-        return translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+        return translation.translate(src.images, src.disparities, tgt.images, z, tparams)
 
     def test_output_shape_and_range(self):
         images, feats = self._translate(tiny_translator())
@@ -172,10 +172,10 @@ class TestGenerate:
         tparams = tiny_translator(sca=False)
         src, tgt = scene_inputs(3)
         z = ad.constant(np.random.default_rng(0).standard_normal(tparams.z_channels))
-        base, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+        base, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
         perturbed_images = dict(src.images)
         perturbed_images["right"] = ad.constant(np.clip(src.images["right"].data + 0.1, 0, 1))
-        out, _ = translation.translate(perturbed_images, src.disparities, tgt.images, z, tparams, src.rig)
+        out, _ = translation.translate(perturbed_images, src.disparities, tgt.images, z, tparams)
         assert np.array_equal(base["left"].data, out["left"].data)
         assert not np.array_equal(base["right"].data, out["right"].data)
 
@@ -183,10 +183,10 @@ class TestGenerate:
         tparams = tiny_translator(sca=True)
         src, tgt = scene_inputs(3)
         z = ad.constant(np.random.default_rng(0).standard_normal(tparams.z_channels))
-        base, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+        base, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
         perturbed_images = dict(src.images)
         perturbed_images["right"] = ad.constant(np.clip(src.images["right"].data + 0.1, 0, 1))
-        out, _ = translation.translate(perturbed_images, src.disparities, tgt.images, z, tparams, src.rig)
+        out, _ = translation.translate(perturbed_images, src.disparities, tgt.images, z, tparams)
         assert not np.array_equal(base["left"].data, out["left"].data)
 
     def test_generate_wq_gradient_fd(self):
@@ -197,7 +197,7 @@ class TestGenerate:
 
         def fn(_wq):
             images, _ = translation.translate(
-                src.images, src.disparities, tgt.images, z, tparams, src.rig
+                src.images, src.disparities, tgt.images, z, tparams
             )
             return [images["left"], images["right"]]
 
@@ -213,7 +213,7 @@ class TestParameters:
         tparams = tiny_translator(sca=True, seed=5)
         src, tgt = scene_inputs(4)
         z = ad.constant(np.random.default_rng(1).standard_normal(tparams.z_channels))
-        images, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams, src.rig)
+        images, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
         cotangent = ad.constant(np.random.default_rng(3).standard_normal((6, 16, 32)))
         ad.backward(ad.sum_all(ad.mul(ad.concat_channels([images["left"], images["right"]]), cotangent)))
         grads = {k: np.abs(p.grad_array()).max() for k, p in tparams.params.items() if k.endswith(".b")}
