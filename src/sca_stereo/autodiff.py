@@ -1008,44 +1008,27 @@ def collect_grads(params: dict[str, Tensor]) -> dict[str, Array]:
 # ---------------------------------------------------------------------------
 
 
-class SpectralNormState:
-    """Persistent left singular-vector estimate for one kernel."""
-
-    def __init__(self, u_vector: Array):
-        norm = np.linalg.norm(u_vector)
-        if norm == 0:
-            raise ValueError("u_vector must be nonzero")
-        self.u_vector = np.asarray(u_vector, dtype=np.float64) / norm
-
-    @classmethod
-    def for_kernel(cls, kernel_shape, rng: np.random.Generator):
-        return cls(rng.standard_normal(kernel_shape[0]))
-
-
 def _unit(x: Array) -> Array | None:
     n = np.linalg.norm(x)
     return None if n < 1e-30 else x / n
 
 
-def spectral_normalize(kernel: Tensor, state: SpectralNormState, update: bool = True) -> Tensor:
-    """Divide ``kernel`` by its power-iteration largest singular value.
-
-    The kernel is viewed as a (out-channels x rest) matrix. ``update`` runs
-    one power iteration and stores the new ``u`` in ``state`` first. The
-    singular vectors act as constants on the tape, so gradients see sigma as
-    the linear form u^T W v. A zero kernel is returned unchanged.
-    """
-    mat = kernel.data.reshape(kernel.shape[0], -1)
-    if not np.any(mat):
-        return kernel
-    u = state.u_vector
-    if update:
-        v = _unit(mat.T @ u)
-        u = None if v is None else _unit(mat @ v)
-        if u is None:
-            return kernel
-        state.u_vector = u
+def power_iteration(kernel: Array, u: Array) -> Array:
+    """One power-iteration step on ``kernel`` as an (out-channels x rest) matrix W: the next unit estimate
+    unit(W unit(W^T u)) of its top left singular vector, or ``u`` itself where that would divide by zero."""
+    mat = kernel.reshape(kernel.shape[0], -1)
     v = _unit(mat.T @ u)
+    u_next = None if v is None else _unit(mat @ v)
+    return u if u_next is None else u_next
+
+
+def spectral_normalize(kernel: Tensor, u: Array) -> Tensor:
+    """``kernel`` divided by sigma = u^T W v, with W its (out-channels x rest) matrix and v = unit(W^T u).
+
+    ``u`` is the kernel's :func:`power_iteration` estimate. The singular vectors are constants on the tape, so
+    gradients see sigma as the linear form u^T W v. A zero kernel is returned unchanged.
+    """
+    v = _unit(kernel.data.reshape(kernel.shape[0], -1).T @ u)
     if v is None:
         return kernel
     rank1 = np.outer(u, v).reshape(kernel.shape)

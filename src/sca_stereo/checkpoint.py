@@ -6,10 +6,10 @@ little-endian float64 payloads back to back in header order. Round-trips
 are bit-exact, and every value is finite (the writer raises ``ValueError``
 on any other). The reader accepts exactly what :func:`save_arrays` writes
 (unique UTF-8 names, canonical decimal dimensions, finite values, no
-trailing bytes) and raises :class:`FormatError` on anything else. A save
-writes a temporary file beside the target and moves it over the target
-with ``os.replace``, so a save that fails or is killed part way leaves the
-previous checkpoint.
+trailing bytes) and raises :class:`FormatError`, naming the file, on
+anything else. A save writes a temporary file beside the target and moves
+it over the target with ``os.replace``, so a save that fails or is killed
+part way leaves the previous checkpoint.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, naming_the_file
 
 MAGIC = b"sca-ckpt 1\n"
 
@@ -48,6 +48,7 @@ def save_arrays(path: Path, arrays: dict[str, np.ndarray]) -> None:
         raise
 
 
+@naming_the_file
 def load_arrays(path: Path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
     end = blob.find(b"\n\n", len(MAGIC) - 1)  # the empty line that ends the header

@@ -78,9 +78,8 @@ def _run(args: argparse.Namespace) -> int:
         print(f"wrote matcher checkpoint to {ckpt}")
         return 0
     if args.command == "train-translator":
-        g_ckpt, c_ckpt = training.train_translator(config)
-        print(f"wrote translator checkpoint to {g_ckpt}")
-        print(f"wrote discriminator checkpoint to {c_ckpt}")
+        ckpt = training.train_translator(config)
+        print(f"wrote translator checkpoint to {ckpt}")
         return 0
     if args.command == "adapt":
         ckpt = training.adapt(config, args.translator_ckpt, args.matcher_ckpt)

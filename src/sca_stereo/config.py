@@ -154,7 +154,7 @@ def _parse_value(key: str, raw: str, line_no: int):
 
 
 def load_config(path) -> RunConfig:
-    """Parse a ``key = value`` config file into a RunConfig."""
+    """Parse a ``key = value`` config file, each key at most once, into a RunConfig."""
     config = RunConfig()
     path = Path(path)
     if not path.exists():
@@ -163,6 +163,7 @@ def load_config(path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:  # a directory, an unreadable file, bytes that are not text
         raise ConfigError(f"cannot read config file {path}: {err}") from None
+    set_on: dict[str, int] = {}  # line of each key set so far
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -173,6 +174,9 @@ def load_config(path) -> RunConfig:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"line {line_no}: unknown config key '{key}'")
+        if key in set_on:
+            raise ConfigError(f"line {line_no}: config key '{key}' is already set on line {set_on[key]}")
+        set_on[key] = line_no
         setattr(config, key, _parse_value(key, raw, line_no))
     return config.validate()
 

@@ -6,6 +6,8 @@ separately: non-finite numbers, malformed files and unusable run
 configurations.
 """
 
+import functools
+
 
 class NumericError(ArithmeticError):
     """A computation produced or received non-finite values."""
@@ -21,6 +23,19 @@ class FormatError(ValueError):
     def __init__(self, message: str, offset: int, path=None):
         super().__init__(f"{'' if path is None else f'{path}: '}{message} (byte offset {offset})")
         self.message, self.offset, self.path = message, offset, path
+
+
+def naming_the_file(decode):
+    """``decode(path)``, with every FormatError it raises naming ``path`` beside the byte offset."""
+
+    @functools.wraps(decode)
+    def decode_file(path):
+        try:
+            return decode(path)
+        except FormatError as err:
+            raise FormatError(err.message, err.offset, path) from None
+
+    return decode_file
 
 
 class ConfigError(ValueError):

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import FormatError
+from .errors import FormatError, naming_the_file
 
 
 def write_pfm(values: Tensor | np.ndarray, path) -> None:
@@ -51,20 +50,7 @@ def _check_no_trailing_bytes(blob: bytes, end: int, kind: str) -> None:
         raise FormatError(f"{len(blob) - end} trailing bytes after the {kind} payload", end)
 
 
-def _naming_the_file(decode):
-    """``decode(path)``, with every FormatError it raises naming ``path`` beside the byte offset."""
-
-    @functools.wraps(decode)
-    def decode_file(path):
-        try:
-            return decode(path)
-        except FormatError as err:
-            raise FormatError(err.message, err.offset, path) from None
-
-    return decode_file
-
-
-@_naming_the_file
+@naming_the_file
 def decode_pfm(path) -> np.ndarray:
     """A grayscale PFM as its read-only float32 [H,W] map, top row first; the scale line's sign selects endianness."""
     with open(path, "rb") as f:
@@ -114,6 +100,8 @@ def write_ppm(image: Tensor | np.ndarray, path) -> None:
     data = image.data if isinstance(image, Tensor) else np.asarray(image)
     if data.ndim != 3 or data.shape[0] != 3:
         raise ValueError(f"write_ppm expects a [3,H,W] image, got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("write_ppm requires finite values")
     _, h, w = data.shape
     quantized = np.clip(np.floor(data * 255.0 + 0.5), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
@@ -121,7 +109,7 @@ def write_ppm(image: Tensor | np.ndarray, path) -> None:
         f.write(quantized.transpose(1, 2, 0).tobytes())
 
 
-@_naming_the_file
+@naming_the_file
 def decode_ppm(path) -> np.ndarray:
     """A binary P6 image as its read-only uint8 [3,H,W] array."""
     with open(path, "rb") as f:

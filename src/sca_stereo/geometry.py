@@ -235,7 +235,7 @@ def lr_mask(disparities: dict[str, np.ndarray], view: str, plan: TentPlan) -> np
     match = disparities[other_view(view)]
     base = disparities[view]
     if match.shape != base.shape:
-        raise ValueError(f"occlusion_mask: shape mismatch {base.shape} vs {match.shape}")
+        raise ValueError(f"lr_mask: shape mismatch {base.shape} vs {match.shape}")
     warped = _lerp(match.reshape(1, base.size), plan).reshape(base.shape)
     mask = np.abs(base - warped) < 1.0
     mask.flags.writeable = False

@@ -29,7 +29,6 @@ class MatcherParams:
     """Named parameters: siamese extractor, post-correlation encoder-decoder, head."""
 
     def __init__(self, rng: np.random.Generator, channels: int = 16, d_max: int = 16):
-        self.channels = channels
         self.d_max = d_max
         p: dict[str, Tensor] = {}
         init_conv(p, rng, "matcher.feat1", 3, channels)

@@ -173,10 +173,10 @@ def _checked_sample(config: RunConfig, data_dir: Path, row: dict) -> synth.Store
 # ---------------------------------------------------------------------------
 
 
-def _save_params(config: RunConfig, filename: str, params: dict[str, Tensor], **extra: np.ndarray) -> Path:
-    """Save ``params`` (then ``extra``) as ``<checkpoint_dir>/<filename>``; returns the path."""
+def _save_params(config: RunConfig, filename: str, params: dict[str, Tensor]) -> Path:
+    """Save ``params`` as ``<checkpoint_dir>/<filename>``; returns the path."""
     path = Path(config.checkpoint_dir) / filename
-    checkpoint.save_arrays(path, {**{name: p.data for name, p in params.items()}, **extra})
+    checkpoint.save_arrays(path, {name: p.data for name, p in params.items()})
     return path
 
 
@@ -328,7 +328,7 @@ def _generator_step(
     one batch graph (every loss head into the fakes, then the translate graphs, last sample first), so every
     parameter sums its gradient in that order.
     """
-    det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.sn_states, update=False)
+    det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.u)
     parts, fakes_of = {}, {}
 
     def term(k: int) -> Tensor:
@@ -350,8 +350,8 @@ def _generator_step(
     return {name: ad.mean_n([parts[k][name] for k in range(n)]) for name in parts[0]}, fakes_of
 
 
-def train_translator(config: RunConfig) -> tuple[Path, Path]:
-    """Stage 2: adversarial translator training; returns (G, C) ckpt paths."""
+def train_translator(config: RunConfig) -> Path:
+    """Stage 2: adversarial translator training; returns the translator's ckpt path."""
     source = load_split(config, "source_train")
     target = load_split(config, "target_train")
     tparams = _init_translator(config)
@@ -374,7 +374,8 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
 
         # discriminator step on pre-step fakes; one power iteration per kernel. One graph, not streamed:
         # every discriminate call shares the step's spectral-weight nodes.
-        d_weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=True)
+        dparams.power_iteration()
+        d_weights = translation.spectral_weights(dparams.params, dparams.u)
         logits = lambda images: {v: translation.discriminate(images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
         terms = []
         for k in range(len(codes)):
@@ -387,11 +388,7 @@ def train_translator(config: RunConfig) -> tuple[Path, Path]:
 
     columns = ["adv_g", "adv_c", "perc", "feat", "stereo"]
     _fit(config, "translator_loss.csv", columns, config.translator_iters, step)
-    u_vectors = {f"sn:{name}": state.u_vector for name, state in dparams.sn_states.items()}
-    return (
-        _save_params(config, "translator.ckpt", tparams.params),
-        _save_params(config, "discriminator.ckpt", dparams.params, **u_vectors),
-    )
+    return _save_params(config, "translator.ckpt", tparams.params)
 
 
 # ---------------------------------------------------------------------------

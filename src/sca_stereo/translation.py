@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry, synth
 from .attention import sca_cross_attend, scaled_d_max
-from .autodiff import SpectralNormState, Tensor
+from .autodiff import Tensor
 from .geometry import VIEWS
 
 
@@ -178,7 +178,6 @@ class TranslatorParams:
     ):
         if n_scales < 2:
             raise ValueError(f"n_scales must be at least 2, got {n_scales}")
-        self.base_channels = base_channels
         self.n_scales = n_scales
         self.z_channels = z_channels
         self.d_max_full = d_max_full
@@ -302,41 +301,32 @@ def translate(
 
 
 class DiscriminatorParams:
-    """Strided patch classifier at several image scales, spectral-normalized."""
-
-    LAYERS = ("conv1", "conv2", "logit")
+    """Strided patch classifier at several image scales, spectral-normalized with ``u``, each kernel's unit vector."""
 
     def __init__(self, rng: np.random.Generator, base_channels: int = 16, n_scales: int = 2):
         self.n_scales = n_scales
-        self.base_channels = base_channels
         p: dict[str, Tensor] = {}
-        self.sn_states: dict[str, SpectralNormState] = {}
+        self.u: dict[str, np.ndarray] = {}
         for s in range(n_scales):
             init_conv(p, rng, f"disc{s}.conv1", 3, base_channels)
             init_conv(p, rng, f"disc{s}.conv2", base_channels, base_channels * 2)
             init_conv(p, rng, f"disc{s}.logit", base_channels * 2, 1)
-            for layer in self.LAYERS:
+            for layer in ("conv1", "conv2", "logit"):
                 name = f"disc{s}.{layer}.w"
-                state = SpectralNormState.for_kernel(p[name].shape, rng)
-                # warm up the singular-vector estimate on the initial kernel
-                for _ in range(10):
-                    ad.spectral_normalize(p[name], state)
-                self.sn_states[name] = state
+                u = rng.standard_normal(p[name].shape[0])
+                self.u[name] = u / np.linalg.norm(u)
         self.params = p
+        for _ in range(10):  # warm up the singular-vector estimates on the initial kernels
+            self.power_iteration()
+
+    def power_iteration(self) -> None:
+        """One power-iteration step on every kernel's ``u``, on the kernels as they are now."""
+        self.u = {name: ad.power_iteration(self.params[name].data, u) for name, u in self.u.items()}
 
 
-def spectral_weights(
-    params: dict[str, Tensor], sn_states: dict[str, SpectralNormState], update: bool
-) -> dict[str, Tensor]:
-    """``params`` with each kernel named in ``sn_states`` divided by its spectral norm.
-
-    Biases pass through. ``update`` advances every power-iteration state once,
-    so call it with ``update=True`` on exactly one weight dict per step.
-    """
-    return {
-        name: ad.spectral_normalize(p, sn_states[name], update=update) if name in sn_states else p
-        for name, p in params.items()
-    }
+def spectral_weights(params: dict[str, Tensor], u: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """``params`` with each kernel named in ``u`` divided by its spectral norm; biases pass through."""
+    return {name: ad.spectral_normalize(p, u[name]) if name in u else p for name, p in params.items()}
 
 
 def discriminate(

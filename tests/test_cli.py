@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import weakref
 
@@ -87,6 +88,13 @@ class TestConfig:
         p = tmp_path / "bad.cfg"
         p.write_text("no_such_key = 1\n")
         with pytest.raises(ConfigError):
+            load_config(p)
+
+    def test_key_set_twice(self, tmp_path):
+        # the later line would otherwise win without a word
+        p = tmp_path / "twice.cfg"
+        p.write_text("image_height = 16\n# the same key again\nimage_height = 32\n")
+        with pytest.raises(ConfigError, match=r"^line 3: config key 'image_height' is already set on line 1$"):
             load_config(p)
 
     def test_bad_value(self, tmp_path):
@@ -291,7 +299,8 @@ class TestCheckpointContainer:
         blob = path.read_bytes()
         offset = len(blob) - 16  # the second value of head.b
         path.write_bytes(blob[:offset] + np.array([value], "<f8").tobytes() + blob[offset + 8 :])
-        with pytest.raises(FormatError, match=rf"^array 'head\.b' holds a non-finite value \(byte offset {offset}\)$"):
+        message = rf"^{re.escape(str(path))}: array 'head\.b' holds a non-finite value \(byte offset {offset}\)$"
+        with pytest.raises(FormatError, match=message):
             checkpoint.load_arrays(path)
 
     def test_two_file_format_rejected(self, tmp_path):
@@ -361,6 +370,10 @@ class TestPipelineCommands:
 
     def test_full_pipeline_smoke_and_determinism(self, tiny_pipeline):
         base, cfg_path, _ = tiny_pipeline
+        # the translator stage keeps only the translator: nothing reads the discriminator back
+        assert sorted(p.name for p in (base / "ckpt").iterdir()) == [
+            "matcher.ckpt", "matcher_adapted.ckpt", "translator.ckpt"
+        ]
         matcher_ckpt = base / "ckpt" / "matcher.ckpt"
         assert matcher_ckpt.exists()
         loss_log = (base / "out" / "pretrain_loss.csv").read_bytes()
@@ -375,8 +388,7 @@ class TestPipelineCommands:
         assert matcher_ckpt.read_bytes() == ckpt_bytes
 
         g_ckpt = base / "ckpt" / "translator.ckpt"
-        c_ckpt = base / "ckpt" / "discriminator.ckpt"
-        assert g_ckpt.exists() and c_ckpt.exists()
+        assert g_ckpt.exists()
         tr_log = (base / "out" / "translator_loss.csv").read_bytes()
         assert len(tr_log.decode().splitlines()) == 1 + 3
         g_bytes = g_ckpt.read_bytes()
@@ -511,6 +523,29 @@ class TestPipelineCommands:
             training.train_translator(config)
             counts.append(len(calls))
         assert counts[1] - counts[0] == 12
+
+    def test_translator_advances_u_by_one_power_iteration_per_step(self, tiny_env, monkeypatch):
+        # 10 warm-up steps, then one per discriminator step; u changes in no other way
+        _, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        seen = []
+        original = translation.DiscriminatorParams.power_iteration
+
+        def recording(dparams):
+            seen.append((dparams, dict(dparams.u), {name: dparams.params[name].data.copy() for name in dparams.u}))
+            original(dparams)
+
+        monkeypatch.setattr(translation.DiscriminatorParams, "power_iteration", recording)
+        config = load_config(cfg_path)
+        config.translator_iters = 3
+        training.train_translator(config)
+        dparams = seen[0][0]
+        assert len(seen) == 10 + 3 and all(d is dparams for d, _, _ in seen)
+        u = seen[0][1]
+        for _, u_before, kernels in seen:
+            assert all(np.array_equal(u_before[name], u[name]) for name in u)
+            u = {name: ad.power_iteration(kernels[name], u[name]) for name in u}
+        assert all(np.array_equal(dparams.u[name], u[name]) for name in u)
 
     def test_only_stereo_consistency_stages_build_occlusion_masks(self, tiny_env, monkeypatch):
         base, cfg_path = tiny_env
@@ -700,8 +735,12 @@ class TestLoadedSplit:
 
     def test_load_never_holds_the_split_in_float64(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(tiny_config_text(tmp_path) + "image_height = 32\nimage_width = 64\nn_source_train = 16\n")
-        main(["--config", str(cfg_path), "gen-data"])
+        text = tiny_config_text(tmp_path)
+        for old, new in [("image_height = 16", "image_height = 32"), ("image_width = 32", "image_width = 64"),
+                         ("n_source_train = 6", "n_source_train = 16")]:
+            text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        cfg_path.write_text(text)
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
         config = load_config(cfg_path)
         h, w = config.image_height, config.image_width
         stored_bytes = config.n_source_train * 14 * h * w
@@ -817,7 +856,7 @@ class TestErrorMessages:
         capsys.readouterr()
         argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_test"]
         offset = f"(byte offset {len(blob) - 8})"
-        self._fails_with(argv, capsys, "array 'matcher.head2.b' holds a non-finite value", offset)
+        self._fails_with(argv, capsys, f"{ckpt}: array 'matcher.head2.b' holds a non-finite value", offset)
 
     def test_config_that_is_a_directory(self, tmp_path, capsys):
         self._fails_with(["--config", str(tmp_path), "gen-data"], capsys, f"cannot read config file {tmp_path}")

@@ -170,7 +170,7 @@ class TestOcclusion:
             mask[0, 0] = False
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(ValueError, match=r"^lr_mask: shape mismatch \(2, 8\) vs \(4, 4\)$"):
             geometry.occlusion_mask({"left": np.ones((2, 8)), "right": np.ones((4, 4))}, "left")
 
     def test_non_map_rejected(self):

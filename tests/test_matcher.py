@@ -275,7 +275,7 @@ class TestStreamedSteps:
             src, tgt = scene_inputs(seed)
             batch.append((src, tgt, ad.constant(rng.standard_normal(4))))
         # the one-graph generator objective of the batch, as train_translator built it before it streamed
-        det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.sn_states, update=False)
+        det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.u)
         terms: dict[str, list] = {"adv_g": [], "perc": [], "feat": [], "stereo": []}
         reference_fakes = []
         for src, tgt, z in batch:

@@ -231,6 +231,16 @@ class TestPpm:
         fileio.write_ppm(img, path)
         assert path.read_bytes() == b"P6\n1 2\n255\n" + bytes([128] * 3 + [51] * 3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
+        # a NaN pixel would otherwise be cast to an arbitrary byte
+        img = np.full((3, 1, 2), 0.5)
+        img[0, 0, 1] = value
+        path = tmp_path / "x.ppm"
+        with pytest.raises(ValueError, match="^write_ppm requires finite values$"):
+            fileio.write_ppm(img, path)
+        assert not path.exists()
+
     def test_decode_is_read_only_uint8(self, tmp_path):
         path = tmp_path / "fix.ppm"
         path.write_bytes(b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6]))

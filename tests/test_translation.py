@@ -228,7 +228,7 @@ class TestDiscriminator:
     def test_logit_shapes_follow_stride_formula(self):
         dparams = tiny_discriminator(0)
         img = ad.constant(np.random.default_rng(1).uniform(0, 1, (3, 16, 32)))
-        weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=False)
+        weights = translation.spectral_weights(dparams.params, dparams.u)
         logits, hidden = translation.discriminate(img, weights, dparams.n_scales)
         assert logits[0].shape == (1, 4, 8)  # 16 -> 8 -> 4 via two stride-2 convs
         assert logits[1].shape == (1, 2, 4)  # half-size input
@@ -238,7 +238,7 @@ class TestDiscriminator:
         dparams = tiny_discriminator(0)
         img = ad.constant(np.random.default_rng(2).uniform(0, 1, (3, 8, 8)))
         run = lambda: translation.discriminate(
-            img, translation.spectral_weights(dparams.params, dparams.sn_states, update=False), dparams.n_scales
+            img, translation.spectral_weights(dparams.params, dparams.u), dparams.n_scales
         )[0]
         for x, y in zip(run(), run()):
             assert np.array_equal(x.data, y.data)
@@ -246,10 +246,11 @@ class TestDiscriminator:
     def test_effective_kernels_unit_spectral_norm(self):
         dparams = tiny_discriminator(3)
         for _ in range(100):
-            weights = translation.spectral_weights(dparams.params, dparams.sn_states, update=True)
+            dparams.power_iteration()
+        weights = translation.spectral_weights(dparams.params, dparams.u)
         assert set(weights) == set(dparams.params)
         for name, p in dparams.params.items():
-            if name in dparams.sn_states:
+            if name in dparams.u:
                 mat = weights[name].data.reshape(p.shape[0], -1)
                 sigma = np.linalg.svd(mat, compute_uv=False)[0]  # oracle
                 assert sigma <= 1.0 + 1e-3
@@ -258,12 +259,17 @@ class TestDiscriminator:
 
     def test_detached_params_carry_no_grads(self):
         dparams = tiny_discriminator(5)
-        det = translation.spectral_weights(
-            translation.detach_params(dparams.params), dparams.sn_states, update=False
-        )
+        det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.u)
         img = ad.constant(np.random.default_rng(6).uniform(0, 1, (3, 8, 8)))
         logits, _ = translation.discriminate(img, det, dparams.n_scales)
         assert not logits[0].requires_grad
+
+    def test_init_records_no_tape_op(self, monkeypatch):
+        calls = []
+        original = ad._result
+        monkeypatch.setattr(ad, "_result", lambda *a: calls.append(1) or original(*a))
+        tiny_discriminator(0)
+        assert calls == []
 
     def test_shared_weights_gradient_matches_per_call_weights(self):
         # one normalized weight dict shared by all calls of a step must give
@@ -273,19 +279,20 @@ class TestDiscriminator:
 
         def kernel_grads(per_call):
             dparams = tiny_discriminator(8)
-            shared = translation.spectral_weights(dparams.params, dparams.sn_states, update=True)
+            dparams.power_iteration()
+            shared = translation.spectral_weights(dparams.params, dparams.u)
             logits = []
             for img in images:
                 if per_call:
                     weights = {}
                     for name, p in dparams.params.items():
-                        state = dparams.sn_states.get(name)
-                        weights[name] = p if state is None else ad.spectral_normalize(p, state, update=False)
+                        u = dparams.u.get(name)
+                        weights[name] = p if u is None else ad.spectral_normalize(p, u)
                 else:
                     weights = shared
                 logits.extend(translation.discriminate(img, weights, dparams.n_scales)[0])
             ad.backward(ad.add_n([ad.mean_all(ad.tanh(x)) for x in logits]))
-            return {name: dparams.params[name].grad_array() for name in dparams.sn_states}
+            return {name: dparams.params[name].grad_array() for name in dparams.u}
 
         shared, reference = kernel_grads(False), kernel_grads(True)
         for name, g in reference.items():
