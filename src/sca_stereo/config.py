@@ -1,16 +1,19 @@
 """Run configuration: defaults, plain-text config files, CLI overrides.
 
-Config files are flat ``key = value`` lines with ``#`` comments; keys are
-the field names of :class:`RunConfig`. Optimizer defaults follow the
-published schedule (matcher Adam(0.9, 0.999) at 1e-4; translator
-Adam(0.0, 0.9) at 1e-4 with the discriminator at 4e-4). Batch sizes and
-iteration counts are desk-scale and meant to be overridden per experiment.
+Config files are flat ``key = value`` lines; keys are the field names of
+:class:`RunConfig`. A ``#`` at the start of a line or after whitespace starts
+a comment, so a value such as ``runs#1/data`` keeps its ``#``. Optimizer
+defaults follow the published schedule (matcher Adam(0.9, 0.999) at 1e-4;
+translator Adam(0.0, 0.9) at 1e-4 with the discriminator at 4e-4). Batch
+sizes and iteration counts are desk-scale and meant to be overridden per
+experiment.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,6 +135,7 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -165,7 +169,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     set_on: dict[str, int] = {}  # line of each key set so far
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -11,6 +11,11 @@ Layer disparities are separated by at least 2 px so every pixel whose warp
 sample straddles two surfaces fails the left-right consistency check and is
 excluded by the occlusion mask.
 
+Every layer disparity is a multiple of 1/2 (an integer grid plus an optional
+half shift) and pixel columns are integers, so within one view every pixel
+of a layer sits at the same fraction between two texture knots: each view
+renders a layer from one texture window with one interpolation weight.
+
 The target domain applies gamma, per-channel gain and seeded Gaussian noise
 to the layer textures before rendering: both views keep sampling one shared
 texture, so cross-view consistency survives the photometric shift and the
@@ -92,25 +97,22 @@ class _Layer:
         self.pad = pad
         self.geom = geom
 
-    def covers(self, world_x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def covers(self, world_x: np.ndarray, rows: np.ndarray) -> np.ndarray | bool:
         if self.kind == "background":
-            return np.ones_like(world_x, dtype=bool)
+            return True
         if self.kind == "rect":
             x0, x1, y0, y1 = self.geom
             return (world_x >= x0) & (world_x < x1) & (rows >= y0) & (rows < y1)
         cx, cy, rx, ry = self.geom
         return ((world_x - cx) / rx) ** 2 + ((rows - cy) / ry) ** 2 <= 1.0
 
-    def sample(self, world_x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # piecewise-linear in x between knots at half-integer world positions
-        u = world_x + self.pad - 0.5
-        t0 = np.floor(u).astype(np.int64)
-        frac = u - t0
-        t0 = np.clip(t0, 0, self.texture.shape[2] - 2)
-        r = rows.astype(np.int64)
-        a = self.texture[:, r, t0]
-        b = self.texture[:, r, t0 + 1]
-        return a + frac[None] * (b - a)
+    def window(self, shift: float, width: int) -> np.ndarray:
+        """The [3,H,width] layer at world x = column + ``shift``: for a multiple of 1/2, two knot windows, one weight."""
+        u = shift + self.pad - 0.5
+        t0 = int(np.floor(u))
+        a = self.texture[:, :, t0 : t0 + width]
+        b = self.texture[:, :, t0 + 1 : t0 + 1 + width]
+        return a + (u - t0) * (b - a)
 
 
 def _smooth_rows(values: np.ndarray, width: int = 5) -> np.ndarray:
@@ -174,6 +176,11 @@ def generate_scene(spec: SceneSpec) -> StereoSample:
     Geometry and textures derive from ``spec.seed`` alone, so the source and
     target renderings of one seed share bit-identical disparity maps.
     """
+    return _render(_scene_layers(spec), *spec.image_size)
+
+
+def _scene_layers(spec: SceneSpec) -> list[_Layer]:
+    """The spec's layers back to front (ascending disparity), the background first, textures in its domain's style."""
     h, w = spec.image_size
     rng = np.random.default_rng([spec.seed, 11])
     pad = int(np.ceil(spec.disparity_range[1])) + 2
@@ -200,28 +207,26 @@ def generate_scene(spec: SceneSpec) -> StereoSample:
     if spec.domain_style == "target":
         noise_rng = np.random.default_rng([spec.seed, 22])
         for layer in layers:
-            tex = np.power(layer.texture, TARGET_GAMMA)
-            tex = tex * np.asarray(TARGET_CHANNEL_GAIN)[:, None, None]
-            tex = tex + noise_rng.normal(0.0, TARGET_NOISE_SIGMA, size=tex.shape)
-            layer.texture = np.clip(tex, 0.0, 1.0)
+            tex = np.power(layer.texture, TARGET_GAMMA) * np.asarray(TARGET_CHANNEL_GAIN)[:, None, None]
+            layer.texture = np.clip(tex + noise_rng.normal(0.0, TARGET_NOISE_SIGMA, size=tex.shape), 0.0, 1.0)
+    return layers
 
-    cols = np.broadcast_to(np.arange(w, dtype=np.float64), (h, w))
-    rows = np.broadcast_to(np.arange(h, dtype=np.float64)[:, None], (h, w))
-    images = {}
-    disparity_maps = {}
-    for view in ("left", "right"):
+
+def _render(layers: list[_Layer], h: int, w: int) -> StereoSample:
+    """Composite the layers back to front, each at world x = column (left view) or column + its disparity (right)."""
+    cols = np.arange(w, dtype=np.float64)[None]
+    rows = np.arange(h, dtype=np.float64)[:, None]
+    images, disparity_maps = {}, {}
+    for view in geometry.VIEWS:
         image = np.zeros((3, h, w), dtype=np.float64)
         dmap = np.zeros((h, w), dtype=np.float64)
-        for layer in layers:  # back to front: ascending disparity
-            world_x = cols if view == "left" else cols + layer.disparity
-            mask = layer.covers(world_x, rows)
-            if not mask.any():
-                continue
-            image[:, mask] = layer.sample(world_x[mask], rows[mask])
-            dmap[mask] = layer.disparity
-        images[view] = ad.constant(image)
+        for layer in layers:
+            shift = layer.disparity if view == "right" else 0.0
+            mask = layer.covers(cols + shift, rows)
+            np.copyto(image, layer.window(shift, w), where=mask)
+            np.copyto(dmap, layer.disparity, where=mask)
         dmap.flags.writeable = False
-        disparity_maps[view] = dmap
+        images[view], disparity_maps[view] = ad.constant(image), dmap
     return StereoSample(images, disparity_maps)
 
 

@@ -3,9 +3,16 @@
 Everything here is written as plain nested loops or slice sums over the
 defining sums, on purpose: no code is shared with the library
 implementations. The exceptions: :func:`tape_arrays` and
-:func:`tape_nbytes` measure the gradient tape itself, and
+:func:`tape_nbytes` measure the gradient tape itself,
 :func:`dense_shifted_dot` and :func:`dense_band_matmul` keep the whole-row
-shifted-op kernels that the blocked ones must match bit for bit.
+shifted-op kernels that the blocked ones must match bit for bit, and
+:func:`render_oracle` renders the library's own scene layers (their shapes
+come from ``covers``) with the per-pixel gather that the window renderer
+must match bit for bit.
+
+:func:`constant_predictor` and :func:`sad_block_matcher` are learning-free
+disparity references: a matcher that does no better than them has not
+learned to match.
 """
 
 import types
@@ -139,6 +146,64 @@ def visibility_oracle(d_base, d_match, base_view):
             if 0 <= k < w and d_match[j, k] == d_base[j, i]:
                 mask[j, i] = 1.0
     return mask
+
+
+def render_oracle(layers, h, w):
+    """Composite scene layers back to front, each covered pixel gathering its own two texture knots and fraction.
+
+    Returns ``(images, disparities)``: per view a float64 [3,H,W] image and [H,W] map.
+    """
+    cols = np.broadcast_to(np.arange(w, dtype=np.float64), (h, w))
+    rows = np.broadcast_to(np.arange(h, dtype=np.float64)[:, None], (h, w))
+    images, disparities = {}, {}
+    for view in ("left", "right"):
+        image = np.zeros((3, h, w))
+        dmap = np.zeros((h, w))
+        for layer in layers:
+            world_x = cols if view == "left" else cols + layer.disparity
+            mask = np.broadcast_to(layer.covers(world_x, rows), (h, w))
+            if not mask.any():
+                continue
+            # piecewise-linear in x between knots at half-integer world positions
+            u = world_x[mask] + layer.pad - 0.5
+            t0 = np.floor(u).astype(np.int64)
+            frac = u - t0
+            t0 = np.clip(t0, 0, layer.texture.shape[2] - 2)
+            r = rows[mask].astype(np.int64)
+            a = layer.texture[:, r, t0]
+            b = layer.texture[:, r, t0 + 1]
+            image[:, mask] = a + frac[None] * (b - a)
+            dmap[mask] = layer.disparity
+        images[view], disparities[view] = image, dmap
+    return images, disparities
+
+
+def constant_predictor(split):
+    """The median of every left-view disparity in ``split.samples``, as a constant map of their size."""
+    maps = [sample.disparities["left"] for sample in split.samples]
+    return np.full(maps[0].shape, np.median(np.stack(maps)))
+
+
+def sad_block_matcher(left, right, d_max):
+    """Left-view integer disparity in 0..d_max by winner-take-all over 5x5 sums of absolute differences.
+
+    ``left`` and ``right`` are [C,H,W]. The cost of candidate d at (y, x) sums
+    |left(c, y', x') - right(c, y', x' - d)| over channels and over the 5x5
+    window around (y, x), counting only window pixels inside the image with
+    x' - d >= 0; a candidate with x - d < 0 is excluded. Ties go to the
+    smaller disparity.
+    """
+    _, h, w = left.shape
+    costs = np.full((d_max + 1, h, w), np.inf)
+    for d in range(d_max + 1):
+        diff = np.zeros((h + 4, w + 4))
+        diff[2 : 2 + h, 2 + d : 2 + w] = np.abs(left[:, :, d:] - right[:, :, : w - d]).sum(axis=0)
+        window = np.zeros((h, w))
+        for dy in range(5):
+            for dx in range(5):
+                window += diff[dy : dy + h, dx : dx + w]
+        costs[d, :, d:] = window[:, d:]
+    return np.argmin(costs, axis=0).astype(np.float64)
 
 
 def sca_oracle(f_other, q, k, d_max, direction):

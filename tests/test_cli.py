@@ -97,6 +97,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^line 3: config key 'image_height' is already set on line 1$"):
             load_config(p)
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        p = tmp_path / "hash.cfg"
+        p.write_text("data_dir = runs#1/data\n")
+        assert load_config(p).data_dir == "runs#1/data"
+
+    def test_hash_after_whitespace_or_at_line_start_is_a_comment(self, tmp_path):
+        p = tmp_path / "comments.cfg"
+        p.write_text("# note\nimage_height = 64  # rows\ndata_dir = runs\t#tab comment\n  # indented note\n")
+        config = load_config(p)
+        assert config.image_height == 64
+        assert config.data_dir == "runs"
+
     def test_bad_value(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("image_height = tall\n")

@@ -2,10 +2,21 @@ import numpy as np
 import pytest
 
 from sca_stereo import autodiff as ad
-from sca_stereo import fileio, geometry, synth
+from sca_stereo import fileio, geometry, synth, training
+from sca_stereo.config import RunConfig
 from sca_stereo.errors import FormatError
 
-from oracles import lr_occlusion_oracle, smooth_rows_oracle, visibility_oracle
+from oracles import (
+    constant_predictor,
+    lr_occlusion_oracle,
+    render_oracle,
+    sad_block_matcher,
+    smooth_rows_oracle,
+    visibility_oracle,
+)
+
+# (image_size, disparity_range, d_max_full) of the defaults and of two small configs, one with a half-integer d_min
+_SIZES = [((16, 32), (2.0, 5.0), 6), ((32, 64), (2.5, 6.0), 8), ((64, 128), (2.0, 14.0), 16)]
 
 
 class TestSceneSpec:
@@ -110,12 +121,73 @@ class TestGenerateScene:
         # gamma 1.4 darkens midtones; the blue channel gain partly compensates
         assert tgt.images["left"].data[0].mean() < src.images["left"].data[0].mean()
 
+    @pytest.mark.parametrize("size, disparity_range, d_max_full", _SIZES)
+    def test_window_renderer_matches_the_gather_oracle_bit_for_bit(self, size, disparity_range, d_max_full):
+        specs = [
+            synth.SceneSpec(seed, num_layers=1 + seed % 4, disparity_range=disparity_range, domain_style=domain,
+                            image_size=size, d_max_full=d_max_full, integer_disparities=integer)
+            for seed in range(4) for domain in synth.DOMAIN_STYLES for integer in (False, True)
+        ]
+        # a range that holds no multiple of 1/2 gives a scene without layers
+        specs.append(synth.SceneSpec(5, disparity_range=(2.6, 2.9), image_size=size, d_max_full=d_max_full))
+        for spec in specs:
+            layers = synth._scene_layers(spec)
+            sample = synth._render(layers, *size)
+            images, disparities = render_oracle(layers, *size)
+            for v in geometry.VIEWS:
+                assert sample.images[v].data.tobytes() == images[v].tobytes()
+                assert sample.disparities[v].tobytes() == disparities[v].tobytes()
+            assert synth.generate_scene(spec).images["right"].data.tobytes() == images["right"].tobytes()
+
+    def test_disparities_are_multiples_of_a_half(self):
+        ranges = [(2.0, 14.0), (2.5, 9.7), (1.3, 6.2), (3.7, 5.1)]
+        for seed in range(200):
+            domain = synth.DOMAIN_STYLES[seed % 2]
+            spec = synth.SceneSpec(seed, disparity_range=ranges[seed % 4], domain_style=domain, image_size=(16, 32),
+                                   integer_disparities=seed % 5 == 0)
+            s = synth.generate_scene(spec)
+            for d in s.disparities.values():
+                assert np.array_equal(2 * d, np.round(2 * d))
+            assert all(float(2 * layer.disparity).is_integer() for layer in synth._scene_layers(spec))
+
     def test_images_in_unit_range(self):
         for seed in (0, 1):
             s = synth.generate_scene(synth.SceneSpec(seed=seed, domain_style="target"))
             for v in ("left", "right"):
                 assert s.images[v].data.min() >= 0.0
                 assert s.images[v].data.max() <= 1.0
+
+
+class TestReferences:
+    def test_sad_block_matcher_is_exact_on_single_layer_interiors(self):
+        d_max = 6
+        for seed in range(20):
+            for domain in synth.DOMAIN_STYLES:
+                spec = synth.SceneSpec(seed, num_layers=1, disparity_range=(2.0, 5.0), domain_style=domain,
+                                       image_size=(16, 48), d_max_full=d_max, integer_disparities=True)
+                s = synth.generate_scene(spec)
+                pred = sad_block_matcher(s.images["left"].data, s.images["right"].data, d_max)
+                assert pred.shape == (16, 48)
+                assert np.array_equal(pred[2:-2, d_max + 2 :], s.disparities["left"][2:-2, d_max + 2 :])
+
+    def test_sad_block_matcher_excludes_candidates_outside_the_image(self):
+        rng = np.random.default_rng(0)
+        left, right = rng.uniform(size=(2, 3, 8, 12))
+        pred = sad_block_matcher(left, right, 5)
+        assert np.all(pred <= np.arange(12))
+
+    def test_constant_predictor_epe_is_the_mean_distance_to_the_median(self, tmp_path):
+        config = RunConfig(data_dir=str(tmp_path), image_height=16, image_width=32, d_max_full=8, d_max_scene=6.0,
+                           n_source_train=6, n_source_val=3, n_target_train=1, n_target_test=1).validate()
+        training.gen_data(config)
+        train = training.load_split(config, "source_train")
+        val = training.load_split(config, "source_val")
+        pred = constant_predictor(train)
+        median = np.median([s.disparities["left"] for s in train.samples])
+        assert pred.shape == (16, 32) and np.all(pred == median)
+        _, mean_epe, _ = training.evaluate_samples(val, lambda s: pred)
+        gt = np.stack([s.disparities["left"] for s in val.samples])
+        assert mean_epe == pytest.approx(np.abs(gt - median).mean(), rel=1e-12)
 
 
 class TestPfm:
