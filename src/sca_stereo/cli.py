@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("translate", help="export translated pairs and consistency scores")
     p.add_argument("--translator-ckpt", type=Path, required=True)
-    p.add_argument("--sample-ids", type=int, nargs="*", default=None)
+    p.add_argument("--sample-ids", type=int, nargs="+", default=None)
 
     add(
         "gradcheck", help="finite-difference battery of all ops on random output gradients: constant ones hide bad vjps"

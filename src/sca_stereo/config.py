@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import synth
 from .attention import scaled_d_max
 from .errors import ConfigError
 from .losses import LossWeights
@@ -111,8 +112,20 @@ class RunConfig:
             raise ConfigError(f"d_min {self.d_min} must be positive and at most d_max_scene {self.d_max_scene}")
         if self.image_height % 2**self.n_scales or self.image_width % 2**self.n_scales:
             raise ConfigError(f"image size {self.image_height}x{self.image_width} not divisible by 2**n_scales")
+        min_h, min_w = synth.SHAPE_MIN_SIZE
+        if self.num_layers > 1 and (self.image_height < min_h or self.image_width < min_w):
+            raise ConfigError(
+                f"image size {self.image_height}x{self.image_width} is too small for num_layers {self.num_layers}: "
+                f"the shapes of layers after the background need at least {min_h}x{min_w}"
+            )
         if self.d_max_scene >= self.d_max_full:
             raise ConfigError(f"d_max_scene {self.d_max_scene} must be smaller than d_max_full {self.d_max_full}")
+        if not all(len(grid) for grid in synth.disparity_grids(self.d_min, self.d_max_scene, self.d_max_full).values()):
+            raise ConfigError(
+                f"d_min {self.d_min} to d_max_scene {self.d_max_scene} leaves some scenes no layer disparity: a "
+                f"scene draws its layers from the integers in that range or, when d_max_scene + 0.5 < d_max_full "
+                f"{self.d_max_full}, from the half-integers in it"
+            )
         if self.d_max_full >= self.image_width:
             raise ConfigError(f"d_max_full {self.d_max_full} must be smaller than image_width {self.image_width}")
         coarse_d_max = scaled_d_max(self.d_max_full, self.n_scales)

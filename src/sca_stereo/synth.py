@@ -50,6 +50,10 @@ DEFAULT_RIG = dict(baseline_b=0.5, f_u=100.0, f_v=100.0)
 
 _MIN_LAYER_SEPARATION = 2.0
 
+# the smallest (height, width) for which every shape draw of a layer after the background has a valid range:
+# an ellipse's radii come from [6, w / 4] and [4, h / 4]
+SHAPE_MIN_SIZE = (16, 24)
+
 
 @dataclass
 class SceneSpec:
@@ -149,16 +153,19 @@ def _compatible(d: float, chosen: list[float]) -> bool:
     return True
 
 
+def disparity_grids(
+    d_min: float, d_max_scene: float, d_max_full: int, integer_disparities: bool = False
+) -> dict[float, np.ndarray]:
+    """Each half shift a scene may draw (0, and 1/2 unless that could reach ``d_max_full``), mapped to the layer
+    disparities it allows: the integers in [d_min, d_max_scene - shift], plus the shift. A scene draws its layers
+    from one of these grids, so an empty grid gives a scene with no layer at all."""
+    shifts = [0.0] if integer_disparities or d_max_scene + 0.5 >= d_max_full else [0.0, 0.5]
+    return {s: np.arange(np.ceil(d_min), np.floor(d_max_scene - s) + 1e-9, 1.0) + s for s in shifts}
+
+
 def _layer_disparities(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
-    d_min, d_max_scene = spec.disparity_range
-    half_shift = (
-        0.5
-        if not spec.integer_disparities
-        and d_max_scene + 0.5 < spec.d_max_full
-        and rng.random() < 0.5
-        else 0.0
-    )
-    grid = np.arange(np.ceil(d_min), np.floor(d_max_scene - half_shift) + 1e-9, 1.0) + half_shift
+    grids = disparity_grids(*spec.disparity_range, spec.d_max_full, spec.integer_disparities)
+    grid = grids[0.5 if 0.5 in grids and rng.random() < 0.5 else 0.0]
     chosen: list[float] = []
     for idx in rng.permutation(len(grid)):
         d = float(grid[idx])

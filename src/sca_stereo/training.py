@@ -14,6 +14,12 @@ the one exception is the discriminator step, one graph because all its calls
 share the step's spectral-weight nodes. Every stage draws randomness from
 generators seeded by (master_seed, stage tag), so re-running any command
 with the same config and seed reproduces logs and checkpoints bit for bit.
+
+Every stage draws its whole plan (each iteration's sample ids, and the
+translator's z codes) before its first step, and the steps draw nothing.
+So adapt knows up front which source samples its steps read: it translates
+only those, each once, holds only those pairs, and frees the translator
+before its first step.
 """
 
 from __future__ import annotations
@@ -253,15 +259,15 @@ def _stream(keys: Iterable, term, factors: tuple[float, ...], values: dict) -> I
         yield functools.reduce(ad.mulc, factors, t)
 
 
-def _fit(config: RunConfig, log_name: str, columns: list[str], iters: int, step) -> None:
-    """The one training loop: ``step(it)`` for it = 1..iters, streamed to the loss log.
+def _fit(config: RunConfig, log_name: str, columns: list[str], plans: list, run) -> None:
+    """The one training loop: ``run(it, plans[it - 1])`` for it = 1..len(plans), streamed to the loss log.
 
-    ``step`` runs one iteration and returns its loss tensors, one per entry of
-    ``columns``; each row of ``<output_dir>/<log_name>`` is the iteration and
-    those values, flushed as its iteration ends, so a run stopped at
-    iteration k keeps the header and k - 1 rows.
+    Each plan holds what its iteration drew (sample ids, codes), so ``run`` touches no RNG. ``run`` returns the
+    iteration's loss tensors, one per entry of ``columns``; each row of ``<output_dir>/<log_name>`` is the
+    iteration and those values, flushed as its iteration ends, so a run stopped at iteration k keeps the header
+    and k - 1 rows.
     """
-    rows = ([it, *(_fmt(t.item()) for t in step(it))] for it in range(1, iters + 1))
+    rows = ([it, *(_fmt(t.item()) for t in run(it, plan))] for it, plan in enumerate(plans, start=1))
     _write_csv(Path(config.output_dir) / log_name, ["iteration", *columns], rows)
 
 
@@ -298,16 +304,16 @@ def pretrain(config: RunConfig) -> Path:
         mparams.params, config.pretrain_lr, config.pretrain_beta1, config.pretrain_beta2
     )
     rng = _rng(config, _TAG_PRETRAIN)
+    plans = [rng.integers(0, len(train), size=config.pretrain_batch) for _ in range(config.pretrain_iters)]
     val_rows = []
 
-    def step(it: int) -> tuple[Tensor]:
-        batch = [train.samples[idx] for idx in rng.integers(0, len(train), size=config.pretrain_batch)]
-        loss = _pretrain_step(batch, mparams, state)
+    def run(it: int, idx: np.ndarray) -> tuple[Tensor]:
+        loss = _pretrain_step([train.samples[k] for k in idx], mparams, state)
         if it % config.val_interval == 0 or it == config.pretrain_iters:
             val_rows.append([it, _fmt(evaluate_samples(val, _left_disparity(mparams))[1])])
         return (loss,)
 
-    _fit(config, "pretrain_loss.csv", ["l1"], config.pretrain_iters, step)
+    _fit(config, "pretrain_loss.csv", ["l1"], plans, run)
     _write_csv(Path(config.output_dir) / "pretrain_val.csv", ["iteration", "epe"], val_rows)
     return _save_params(config, "matcher.ckpt", mparams.params)
 
@@ -361,11 +367,15 @@ def train_translator(config: RunConfig) -> Path:
     g_state = AdamState(tparams.params, config.translator_lr_g, *betas)
     c_state = AdamState(dparams.params, config.translator_lr_c, *betas)
     rng = _rng(config, _TAG_TRANSLATOR)
+    batch = config.translator_batch
+    plans = [  # per iteration: source ids, target ids, one z per sample
+        [rng.integers(0, len(source), size=batch), rng.integers(0, len(target), size=batch),
+         rng.standard_normal((batch, config.z_channels))]
+        for _ in range(config.translator_iters)
+    ]
 
-    def step(it: int) -> tuple[Tensor, ...]:
-        src_idx = rng.integers(0, len(source), size=config.translator_batch)
-        tgt_idx = rng.integers(0, len(target), size=config.translator_batch)
-        codes = rng.standard_normal((config.translator_batch, config.z_channels))  # one z per sample
+    def run(it: int, plan: list[np.ndarray]) -> tuple[Tensor, ...]:
+        src_idx, tgt_idx, codes = plan
 
         def sample(k: int) -> tuple:  # built on each read, so a step holds only the samples it works on
             return source.samples[src_idx[k]], target.samples[tgt_idx[k]], ad.constant(codes[k])
@@ -387,7 +397,7 @@ def train_translator(config: RunConfig) -> Path:
         return components["adv_g"], loss_c, components["perc"], components["feat"], components["stereo"]
 
     columns = ["adv_g", "adv_c", "perc", "feat", "stereo"]
-    _fit(config, "translator_loss.csv", columns, config.translator_iters, step)
+    _fit(config, "translator_loss.csv", columns, plans, run)
     return _save_params(config, "translator.ckpt", tparams.params)
 
 
@@ -430,17 +440,15 @@ def _translations(
     source: LoadedSplit,
     target: LoadedSplit,
     tparams: translation.TranslatorParams,
-    z_channels: int,
-    rng: np.random.Generator,
+    codes: np.ndarray,
     ids: Iterable[int],
 ) -> Iterator[tuple[int, synth.StereoSample, dict[str, Tensor]]]:
     """``(k, source sample k, its detached translated pair)`` for each k of ``ids``, by the frozen translator.
 
-    Sample k is translated with its own z, row k of one draw for the whole source split (so no z depends on
-    which ids are asked for), styled by target sample ``k % len(target)``. A generator, so that no style or
-    generator feature of one translation outlives it into the next, or into the adapt steps.
+    Sample k is translated with its own z, row k of ``codes`` (one draw for the whole source split, so no z
+    depends on which ids are asked for), styled by target sample ``k % len(target)``. A generator, so that no
+    style or generator feature of one translation outlives it into the next, or into the adapt steps.
     """
-    codes = rng.standard_normal((len(source), z_channels))
     for k in ids:
         src = source.samples[k]
         style = target.samples[k % len(target)]
@@ -457,20 +465,19 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
     weights = config.loss_weights()
     state = AdamState(mparams.params, config.adapt_lr, config.adapt_beta1, config.adapt_beta2)
     rng = _rng(config, _TAG_ADAPT)
+    codes = rng.standard_normal((len(source), config.z_channels))  # one z per source sample
+    sizes = (len(source), len(target))
+    plans = [[rng.integers(0, n, size=config.adapt_batch) for n in sizes] for _ in range(config.adapt_iters)]
 
-    everything = range(len(source))
-    translated = [pair for _, _, pair in _translations(source, target, tparams, config.z_channels, rng, everything)]
+    drawn = sorted({int(k) for src_idx, _ in plans for k in src_idx})
+    translated = {k: pair for k, _, pair in _translations(source, target, tparams, codes, drawn)}
+    del tparams  # frozen, and read by no step
 
-    def step(it: int) -> tuple[Tensor, ...]:
-        src_idx = rng.integers(0, len(source), size=config.adapt_batch)
-        tgt_idx = rng.integers(0, len(target), size=config.adapt_batch)
-        batch = [
-            (translated[si], source.samples[si].disparities, target.samples[ti].images)
-            for si, ti in zip(src_idx, tgt_idx)
-        ]
+    def run(it: int, plan: list[np.ndarray]) -> tuple[Tensor, ...]:
+        batch = [(translated[si], source.samples[si].disparities, target.samples[ti].images) for si, ti in zip(*plan)]
         return _adapt_step(batch, mparams, weights, state)
 
-    _fit(config, "adapt_loss.csv", ["disp", "reproj", "loss_e"], config.adapt_iters, step)
+    _fit(config, "adapt_loss.csv", ["disp", "reproj", "loss_e"], plans, run)
     return _save_params(config, "matcher_adapted.ckpt", mparams.params)
 
 
@@ -521,7 +528,7 @@ def translate_export(
     source = load_split(config, "source_val")
     target = load_split(config, "target_test")
     tparams = load_translator(config, translator_ckpt, trainable=False)
-    rng = _rng(config, _TAG_TRANSLATE)
+    codes = _rng(config, _TAG_TRANSLATE).standard_normal((len(source), config.z_channels))
     if sample_ids is None:
         sample_ids = list(range(len(source)))
     for sid in sample_ids:
@@ -530,7 +537,7 @@ def translate_export(
     out_dir = Path(config.output_dir) / "translated"
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for sid, src, fakes in _translations(source, target, tparams, config.z_channels, rng, sample_ids):
+    for sid, src, fakes in _translations(source, target, tparams, codes, sample_ids):
         for v in VIEWS:
             fileio.write_ppm(fakes[v], out_dir / f"sample_{sid:05d}_{v}.ppm")
         rows.append([sid, _fmt(image_consistency(fakes, src.disparities))])

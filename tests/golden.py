@@ -1,10 +1,11 @@
 """Golden outputs of the tiny CLI pipeline that ``test_cli`` runs.
 
 ``tiny_pipeline.json`` holds the exact text of every loss log, the evaluate
-CSV and ``consistency.csv``, with the numpy and BLAS versions that wrote
-them. Low-order bits depend on both, so a run under other versions is not
-compared. A change that moves low-order bits on purpose regenerates the
-file; the script prints each file's drift (:func:`drift`) before it writes:
+CSV and ``consistency.csv``, the sha256 of each checkpoint the pipeline
+writes, and the numpy and BLAS versions that wrote them. Low-order bits
+depend on both, so a run under other versions is not compared. A change that
+moves low-order bits on purpose regenerates the file; the script prints each
+file's drift (:func:`drift`) and each changed checkpoint before it writes:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -12,6 +13,7 @@ file; the script prints each file's drift (:func:`drift`) before it writes:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import re
@@ -32,6 +34,8 @@ FILES = (
     "evaluate_target_test.csv",
     "consistency.csv",
 )
+
+CHECKPOINTS = ("matcher.ckpt", "translator.ckpt", "matcher_adapted.ckpt")
 
 
 def versions() -> dict[str, str]:
@@ -79,8 +83,9 @@ def describe(report: dict[str, tuple[int, float]]) -> str:
     return "\n".join(lines)
 
 
-def run_pipeline(cfg_path: Path) -> dict[str, str]:
-    """Every CLI stage once on the config at ``cfg_path``, whose directories lie beside it; the text of each of FILES."""
+def run_pipeline(cfg_path: Path) -> dict[str, dict[str, str]]:
+    """Every CLI stage once on the config at ``cfg_path``, whose directories lie beside it: ``files`` maps each of
+    FILES to its text, ``checkpoints`` each of CHECKPOINTS to the sha256 of its bytes."""
     base = cfg_path.parent
     cfg = ["--config", str(cfg_path)]
     g_ckpt = str(base / "ckpt" / "translator.ckpt")
@@ -94,7 +99,10 @@ def run_pipeline(cfg_path: Path) -> dict[str, str]:
     ):
         if main(cfg + args) != 0:
             raise RuntimeError(f"stage {args[0]} failed")
-    return {name: (base / "out" / name).read_text() for name in FILES}
+    return {
+        "files": {name: (base / "out" / name).read_text() for name in FILES},
+        "checkpoints": {name: hashlib.sha256((base / "ckpt" / name).read_bytes()).hexdigest() for name in CHECKPOINTS},
+    }
 
 
 def regenerate() -> None:
@@ -103,9 +111,16 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "run.cfg"
         cfg_path.write_text(tiny_config_text(tmp))
-        files = run_pipeline(cfg_path)
-    print(describe(drift(files, load()["files"])) if GOLDEN.exists() else f"no {GOLDEN.name} yet")
-    GOLDEN.write_text(json.dumps({**versions(), "files": files}, indent=1) + "\n")
+        run = run_pipeline(cfg_path)
+    if GOLDEN.exists():
+        old = load()
+        print(describe(drift(run["files"], old["files"])))
+        before = old.get("checkpoints", {})
+        for name, digest in run["checkpoints"].items():
+            print(f"{name}: {'new' if name not in before else 'unchanged' if before[name] == digest else 'changed'}")
+    else:
+        print(f"no {GOLDEN.name} yet")
+    GOLDEN.write_text(json.dumps({**versions(), **run}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +64,28 @@ def tiny_pipeline(tmp_path_factory):
     return base, cfg_path, golden.run_pipeline(cfg_path)
 
 
+def _drawn_adapt_ids(config: RunConfig) -> list[int]:
+    """The sorted distinct source ids adapt's steps read: its stream draws every z, then per step source and target
+    ids."""
+    rng = training._rng(config, training._TAG_ADAPT)
+    rng.standard_normal((config.n_source_train, config.z_channels))
+    drawn = set()
+    for _ in range(config.adapt_iters):
+        drawn.update(rng.integers(0, config.n_source_train, size=config.adapt_batch).tolist())
+        rng.integers(0, config.n_target_train, size=config.adapt_batch)
+    return sorted(drawn)
+
+
 class TestConfig:
+    # configs that load but give scenes synth cannot draw, with the message each must be rejected with: another
+    # check could reject the same file first
+    UNDRAWABLE = {
+        "image_height = 8\nimage_width = 32": "too small for num_layers 4",
+        "image_height = 16\nimage_width = 16\nd_max_full = 8\nd_max_scene = 6.0": "too small for num_layers 4",
+        "image_height = 16\nimage_width = 32\nd_max_full = 6\nd_min = 2.6\nd_max_scene = 2.9": "no layer disparity",
+        "d_min = 2.0\nd_max_scene = 2.0": "no layer disparity",
+    }
+
     def test_defaults_match_published_schedule(self):
         config = RunConfig()
         assert config.pretrain_lr == 1e-4
@@ -171,13 +193,19 @@ class TestConfig:
             "image_width = 0",
             "image_width = -128",
             "master_seed = -1",
+            *UNDRAWABLE,
         ],
     )
     def test_invalid_values_rejected_at_load(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
         p.write_text(f"n_scales = 3\n{line}\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=self.UNDRAWABLE.get(line)):
             load_config(p)
+
+    def test_one_layer_fits_an_image_too_small_for_shapes(self, tmp_path):
+        p = tmp_path / "small.cfg"
+        p.write_text("num_layers = 1\nimage_height = 8\nimage_width = 32\nd_max_full = 6\nd_max_scene = 5\n")
+        assert load_config(p).image_height == 8
 
     def test_float_fields_listed(self):
         assert {"pretrain_lr", "cloud_scale", "lambda_stereo", "ssim_alpha", "d_min"} <= set(FLOAT_FIELDS)
@@ -444,7 +472,9 @@ class TestPipelineCommands:
         reason = golden.version_mismatch(expected)
         if reason:
             pytest.skip(reason)
-        assert tiny_pipeline[2] == expected["files"], golden.describe(golden.drift(tiny_pipeline[2], expected["files"]))
+        run = tiny_pipeline[2]
+        assert run["files"] == expected["files"], golden.describe(golden.drift(run["files"], expected["files"]))
+        assert run["checkpoints"] == expected["checkpoints"]
 
     def test_translate_consistency_matches_loss_module(self, tiny_env):
         base, cfg_path = tiny_env
@@ -575,7 +605,7 @@ class TestPipelineCommands:
         assert len(calls) == 2  # both views of the one sample asked for
 
     def test_adapt_steps_hold_no_translation_of_the_pre_pass(self, tiny_env, monkeypatch):
-        # adapt translates every source sample once; nothing of the last translation may outlive that pass
+        # adapt translates each drawn source sample once; nothing of the last translation may outlive that pass
         base, cfg_path = tiny_env
         main(["--config", str(cfg_path), "gen-data"])
         config = load_config(cfg_path)
@@ -601,7 +631,81 @@ class TestPipelineCommands:
         monkeypatch.setattr(translation, "translate", recording_translate)
         monkeypatch.setattr(training, "adam_step", checking_adam_step)
         training.adapt(config, tckpt, mckpt)
-        assert alive_at_first_step == [[False] * config.n_source_train]
+        assert alive_at_first_step == [[False] * len(_drawn_adapt_ids(config))]
+
+    @staticmethod
+    def _adapt_translating(tiny_env, monkeypatch, **overrides):
+        """Run adapt on random checkpoints; the source_train ids it translated, in call order, and whether the
+        translator's parameters were still alive at each optimizer step."""
+        base, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        config = dataclasses.replace(load_config(cfg_path), **overrides)
+        tckpt = training._save_params(config, "translator.ckpt", training._init_translator(config).params)
+        mckpt = training._save_params(config, "matcher.ckpt", training._init_matcher(config).params)
+        lefts = [sample.images["left"].data for sample in training.load_split(config, "source_train").samples]
+        translate, load_translator, adam_step = translation.translate, training.load_translator, training.adam_step
+        translated, translators, alive = [], [], []
+
+        def recording_translate(images, *args):
+            translated.append(next(k for k, left in enumerate(lefts) if np.array_equal(left, images["left"].data)))
+            return translate(images, *args)
+
+        def recording_load_translator(*args, **kwargs):
+            tparams = load_translator(*args, **kwargs)
+            translators.append(weakref.ref(tparams))
+            return tparams
+
+        def checking_adam_step(*args):
+            alive.append(any(ref() is not None for ref in translators))
+            adam_step(*args)
+
+        monkeypatch.setattr(translation, "translate", recording_translate)
+        monkeypatch.setattr(training, "load_translator", recording_load_translator)
+        monkeypatch.setattr(training, "adam_step", checking_adam_step)
+        training.adapt(config, tckpt, mckpt)
+        return config, translated, alive
+
+    def test_adapt_translates_each_drawn_source_sample_once(self, tiny_env, monkeypatch):
+        config, translated, alive = self._adapt_translating(tiny_env, monkeypatch)
+        drawn = _drawn_adapt_ids(config)
+        assert len(drawn) < config.n_source_train  # so a run that translates every sample fails here
+        assert translated == drawn
+        assert alive == [False] * config.adapt_iters  # the translator is gone before the first step
+
+    def test_adapt_without_iterations_translates_nothing(self, tiny_env, monkeypatch):
+        config, translated, alive = self._adapt_translating(tiny_env, monkeypatch, adapt_iters=0)
+        assert translated == [] and alive == []
+        ckpt = Path(config.checkpoint_dir)
+        assert (ckpt / "matcher_adapted.ckpt").read_bytes() == (ckpt / "matcher.ckpt").read_bytes()
+        assert (Path(config.output_dir) / "adapt_loss.csv").read_text() == "iteration,disp,reproj,loss_e\n"
+
+    def test_stages_draw_every_plan_before_their_first_step(self, tiny_env, monkeypatch):
+        base, cfg_path = tiny_env
+        main(["--config", str(cfg_path), "gen-data"])
+        config = load_config(cfg_path)
+        fitting = []
+
+        class Guarded:  # a stage's generator, which must not be read once its loop runs
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                assert not fitting, f"{fitting[-1]} reads rng.{name} inside _fit"
+                return getattr(self._rng, name)
+
+        rng, fit = training._rng, training._fit
+
+        def marking_fit(config, log_name, *args):
+            fitting.append(log_name)
+            fit(config, log_name, *args)
+            fitting.remove(log_name)
+
+        monkeypatch.setattr(training, "_rng", lambda *args: Guarded(rng(*args)))
+        monkeypatch.setattr(training, "_fit", marking_fit)
+        mckpt = training.pretrain(config)
+        tckpt = training.train_translator(config)
+        training.adapt(config, tckpt, mckpt)
+        assert fitting == []
 
     def test_adapt_checkpoint_mismatch_is_config_error(self, tiny_env):
         base, cfg_path = tiny_env
@@ -803,6 +907,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
+
+    def test_translate_needs_at_least_one_sample_id(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        scores = base / "out" / "consistency.csv"
+        scores.parent.mkdir()
+        scores.write_text("sample,consistency\n0,1.0\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(cfg_path), "translate", "--translator-ckpt", "g.ckpt", "--sample-ids"])
+        assert exit_info.value.code == 2
+        assert "--sample-ids" in capsys.readouterr().err
+        assert scores.read_text() == "sample,consistency\n0,1.0\n"
 
 
 class TestErrorMessages:

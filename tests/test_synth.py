@@ -139,6 +139,19 @@ class TestGenerateScene:
                 assert sample.disparities[v].tobytes() == disparities[v].tobytes()
             assert synth.generate_scene(spec).images["right"].data.tobytes() == images["right"].tobytes()
 
+    @pytest.mark.parametrize(
+        "d_min, d_max_scene, d_max_full",
+        [(2.0, 5.0, 6), (2.0, 2.5, 3), (2.6, 2.9, 6), (2.0, 2.0, 16), (2.5, 3.0, 16), (2.0, 2.0, 3)],
+    )
+    def test_empty_grids_are_exactly_the_ranges_that_give_empty_scenes(self, d_min, d_max_scene, d_max_full):
+        drawable = all(len(grid) for grid in synth.disparity_grids(d_min, d_max_scene, d_max_full).values())
+        specs = (
+            synth.SceneSpec(seed, disparity_range=(d_min, d_max_scene), image_size=(16, 32), d_max_full=d_max_full)
+            for seed in range(40)
+        )
+        empty = [spec.seed for spec in specs if not np.all(synth.generate_scene(spec).disparities["left"] > 0)]
+        assert (empty == []) == drawable, empty
+
     def test_disparities_are_multiples_of_a_half(self):
         ranges = [(2.0, 14.0), (2.5, 9.7), (1.3, 6.2), (3.7, 5.1)]
         for seed in range(200):
