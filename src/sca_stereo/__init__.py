@@ -7,8 +7,6 @@ networks, a procedural two-domain dataset, and a staged training CLI.
 
 from .autodiff import Tensor, backward, tensor
 from .config import RunConfig, load_config
-from .geometry import CameraRig
-from .losses import LossWeights
 from .synth import SceneSpec, StereoSample, generate_scene
 
 __all__ = [
@@ -17,8 +15,6 @@ __all__ = [
     "tensor",
     "RunConfig",
     "load_config",
-    "CameraRig",
-    "LossWeights",
     "SceneSpec",
     "StereoSample",
     "generate_scene",

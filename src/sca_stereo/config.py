@@ -2,11 +2,13 @@
 
 Config files are flat ``key = value`` lines; keys are the field names of
 :class:`RunConfig`. A ``#`` at the start of a line or after whitespace starts
-a comment, so a value such as ``runs#1/data`` keeps its ``#``. Optimizer
-defaults follow the published schedule (matcher Adam(0.9, 0.999) at 1e-4;
-translator Adam(0.0, 0.9) at 1e-4 with the discriminator at 4e-4). Batch
-sizes and iteration counts are desk-scale and meant to be overridden per
-experiment.
+a comment, so a value such as ``runs#1/data`` keeps its ``#``. The learning
+rates default to the published schedule (the matcher at 1e-4, the translator
+at 1e-4 and the discriminator at 4e-4). Only they are keys: the published
+Adam betas are constants, the matcher's (0.9, 0.999) the defaults of
+:class:`autodiff.AdamState` and the translator's (0.0, 0.9)
+``training._TRANSLATOR_BETAS``. Batch sizes and iteration counts are
+desk-scale and meant to be overridden per experiment.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from pathlib import Path
 from . import synth
 from .attention import scaled_d_max
 from .errors import ConfigError
-from .losses import LossWeights
 
 
 @dataclass
@@ -53,23 +54,17 @@ class RunConfig:
 
     # stage 1: supervised pretraining of the matcher on the source domain
     pretrain_lr: float = 1e-4
-    pretrain_beta1: float = 0.9
-    pretrain_beta2: float = 0.999
     pretrain_iters: int = 1000
     pretrain_batch: int = 4
 
     # stage 2: translator + discriminator
     translator_lr_g: float = 1e-4
     translator_lr_c: float = 4e-4
-    translator_beta1: float = 0.0
-    translator_beta2: float = 0.9
     translator_iters: int = 2000
     translator_batch: int = 4
 
     # stage 3: matcher adaptation
     adapt_lr: float = 1e-4
-    adapt_beta1: float = 0.9
-    adapt_beta2: float = 0.999
     adapt_iters: int = 1000
     adapt_batch: int = 4
 
@@ -79,7 +74,6 @@ class RunConfig:
     lambda_stereo: float = 10.0
     lambda_disp: float = 0.1
     lambda_reproj: float = 1.0
-    ssim_alpha: float = 0.85
 
     sca_enabled: bool = True
     val_interval: int = 100
@@ -102,12 +96,8 @@ class RunConfig:
         check([f"{stage}_iters" for stage in stages] + ["master_seed"], lambda v: v >= 0, "non-negative")
         positives = ["pretrain_lr", "translator_lr_g", "translator_lr_c", "adapt_lr", "cloud_scale"]
         check(positives, lambda v: v > 0, "positive")
-        betas = [f"{stage}_{beta}" for stage in stages for beta in ("beta1", "beta2")]
-        check(betas, lambda v: 0 <= v < 1, "in [0, 1)")
-        try:
-            self.loss_weights()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        lambdas = ["lambda_perc", "lambda_feat", "lambda_stereo", "lambda_disp", "lambda_reproj"]
+        check(lambdas, lambda v: v >= 0, "non-negative")
         if not 0 < self.d_min <= self.d_max_scene:
             raise ConfigError(f"d_min {self.d_min} must be positive and at most d_max_scene {self.d_max_scene}")
         if self.image_height % 2**self.n_scales or self.image_width % 2**self.n_scales:
@@ -135,16 +125,6 @@ class RunConfig:
                 f"attention range {coarse_d_max} at the coarsest scale must be smaller than its width {coarse_width}"
             )
         return self
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_perc=self.lambda_perc,
-            lambda_feat=self.lambda_feat,
-            lambda_stereo=self.lambda_stereo,
-            lambda_disp=self.lambda_disp,
-            lambda_reproj=self.lambda_reproj,
-            alpha=self.ssim_alpha,
-        )
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -1,4 +1,4 @@
-"""Camera model, disparity reprojection, differentiable warping and metrics.
+"""The fixed camera rig, disparity reprojection, differentiable warping and metrics.
 
 Ground truth is dense: a view's disparity is a read-only float64 [H,W]
 array, kept under the view's key, with a strictly positive disparity at
@@ -17,7 +17,6 @@ left view at ``i + D``; :func:`signed_offset` performs the conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +25,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 VIEWS = ("left", "right")
+
+# the one rectified rig of every scene: baseline in meters, focal length in pixels, principal point at the image centre
+BASELINE = 0.5
+FOCAL = 100.0
 
 
 def _check_view(view: str) -> str:
@@ -38,46 +41,30 @@ def other_view(view: str) -> str:
     return "right" if _check_view(view) == "left" else "left"
 
 
-@dataclass
-class CameraRig:
-    """Rectified stereo rig: baseline in meters, intrinsics in pixels."""
-
-    baseline_b: float
-    f_u: float
-    f_v: float
-    c_u: float
-    c_v: float
-
-    def __post_init__(self):
-        if self.baseline_b <= 0:
-            raise ValueError(f"baseline_b must be positive, got {self.baseline_b}")
-        if self.f_u <= 0 or self.f_v <= 0:
-            raise ValueError(f"focal lengths must be positive, got {self.f_u}, {self.f_v}")
-
-
 def signed_offset(disparity: Tensor, view: str) -> Tensor:
     """Signed horizontal sampling offset for warping *into* ``view``."""
     return ad.mulc(disparity, -1.0) if _check_view(view) == "left" else disparity
 
 
-def disparity_to_world_points(disparity: np.ndarray, view: str, rig: CameraRig) -> Tensor:
+def disparity_to_world_points(disparity: np.ndarray, view: str) -> Tensor:
     """Reproject a disparity map to an organized [3,H,W] world-frame cloud, in meters.
 
-    The camera frame puts ``x = b (u - c_u) / D``, ``y = f_u b (v - c_v) /
-    (f_v D)``, ``z = f_u b / D`` at each pixel ``(u, v)``; the world frame
-    sits midway between the two camera centers, so left-view points shift by
-    ``-b/2`` in x and right-view points by ``+b/2``. Returned as a constant:
-    clouds come from ground truth.
+    The rig is the fixed one: baseline ``b`` = :data:`BASELINE`, focal length ``f`` = :data:`FOCAL` in both
+    directions, and the principal point ``(c_u, c_v)`` at the image centre. The camera frame puts ``x = b (u -
+    c_u) / D``, ``y = f b (v - c_v) / (f D)``, ``z = f b / D`` at each pixel ``(u, v)``; the world frame sits
+    midway between the two camera centers, so left-view points shift by ``-b/2`` in x and right-view points by
+    ``+b/2``. Returned as a constant: clouds come from ground truth.
     """
     if not np.all(disparity > 0):
         raise ValueError("disparity must be strictly positive")
     h, w = disparity.shape
+    c_u, c_v = (w - 1) / 2.0, (h - 1) / 2.0
     u = np.broadcast_to(np.arange(w, dtype=np.float64), (h, w))
     v = np.broadcast_to(np.arange(h, dtype=np.float64)[:, None], (h, w))
-    x = rig.baseline_b * (u - rig.c_u) / disparity
-    y = rig.f_u * rig.baseline_b * (v - rig.c_v) / (rig.f_v * disparity)
-    z = rig.f_u * rig.baseline_b / disparity
-    half = rig.baseline_b / 2.0
+    x = BASELINE * (u - c_u) / disparity
+    y = FOCAL * BASELINE * (v - c_v) / (FOCAL * disparity)  # f cancels, but not in floating point at every D
+    z = FOCAL * BASELINE / disparity
+    half = BASELINE / 2.0
     x = x - half if _check_view(view) == "left" else x + half
     return ad.constant(np.stack([x, y, z]))
 

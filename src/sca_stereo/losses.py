@@ -12,36 +12,17 @@ losses sum over the views their prediction dict holds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import geometry
 from .autodiff import Tensor
+from .config import RunConfig
 from .geometry import VIEWS
 
 _SSIM_C1 = 0.01**2
 _SSIM_C2 = 0.03**2
-
-
-@dataclass
-class LossWeights:
-    """Weights of both objectives' terms and the SSIM mixing factor."""
-
-    lambda_perc: float = 1.0
-    lambda_feat: float = 1.0
-    lambda_stereo: float = 10.0
-    lambda_disp: float = 0.1
-    lambda_reproj: float = 1.0
-    alpha: float = 0.85
-
-    def __post_init__(self):
-        for name in ("lambda_perc", "lambda_feat", "lambda_stereo", "lambda_disp", "lambda_reproj"):
-            if not getattr(self, name) >= 0:  # NaN too
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
 
 
 def _scale_mean(logit_maps: list[Tensor], transform=None) -> Tensor:
@@ -240,23 +221,23 @@ def feature_matching_loss(
     return ad.mean_n(terms)
 
 
-def generator_objective(components: dict[str, Tensor], weights: LossWeights) -> Tensor:
-    """The translator's objective: adv_g + perc + feat + stereo, each weighted."""
+def generator_objective(components: dict[str, Tensor], config: RunConfig) -> Tensor:
+    """The translator's objective: adv_g + perc + feat + stereo, each weighted by its ``lambda_*`` in ``config``."""
     return ad.add(
         components["adv_g"],
         ad.add(
-            ad.mulc(components["perc"], weights.lambda_perc),
+            ad.mulc(components["perc"], config.lambda_perc),
             ad.add(
-                ad.mulc(components["feat"], weights.lambda_feat),
-                ad.mulc(components["stereo"], weights.lambda_stereo),
+                ad.mulc(components["feat"], config.lambda_feat),
+                ad.mulc(components["stereo"], config.lambda_stereo),
             ),
         ),
     )
 
 
-def matcher_objective(components: dict[str, Tensor], weights: LossWeights) -> Tensor:
-    """The adapted matcher's objective: disp + reproj, each weighted."""
+def matcher_objective(components: dict[str, Tensor], config: RunConfig) -> Tensor:
+    """The adapted matcher's objective: disp + reproj, each weighted by its ``lambda_*`` in ``config``."""
     return ad.add(
-        ad.mulc(components["disp"], weights.lambda_disp),
-        ad.mulc(components["reproj"], weights.lambda_reproj),
+        ad.mulc(components["disp"], config.lambda_disp),
+        ad.mulc(components["reproj"], config.lambda_reproj),
     )

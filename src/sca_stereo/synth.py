@@ -38,15 +38,12 @@ from . import autodiff as ad
 from . import fileio, geometry
 from .autodiff import Tensor
 from .errors import FormatError
-from .geometry import CameraRig
 
 DOMAIN_STYLES = ("source", "target")
 
 TARGET_GAMMA = 1.4
 TARGET_CHANNEL_GAIN = (0.9, 1.0, 1.15)
 TARGET_NOISE_SIGMA = 0.02
-
-DEFAULT_RIG = dict(baseline_b=0.5, f_u=100.0, f_v=100.0)
 
 _MIN_LAYER_SEPARATION = 2.0
 
@@ -83,14 +80,10 @@ class SceneSpec:
 @dataclass
 class StereoSample:
     """Rectified pair with a read-only float64 [H,W] ground-truth disparity under each view, and nothing else: the
-    camera rig is :func:`default_rig` of the maps' size, and each view's occlusion mask a function of both maps."""
+    camera rig is the fixed one of :mod:`geometry`, and each view's occlusion mask a function of both maps."""
 
     images: dict[str, Tensor]
     disparities: dict[str, np.ndarray]
-
-
-def default_rig(height: int, width: int) -> CameraRig:
-    return CameraRig(c_u=(width - 1) / 2.0, c_v=(height - 1) / 2.0, **DEFAULT_RIG)
 
 
 class _Layer:

@@ -41,6 +41,10 @@ from .config import RunConfig
 from .errors import ConfigError
 from .geometry import VIEWS
 
+# the published translator and discriminator schedule: Adam(0.0, 0.9); the matcher's (0.9, 0.999) are AdamState's
+# defaults
+_TRANSLATOR_BETAS = (0.0, 0.9)
+
 # rng stream tags
 _TAG_DATA, _TAG_PRETRAIN, _TAG_TRANSLATOR, _TAG_ADAPT, _TAG_TRANSLATE = 1, 2, 3, 4, 5
 
@@ -300,9 +304,7 @@ def pretrain(config: RunConfig) -> Path:
     train = load_split(config, "source_train")
     val = load_split(config, "source_val")
     mparams = _init_matcher(config)
-    state = AdamState(
-        mparams.params, config.pretrain_lr, config.pretrain_beta1, config.pretrain_beta2
-    )
+    state = AdamState(mparams.params, config.pretrain_lr)
     rng = _rng(config, _TAG_PRETRAIN)
     plans = [rng.integers(0, len(train), size=config.pretrain_batch) for _ in range(config.pretrain_iters)]
     val_rows = []
@@ -325,7 +327,7 @@ def pretrain(config: RunConfig) -> Path:
 
 def _generator_step(
     sample: Callable[[int], tuple], n: int, tparams: translation.TranslatorParams,
-    dparams: translation.DiscriminatorParams, weights: losses.LossWeights, state: AdamState,
+    dparams: translation.DiscriminatorParams, config: RunConfig, state: AdamState,
 ) -> tuple[dict[str, Tensor], dict[int, dict[str, Tensor]]]:
     """One step on n samples, ``sample(k)`` giving (source sample, target sample, z), against the discriminator's
     detached kernels normalized with the current u; returns the four logged components and each sample's detached
@@ -350,7 +352,7 @@ def _generator_step(
             "stereo": losses.stereo_consistency_loss(feats, fakes, src.disparities),
         }
         parts[k] = {name: t.detach() for name, t in sample_parts.items()}
-        return losses.generator_objective(sample_parts, weights)
+        return losses.generator_objective(sample_parts, config)
 
     _descend(_stream(reversed(range(n)), term, (1.0 / n,), {}), tparams.params, state)
     return {name: ad.mean_n([parts[k][name] for k in range(n)]) for name in parts[0]}, fakes_of
@@ -362,10 +364,8 @@ def train_translator(config: RunConfig) -> Path:
     target = load_split(config, "target_train")
     tparams = _init_translator(config)
     dparams = _init_discriminator(config)
-    weights = config.loss_weights()
-    betas = (config.translator_beta1, config.translator_beta2)
-    g_state = AdamState(tparams.params, config.translator_lr_g, *betas)
-    c_state = AdamState(dparams.params, config.translator_lr_c, *betas)
+    g_state = AdamState(tparams.params, config.translator_lr_g, *_TRANSLATOR_BETAS)
+    c_state = AdamState(dparams.params, config.translator_lr_c, *_TRANSLATOR_BETAS)
     rng = _rng(config, _TAG_TRANSLATOR)
     batch = config.translator_batch
     plans = [  # per iteration: source ids, target ids, one z per sample
@@ -380,7 +380,7 @@ def train_translator(config: RunConfig) -> Path:
         def sample(k: int) -> tuple:  # built on each read, so a step holds only the samples it works on
             return source.samples[src_idx[k]], target.samples[tgt_idx[k]], ad.constant(codes[k])
 
-        components, fakes_of = _generator_step(sample, len(codes), tparams, dparams, weights, g_state)
+        components, fakes_of = _generator_step(sample, len(codes), tparams, dparams, config, g_state)
 
         # discriminator step on pre-step fakes; one power iteration per kernel. One graph, not streamed:
         # every discriminate call shares the step's spectral-weight nodes.
@@ -407,7 +407,7 @@ def train_translator(config: RunConfig) -> Path:
 
 
 def _adapt_step(
-    batch: list[tuple], mparams: matcher.MatcherParams, weights: losses.LossWeights, state: AdamState
+    batch: list[tuple], mparams: matcher.MatcherParams, config: RunConfig, state: AdamState
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One step on (translated pair, its ground truth, target pair) triples; returns disp, reproj, loss_e.
 
@@ -424,16 +424,16 @@ def _adapt_step(
         pred = {v: matcher.predict_view(pair["left"], pair["right"], v, mparams)}
         if name == "disp":
             return losses.disparity_loss(pred, gt)
-        return losses.reprojection_loss(tgt, pred, alpha=weights.alpha)
+        return losses.reprojection_loss(tgt, pred)
 
     streams = [
         _stream(itertools.product([name], reversed(range(n)), reversed(VIEWS)), term, (1.0 / n, lam), values)
-        for name, lam in (("reproj", weights.lambda_reproj), ("disp", weights.lambda_disp))
+        for name, lam in (("reproj", config.lambda_reproj), ("disp", config.lambda_disp))
     ]
     _descend(itertools.chain(*streams), mparams.params, state)
     mean = lambda name: ad.mean_n([ad.add_n([values[name, k, v] for v in VIEWS]) for k in range(n)])
     components = {"disp": mean("disp"), "reproj": mean("reproj")}
-    return components["disp"], components["reproj"], losses.matcher_objective(components, weights)
+    return components["disp"], components["reproj"], losses.matcher_objective(components, config)
 
 
 def _translations(
@@ -462,8 +462,7 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
     target = load_split(config, "target_train")
     tparams = load_translator(config, translator_ckpt, trainable=False)
     mparams = load_matcher(config, matcher_ckpt, trainable=True)
-    weights = config.loss_weights()
-    state = AdamState(mparams.params, config.adapt_lr, config.adapt_beta1, config.adapt_beta2)
+    state = AdamState(mparams.params, config.adapt_lr)
     rng = _rng(config, _TAG_ADAPT)
     codes = rng.standard_normal((len(source), config.z_channels))  # one z per source sample
     sizes = (len(source), len(target))
@@ -475,7 +474,7 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
 
     def run(it: int, plan: list[np.ndarray]) -> tuple[Tensor, ...]:
         batch = [(translated[si], source.samples[si].disparities, target.samples[ti].images) for si, ti in zip(*plan)]
-        return _adapt_step(batch, mparams, weights, state)
+        return _adapt_step(batch, mparams, config, state)
 
     _fit(config, "adapt_loss.csv", ["disp", "reproj", "loss_e"], plans, run)
     return _save_params(config, "matcher_adapted.ckpt", mparams.params)
@@ -531,9 +530,11 @@ def translate_export(
     codes = _rng(config, _TAG_TRANSLATE).standard_normal((len(source), config.z_channels))
     if sample_ids is None:
         sample_ids = list(range(len(source)))
-    for sid in sample_ids:
+    for k, sid in enumerate(sample_ids):
         if not 0 <= sid < len(source):
             raise ConfigError(f"unknown sample id {sid}; source_val has {len(source)} samples")
+        if sid in sample_ids[:k]:
+            raise ConfigError(f"sample id {sid} is given more than once")
     out_dir = Path(config.output_dir) / "translated"
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry, synth
+from . import geometry
 from .attention import sca_cross_attend, scaled_d_max
 from .autodiff import Tensor
 from .geometry import VIEWS
@@ -286,10 +286,8 @@ def translate(
     z: Tensor,
     tparams: TranslatorParams,
 ) -> tuple[dict[str, Tensor], dict[str, list[tuple[Tensor, int]]]]:
-    """Full translation call: clouds are derived from the disparity maps, in the
-    :func:`synth.default_rig` of their size."""
-    rig = synth.default_rig(*src_disparities["left"].shape)
-    clouds = {v: geometry.disparity_to_world_points(src_disparities[v], v, rig) for v in VIEWS}
+    """Full translation call: clouds are derived from the disparity maps, in the fixed rig of :mod:`geometry`."""
+    clouds = {v: geometry.disparity_to_world_points(src_disparities[v], v) for v in VIEWS}
     content = {v: content_stream(src_images[v], clouds[v], tparams) for v in VIEWS}
     style = {v: style_stream(style_images[v], tparams) for v in VIEWS}
     return generate(z, content, style, tparams)

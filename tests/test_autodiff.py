@@ -453,7 +453,7 @@ class TestBlockedTapSums:
         tparams, dparams = training._init_translator(config), training._init_discriminator(config)
         z = ad.constant(np.random.default_rng(3).standard_normal(config.z_channels))
         state = ad.AdamState(tparams.params, 1e-3)
-        training._generator_step(lambda k: (src, tgt, z), 1, tparams, dparams, config.loss_weights(), state)
+        training._generator_step(lambda k: (src, tgt, z), 1, tparams, dparams, config, state)
         h, w, c = config.image_height, config.image_width, config.matcher_channels
         # matcher.feat2: its forward and kernel vjp over H*(W+2) columns, its input vjp over (H+2)*(W+2)
         assert {shape for shape, n_blocks in shapes.items() if n_blocks > 1} == {

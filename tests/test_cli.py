@@ -86,18 +86,28 @@ class TestConfig:
         "d_min = 2.0\nd_max_scene = 2.0": "no layer disparity",
     }
 
-    def test_defaults_match_published_schedule(self):
-        config = RunConfig()
-        assert config.pretrain_lr == 1e-4
-        assert (config.pretrain_beta1, config.pretrain_beta2) == (0.9, 0.999)
-        assert config.translator_lr_g == 1e-4
-        assert config.translator_lr_c == 4e-4
-        assert (config.translator_beta1, config.translator_beta2) == (0.0, 0.9)
-        assert config.adapt_lr == 1e-4
-        weights = config.loss_weights()
-        assert (weights.lambda_perc, weights.lambda_feat, weights.lambda_stereo) == (1.0, 1.0, 10.0)
-        assert (weights.lambda_disp, weights.lambda_reproj) == (0.1, 1.0)
-        assert weights.alpha == 0.85
+    def test_defaults_match_published_schedule(self, tiny_env, monkeypatch):
+        # the betas are no keys: each stage's optimizer states, spied on through one iteration of every stage
+        _, cfg_path = tiny_env
+        config = load_config(cfg_path)
+        config.pretrain_iters = config.translator_iters = config.adapt_iters = 1
+        schedules = []
+
+        class SpiedAdamState(ad.AdamState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                schedules.append((self.learning_rate, self.beta1, self.beta2))
+
+        monkeypatch.setattr(training, "AdamState", SpiedAdamState)
+        training.gen_data(config)
+        matcher_ckpt = training.pretrain(config)
+        translator_ckpt = training.train_translator(config)
+        training.adapt(config, translator_ckpt, matcher_ckpt)
+        # pretrain; the generator, then the discriminator; adapt
+        assert schedules == [(1e-4, 0.9, 0.999), (1e-4, 0.0, 0.9), (4e-4, 0.0, 0.9), (1e-4, 0.9, 0.999)]
+        defaults = RunConfig()
+        assert (defaults.lambda_perc, defaults.lambda_feat, defaults.lambda_stereo) == (1.0, 1.0, 10.0)
+        assert (defaults.lambda_disp, defaults.lambda_reproj) == (0.1, 1.0)
 
     def test_parse_file(self, tiny_env):
         _, cfg_path = tiny_env
@@ -174,15 +184,10 @@ class TestConfig:
             "translator_lr_g = -1e-4",
             "translator_lr_c = 0",
             "adapt_lr = nan",
-            "pretrain_beta2 = 1.0",
-            "translator_beta1 = -0.1",
-            "adapt_beta1 = 1.5",
             "lambda_perc = -1",
             "lambda_stereo = -0.5",
             "lambda_reproj = -1",
             "lambda_stereo = nan",
-            "ssim_alpha = 1.5",
-            "ssim_alpha = -0.1",
             "n_scales = 1",
             "base_channels = 0",
             "z_channels = 0",
@@ -202,13 +207,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=self.UNDRAWABLE.get(line)):
             load_config(p)
 
+    # the published Adam betas and the SSIM weight are constants now, not keys
+    @pytest.mark.parametrize(
+        "name",
+        [f"{stage}_{beta}" for stage in ("pretrain", "translator", "adapt") for beta in ("beta1", "beta2")]
+        + ["ssim_alpha"],
+    )
+    def test_removed_keys_fail_as_unknown(self, tmp_path, name):
+        p = tmp_path / "removed.cfg"
+        p.write_text(f"{name} = 0.5\n")
+        with pytest.raises(ConfigError, match=f"^line 1: unknown config key '{name}'$"):
+            load_config(p)
+        assert name not in {f.name for f in dataclasses.fields(RunConfig)}
+
     def test_one_layer_fits_an_image_too_small_for_shapes(self, tmp_path):
         p = tmp_path / "small.cfg"
         p.write_text("num_layers = 1\nimage_height = 8\nimage_width = 32\nd_max_full = 6\nd_max_scene = 5\n")
         assert load_config(p).image_height == 8
 
     def test_float_fields_listed(self):
-        assert {"pretrain_lr", "cloud_scale", "lambda_stereo", "ssim_alpha", "d_min"} <= set(FLOAT_FIELDS)
+        assert {"pretrain_lr", "cloud_scale", "lambda_stereo", "lambda_reproj", "d_min"} <= set(FLOAT_FIELDS)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
@@ -984,6 +1002,16 @@ class TestErrorMessages:
         argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_test"]
         offset = f"(byte offset {len(blob) - 8})"
         self._fails_with(argv, capsys, f"{ckpt}: array 'matcher.head2.b' holds a non-finite value", offset)
+
+    def test_repeated_sample_id(self, tiny_env, capsys):
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        config = load_config(cfg_path)
+        ckpt = training._save_params(config, "translator.ckpt", training._init_translator(config).params)
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "translate", "--translator-ckpt", str(ckpt), "--sample-ids", "1", "1", "0"]
+        self._fails_with(argv, capsys, "sample id 1 is given more than once")
+        assert not (base / "out").exists()
 
     def test_config_that_is_a_directory(self, tmp_path, capsys):
         self._fails_with(["--config", str(tmp_path), "gen-data"], capsys, f"cannot read config file {tmp_path}")

@@ -10,38 +10,44 @@ from oracles import backward_warp_oracle, lr_occlusion_oracle
 
 
 class TestReprojection:
-    RIG = geometry.CameraRig(baseline_b=2.0, f_u=100.0, f_v=100.0, c_u=50.0, c_v=50.0)
+    # the fixed rig: baseline 0.5 m, focal length 100 px; a 65x81 map puts the principal point at (u, v) = (40, 32)
+    SHAPE = (65, 81)
 
     def test_left_pixel_off_axis(self):
-        d = np.full((64, 80), 5.0)
-        d[50, 60] = 10.0
-        cloud = geometry.disparity_to_world_points(d, "left", self.RIG)
-        assert cloud.shape == (3, 64, 80)
-        assert np.allclose(cloud.data[:, 50, 60], [1.0, 0.0, 20.0], atol=1e-12)
-        assert np.allclose(cloud.data[:, 50, 61], [3.4, 0.0, 40.0], atol=1e-12)  # a neighbour at d = 5
+        d = np.full(self.SHAPE, 5.0)
+        d[42, 60] = 10.0
+        cloud = geometry.disparity_to_world_points(d, "left")
+        assert cloud.shape == (3, 65, 81)
+        # x = 0.5 (60 - 40) / 10 - 0.25, y = 100 0.5 (42 - 32) / (100 10), z = 100 0.5 / 10
+        assert np.allclose(cloud.data[:, 42, 60], [0.75, 0.5, 5.0], atol=1e-12)
+        assert np.allclose(cloud.data[:, 42, 61], [1.85, 1.0, 10.0], atol=1e-12)  # a neighbour at d = 5
+        # the right camera sits 0.5 m to the right: the same pixel and disparity shift by +0.25 m instead
+        right = geometry.disparity_to_world_points(d, "right")
+        assert np.allclose(right.data[:, 42, 60], [1.25, 0.5, 5.0], atol=1e-12)
 
     def test_left_pixel_at_principal_point(self):
-        d = np.full((64, 80), 5.0)
-        d[50, 50] = 20.0
-        cloud = geometry.disparity_to_world_points(d, "left", self.RIG)
-        assert np.allclose(cloud.data[:, 50, 50], [-1.0, 0.0, 10.0], atol=1e-12)
+        d = np.full(self.SHAPE, 5.0)
+        d[32, 40] = 20.0
+        cloud = geometry.disparity_to_world_points(d, "left")
+        assert np.allclose(cloud.data[:, 32, 40], [-0.25, 0.0, 2.5], atol=1e-12)
 
     def test_nonpositive_disparity_rejected(self):
         for bad in (0.0, -1.0, np.nan):
             d = np.full((3, 3), 2.0)
             d[1, 2] = bad
             with pytest.raises(ValueError, match="strictly positive"):
-                geometry.disparity_to_world_points(d, "left", self.RIG)
+                geometry.disparity_to_world_points(d, "left")
 
     def test_fronto_parallel_views_match_in_world(self):
+        # left column i + d and right column i see the same point of a plane at disparity d
         h, w, disp = 10, 40, 7.0
-        rig = geometry.CameraRig(baseline_b=0.5, f_u=90.0, f_v=110.0, c_u=(w - 1) / 2, c_v=(h - 1) / 2)
-        cloud_l = geometry.disparity_to_world_points(np.full((h, w), disp), "left", rig)
-        cloud_r = geometry.disparity_to_world_points(np.full((h, w), disp), "right", rig)
+        cloud_l = geometry.disparity_to_world_points(np.full((h, w), disp), "left")
+        cloud_r = geometry.disparity_to_world_points(np.full((h, w), disp), "right")
         d = int(disp)
         left = cloud_l.data[:, :, d:]
         right = cloud_r.data[:, :, : w - d]
         assert np.max(np.abs(left - right)) <= 1e-9
+        assert np.allclose(cloud_l.data[2], 100.0 * 0.5 / disp, atol=1e-12)
 
 
 class TestBackwardWarp:
@@ -266,7 +272,7 @@ class TestSignedOffset:
     "call",
     [
         lambda d: geometry.warp_plan(d, "middle"),
-        lambda d: geometry.disparity_to_world_points(d, "middle", TestReprojection.RIG),
+        lambda d: geometry.disparity_to_world_points(d, "middle"),
         lambda d: geometry.occlusion_mask({"left": d, "right": d, "middle": d}, "middle"),
     ],
     ids=["warp_plan", "disparity_to_world_points", "occlusion_mask"],

@@ -3,6 +3,8 @@ import pytest
 
 from sca_stereo import autodiff as ad
 from sca_stereo import geometry, losses
+from sca_stereo.config import RunConfig
+from sca_stereo.errors import ConfigError
 
 from oracles import (
     backward_warp_oracle,
@@ -435,21 +437,19 @@ class TestFullObjective:
         }
 
     def test_paper_weights_arithmetic(self):
-        weights = losses.LossWeights()  # 1.0, 1.0, 10.0, 0.1, 1.0, alpha 0.85
+        weights = RunConfig()  # lambdas 1.0, 1.0, 10.0, 0.1, 1.0
         loss_g = losses.generator_objective(self._components(), weights)
         loss_e = losses.matcher_objective(self._components(), weights)
         assert loss_g.item() == pytest.approx(2.0 + 0.5 + 0.25 + 1.0, abs=1e-12)
         assert loss_e.item() == pytest.approx(0.1 * 4.0 + 1.5, abs=1e-12)
 
     def test_zero_weights_endpoint(self):
-        weights = losses.LossWeights(0.0, 0.0, 0.0, 0.0, 0.0, alpha=0.85)
+        weights = RunConfig(lambda_perc=0.0, lambda_feat=0.0, lambda_stereo=0.0, lambda_disp=0.0, lambda_reproj=0.0)
         assert losses.matcher_objective(self._components(), weights).item() == 0.0
         assert losses.generator_objective(self._components(), weights).item() == pytest.approx(2.0)
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            losses.LossWeights(lambda_perc=-1.0)
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            losses.LossWeights(alpha=1.5)
+    @pytest.mark.parametrize("name", ["lambda_perc", "lambda_feat", "lambda_stereo", "lambda_disp", "lambda_reproj"])
+    def test_negative_weight_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be non-negative, got -1.0$"):
+            RunConfig(**{name: -1.0}).validate()
+        RunConfig(**{name: 0.0}).validate()

@@ -5,7 +5,7 @@ import pytest
 
 from sca_stereo import autodiff as ad
 from sca_stereo import geometry, losses, matcher, synth, training, translation
-from sca_stereo.config import load_config
+from sca_stereo.config import RunConfig, load_config
 
 from oracles import correlation_oracle, tape_arrays, tape_nbytes
 from test_cli import tiny_config_text
@@ -236,11 +236,11 @@ class TestStreamedSteps:
 
     def test_adapt_step_matches_one_graph(self):
         mparams, batch = self._setup()
-        weights = losses.LossWeights(lambda_disp=0.3, lambda_reproj=0.7)
+        weights = RunConfig(lambda_disp=0.3, lambda_reproj=0.7)
         both = lambda pair: {v: matcher.predict_view(pair["left"], pair["right"], v, mparams) for v in geometry.VIEWS}
         components = {
             "disp": ad.mean_n([losses.disparity_loss(both(fakes), gt) for fakes, gt, _ in batch]),
-            "reproj": ad.mean_n([losses.reprojection_loss(tgt, both(tgt), weights.alpha) for _, _, tgt in batch]),
+            "reproj": ad.mean_n([losses.reprojection_loss(tgt, both(tgt)) for _, _, tgt in batch]),
         }
         loss = losses.matcher_objective(components, weights)
         logged = [components["disp"].item(), components["reproj"].item(), loss.item()]
@@ -269,7 +269,7 @@ class TestStreamedSteps:
         rng = np.random.default_rng(4)
         tparams = tiny_translator()
         dparams = translation.DiscriminatorParams(rng, base_channels=4)
-        weights = losses.LossWeights(lambda_perc=0.3, lambda_feat=0.7, lambda_stereo=1.3)
+        weights = RunConfig(lambda_perc=0.3, lambda_feat=0.7, lambda_stereo=1.3)
         batch = []
         for seed in (1, 2):
             src, tgt = scene_inputs(seed)

@@ -114,7 +114,7 @@ class TestStreams:
     def test_scale_shapes(self):
         tparams = tiny_translator()
         src, _ = scene_inputs()
-        cloud = geometry.disparity_to_world_points(src.disparities["left"], "left", synth.default_rig(16, 32))
+        cloud = geometry.disparity_to_world_points(src.disparities["left"], "left")
         feats = translation.content_stream(src.images["left"], cloud, tparams)
         # scale n (1-based) has spatial size (H / 2**n, W / 2**n)
         assert feats[0].shape == (tparams.channels[0], 8, 16)
@@ -126,7 +126,7 @@ class TestStreams:
     def test_deterministic(self):
         tparams = tiny_translator()
         src, _ = scene_inputs()
-        cloud = geometry.disparity_to_world_points(src.disparities["left"], "left", synth.default_rig(16, 32))
+        cloud = geometry.disparity_to_world_points(src.disparities["left"], "left")
         a = translation.content_stream(src.images["left"], cloud, tparams)
         b = translation.content_stream(src.images["left"], cloud, tparams)
         for x, y in zip(a, b):
@@ -135,7 +135,7 @@ class TestStreams:
     def test_finite_outputs(self):
         tparams = tiny_translator()
         src, _ = scene_inputs()
-        cloud = geometry.disparity_to_world_points(src.disparities["right"], "right", synth.default_rig(16, 32))
+        cloud = geometry.disparity_to_world_points(src.disparities["right"], "right")
         for f in translation.content_stream(src.images["right"], cloud, tparams):
             assert np.all(np.isfinite(f.data))
 
