@@ -301,10 +301,6 @@ def tanh(a: Tensor) -> Tensor:
     return _result(out, (a,), (lambda g: g * (1.0 - out * out),))
 
 
-def softplus(a: Tensor) -> Tensor:
-    return _result(np.logaddexp(0.0, a.data), (a,), (lambda g: g * (0.5 * (1.0 + np.tanh(0.5 * a.data))),))
-
-
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
     return _result(out, (a,), (lambda g: g * 0.5 / out,))
@@ -331,11 +327,6 @@ def mean_n(terms: list[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    src_shape = a.shape
-    return _result(a.data.reshape(shape), (a,), (lambda g: g.reshape(src_shape),))
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:

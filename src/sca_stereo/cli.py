@@ -87,7 +87,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "evaluate":
         metrics = training.evaluate(config, args.matcher_ckpt, args.split)
-        print(f"epe={metrics['epe']!r} d1_all={metrics['d1_all']!r}")
+        print(" ".join(f"{name}={value!r}" for name, value in metrics.items()))
         return 0
     if args.command == "translate":
         csv_path = training.translate_export(config, args.translator_ckpt, args.sample_ids)

@@ -253,3 +253,9 @@ def d1_all(pred: Tensor, gt: np.ndarray) -> float:
     err = _errors(pred, gt)
     outliers = ~(err <= np.maximum(3.0, 0.05 * gt))
     return float(100.0 * outliers.sum() / err.size)
+
+
+def bad1(pred: Tensor, gt: np.ndarray) -> float:
+    """Percentage of pixels whose error is not at most 1 px: a NaN prediction counts as bad."""
+    err = _errors(pred, gt)
+    return float(100.0 * (~(err <= 1.0)).sum() / err.size)

@@ -312,7 +312,7 @@ def pretrain(config: RunConfig) -> Path:
     def run(it: int, idx: np.ndarray) -> tuple[Tensor]:
         loss = _pretrain_step([train.samples[k] for k in idx], mparams, state)
         if it % config.val_interval == 0 or it == config.pretrain_iters:
-            val_rows.append([it, _fmt(evaluate_samples(val, _left_disparity(mparams))[1])])
+            val_rows.append([it, _fmt(evaluate_samples(val, _left_disparity(mparams))[1]["epe"])])
         return (loss,)
 
     _fit(config, "pretrain_loss.csv", ["l1"], plans, run)
@@ -485,33 +485,30 @@ def adapt(config: RunConfig, translator_ckpt: Path, matcher_ckpt: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_samples(split: LoadedSplit, predict_fn) -> tuple[list[list], float, float]:
-    """Per-sample EPE / D1-all rows plus their means.
+METRICS = {"epe": geometry.epe, "d1_all": geometry.d1_all, "bad1": geometry.bad1}
+
+
+def evaluate_samples(split: LoadedSplit, predict_fn) -> tuple[list[list], dict[str, float]]:
+    """Per-sample rows of every :data:`METRICS` column, plus each column's mean.
 
     ``predict_fn(sample) -> Tensor[H,W]`` supplies the left-view disparity.
     """
-    rows = []
-    epes, d1s = [], []
+    rows, scores = [], []
     for k, s in enumerate(split.samples):
         pred = predict_fn(s)
-        e = geometry.epe(pred, s.disparities["left"])
-        d = geometry.d1_all(pred, s.disparities["left"])
-        rows.append([k, _fmt(e), _fmt(d)])
-        epes.append(e)
-        d1s.append(d)
-    return rows, float(np.mean(epes)), float(np.mean(d1s))
+        scores.append([metric(pred, s.disparities["left"]) for metric in METRICS.values()])
+        rows.append([k] + [_fmt(v) for v in scores[-1]])
+    return rows, {name: float(np.mean(column)) for name, column in zip(METRICS, zip(*scores))}
 
 
 def evaluate(config: RunConfig, matcher_ckpt: Path, split: str) -> dict[str, float]:
     """Write per-sample metrics CSV for a split; returns the aggregates."""
     data = load_split(config, split)
     mparams = load_matcher(config, matcher_ckpt, trainable=False)
-    rows, mean_epe, mean_d1 = evaluate_samples(data, _left_disparity(mparams))
-    rows.append(["mean", _fmt(mean_epe), _fmt(mean_d1)])
-    _write_csv(
-        Path(config.output_dir) / f"evaluate_{split}.csv", ["sample", "epe", "d1_all"], rows
-    )
-    return {"epe": mean_epe, "d1_all": mean_d1}
+    rows, means = evaluate_samples(data, _left_disparity(mparams))
+    rows.append(["mean"] + [_fmt(v) for v in means.values()])
+    _write_csv(Path(config.output_dir) / f"evaluate_{split}.csv", ["sample", *METRICS], rows)
+    return means
 
 
 def image_consistency(images: dict[str, Tensor], disparities: dict[str, np.ndarray]) -> float:

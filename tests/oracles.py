@@ -231,13 +231,13 @@ def sca_oracle(f_other, q, k, d_max, direction):
 
 
 def correlation_oracle(f_left, f_right, d_max):
-    c, h, w = f_left.shape
+    _, h, w = f_left.shape
     out = np.zeros((d_max + 1, h, w))
     for d in range(d_max + 1):
         for j in range(h):
             for i in range(w):
                 if i - d >= 0:
-                    out[d, j, i] = float(f_left[:, j, i] @ f_right[:, j, i - d]) / c
+                    out[d, j, i] = float(f_left[:, j, i] @ f_right[:, j, i - d])
     return out
 
 

@@ -118,12 +118,12 @@ class TestGraphLifetime:
         # one array per op during the walk, and an unlinked tape stays alive
         rng = np.random.default_rng(3)
         x = ad.tensor(rng.standard_normal((8, 32, 32)), requires_grad=True)
-        ops = (ad.tanh, lambda a: ad.mulc(a, 0.9), ad.softplus, ad.leaky_relu)
+        ops = (ad.tanh, lambda a: ad.mulc(a, 0.9), ad.leaky_relu)
         tracemalloc.start()
         try:
             y = x
             for k in range(20):
-                y = ops[k % 4](y)
+                y = ops[k % len(ops)](y)
             loss = ad.sum_all(y)
             del y
             tape = tracemalloc.get_traced_memory()[0]
@@ -468,15 +468,13 @@ class TestBlockedTapSums:
 
 
 # Compared at one and two BLAS threads: matcher.feat2's blocked conv at the default 64x128 (output, input
-# and kernel gradients) and a default predict_disparity forward. The predict backward is not compared:
-# OpenBLAS runs the ragged last columns of a threaded GEMM through another kernel, so matcher.enc1's
-# stride-2 input gradient (2145 columns per phase) differs in its last bits between one and two threads,
-# with or without blocks.
+# and kernel gradients), and a default matcher's predict_view of both views over three draws (each
+# prediction and every parameter gradient under a random cotangent).
 _THREADS_SCRIPT = """
 import hashlib
 import numpy as np
 from sca_stereo import autodiff as ad
-from sca_stereo.matcher import MatcherParams, predict_disparity
+from sca_stereo.matcher import MatcherParams, predict_view
 
 rng = np.random.default_rng(0)
 digest = hashlib.sha256()
@@ -486,8 +484,16 @@ out = ad.conv2d(x, k, padding=1)
 ad.backward(ad.sum_all(ad.mul(out, ad.constant(rng.standard_normal(out.shape)))))
 for array in (out.data, x.grad, k.grad):
     digest.update(array.tobytes())
-left, right = (ad.tensor(rng.random((3, 64, 128))) for _ in range(2))
-digest.update(predict_disparity(left, right, MatcherParams(np.random.default_rng(1))).data.tobytes())
+mparams = MatcherParams(np.random.default_rng(1))
+for _ in range(3):
+    left, right = (ad.tensor(rng.random((3, 64, 128))) for _ in range(2))
+    for view in ("left", "right"):
+        ad.zero_grads(mparams.params)
+        pred = predict_view(left, right, view, mparams)
+        digest.update(pred.data.tobytes())
+        ad.backward(ad.sum_all(ad.mul(pred, ad.constant(rng.standard_normal(pred.shape)))))
+        for param in mparams.params.values():
+            digest.update(param.grad.tobytes())
 print(len(ad._column_blocks(9, 16, 16, 64 * 130)), digest.hexdigest())
 """
 

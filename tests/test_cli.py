@@ -469,13 +469,14 @@ class TestPipelineCommands:
         assert (base / "out" / "adapt_loss.csv").read_bytes() == adapt_log
 
         eval_csv = (base / "out" / "evaluate_target_test.csv").read_text().splitlines()
-        assert eval_csv[0] == "sample,epe,d1_all"
+        assert eval_csv[0] == "sample,epe,d1_all,bad1"
         assert len(eval_csv) == 1 + 3 + 1  # samples + aggregate row
         # aggregate equals the mean of the per-sample rows
         per_sample = [list(map(float, line.split(",")[1:])) for line in eval_csv[1:-1]]
         agg = list(map(float, eval_csv[-1].split(",")[1:]))
         assert agg[0] == pytest.approx(np.mean([r[0] for r in per_sample]), abs=1e-12)
         assert agg[1] == pytest.approx(np.mean([r[1] for r in per_sample]), abs=1e-12)
+        assert agg[2] == pytest.approx(np.mean([r[2] for r in per_sample]), abs=1e-12)
 
         cons = (base / "out" / "consistency.csv").read_text().splitlines()
         assert cons[0] == "sample,consistency"
@@ -804,11 +805,8 @@ class TestPipelineCommands:
         main(["--config", str(cfg_path), "gen-data"])
         config = load_config(cfg_path)
         split = training.load_split(config, "source_val")
-        rows, mean_epe, mean_d1 = training.evaluate_samples(
-            split, lambda s: s.disparities["left"]
-        )
-        assert mean_epe == 0.0
-        assert mean_d1 == 0.0
+        rows, means = training.evaluate_samples(split, lambda s: s.disparities["left"])
+        assert means == {"epe": 0.0, "d1_all": 0.0, "bad1": 0.0}
         assert len(rows) == 3
 
 
@@ -997,11 +995,11 @@ class TestErrorMessages:
         config = load_config(cfg_path)
         ckpt = training._save_params(config, "matcher.ckpt", training._init_matcher(config).params)
         blob = ckpt.read_bytes()
-        ckpt.write_bytes(blob[:-8] + np.array([np.nan], "<f8").tobytes())  # the last array is matcher.head2.b
+        ckpt.write_bytes(blob[:-8] + np.array([np.nan], "<f8").tobytes())  # the last array is matcher.feat2.b
         capsys.readouterr()
         argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_test"]
         offset = f"(byte offset {len(blob) - 8})"
-        self._fails_with(argv, capsys, f"{ckpt}: array 'matcher.head2.b' holds a non-finite value", offset)
+        self._fails_with(argv, capsys, f"{ckpt}: array 'matcher.feat2.b' holds a non-finite value", offset)
 
     def test_repeated_sample_id(self, tiny_env, capsys):
         base, cfg_path = tiny_env
@@ -1075,6 +1073,6 @@ class TestGradcheckCommand:
         lines = [l for l in out.splitlines() if l.startswith("ok") or l.startswith("FAIL")]
         ops = {l.split()[1] for l in lines}
         assert ops == set(gradcheck.CASES)
-        assert len(ops) == 56
-        assert len(lines) == 56 * 3
+        assert len(ops) == 55
+        assert len(lines) == 55 * 3
         assert all(l.startswith("ok") for l in lines)

@@ -245,6 +245,15 @@ class TestMetrics:
         pred[0, 0] = 7.0
         assert geometry.d1_all(ad.constant(pred), gt) == pytest.approx(100.0 * 5 / 6)
 
+    def test_bad1_hand_built_error_map(self):
+        # errors 0, 0.5, exactly 1 (not bad), just over 1, 4 and NaN (bad) over gt 2 and 40
+        gt = np.array([[2.0, 2.0, 2.0], [40.0, 40.0, 40.0]])
+        pred = gt + np.array([[0.0, -0.5, 1.0], [-(1.0 + 1e-9), 4.0, np.nan]])
+        assert geometry.bad1(ad.constant(pred), gt) == pytest.approx(100.0 * 3 / 6)
+        assert geometry.bad1(ad.constant(gt), gt) == 0.0
+        with pytest.raises(ValueError, match=r"^prediction shape \(3, 2\) != ground truth shape \(2, 3\)$"):
+            geometry.bad1(ad.constant(np.ones((3, 2))), gt)
+
     def test_shape_mismatch(self):
         gt = np.ones((2, 2))
         with pytest.raises(ValueError):

@@ -198,7 +198,7 @@ class TestReferences:
         pred = constant_predictor(train)
         median = np.median([s.disparities["left"] for s in train.samples])
         assert pred.shape == (16, 32) and np.all(pred == median)
-        _, mean_epe, _ = training.evaluate_samples(val, lambda s: pred)
+        mean_epe = training.evaluate_samples(val, lambda s: pred)[1]["epe"]
         gt = np.stack([s.disparities["left"] for s in val.samples])
         assert mean_epe == pytest.approx(np.abs(gt - median).mean(), rel=1e-12)
 
