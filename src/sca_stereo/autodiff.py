@@ -283,17 +283,14 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    """``a`` where positive, else ``slope * a``.
+LEAKY_SLOPE = 0.2
 
-    For ``slope`` in (0, 1] that is ``max(a, slope * a)``, infinities
-    included; slope 0 is :func:`relu`.
-    """
-    if not 0.0 < slope <= 1.0:
-        raise ValueError(f"leaky_relu: slope must be in (0, 1], got {slope}")
-    # g * 1 is g and the max picks slope elsewhere: the branch-free form of where(a > 0, g, g * slope)
+
+def leaky_relu(a: Tensor) -> Tensor:
+    """``a`` where positive, else ``LEAKY_SLOPE * a``: ``max(a, LEAKY_SLOPE * a)``, infinities included."""
+    # g * 1 is g and the max picks the slope elsewhere: the branch-free form of where(a > 0, g, g * slope)
     positive = a.data > 0 if a.requires_grad else None
-    return _result(np.maximum(a.data, slope * a.data), (a,), (lambda g: g * np.maximum(positive, slope),))
+    return _result(np.maximum(a.data, LEAKY_SLOPE * a.data), (a,), (lambda g: g * np.maximum(positive, LEAKY_SLOPE),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -393,10 +390,13 @@ def mul_spatial(a: Tensor, s: Tensor) -> Tensor:
     return _result(a.data * factor, (a, s), (lambda g: g * factor, lambda g: (g * a.data).sum(axis=axes)))
 
 
-def pixel_norm(a: Tensor, eps: float = 1e-8) -> Tensor:
-    """L2-normalize each pixel's channel vector of a [C,H,W] tensor."""
+PIXEL_NORM_EPS = 1e-8
+
+
+def pixel_norm(a: Tensor) -> Tensor:
+    """L2-normalize each pixel's channel vector of a [C,H,W] tensor, ``PIXEL_NORM_EPS`` under the root."""
     sumsq = sum_channels(mul(a, a))
-    inv = div(constant(np.ones(a.shape[1:])), sqrt(addc(sumsq, eps)))
+    inv = div(constant(np.ones(a.shape[1:])), sqrt(addc(sumsq, PIXEL_NORM_EPS)))
     return mul_spatial(a, inv)
 
 
@@ -916,23 +916,26 @@ def upsample_bilinear2(a: Tensor, factor: int = 2) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _moments(a: Tensor, eps: float) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-channel mean, the centred input and sqrt(var + eps) of a [C,H,W] tensor."""
+NORM_EPS = 1e-5
+
+
+def _moments(a: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """Per-channel mean, the centred input and sqrt(var + ``NORM_EPS``) of a [C,H,W] tensor."""
     _, h, w = a.shape
     mu = channel_mean(a)
     centered = sub(a, broadcast_chan(mu, h, w))
-    return mu, centered, sqrt(addc(channel_mean(mul(centered, centered)), eps))
+    return mu, centered, sqrt(addc(channel_mean(mul(centered, centered)), NORM_EPS))
 
 
-def instance_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm(a: Tensor) -> Tensor:
     """Per-channel zero-mean unit-variance normalization over H,W."""
-    _, centered, std = _moments(a, eps)
+    _, centered, std = _moments(a)
     return mul_spatial(centered, div(constant(np.ones(a.shape[0])), std))
 
 
-def channel_stats(a: Tensor, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
-    """Per-channel (mean, std) over H,W; std includes ``eps`` under the root."""
-    mu, _, std = _moments(a, eps)
+def channel_stats(a: Tensor) -> tuple[Tensor, Tensor]:
+    """Per-channel (mean, std) over H,W; std includes ``NORM_EPS`` under the root."""
+    mu, _, std = _moments(a)
     return mu, std
 
 
@@ -941,17 +944,13 @@ def channel_stats(a: Tensor, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
 # ---------------------------------------------------------------------------
 
 
+ADAM_EPSILON = 1e-8
+
+
 class AdamState:
     """Bias-corrected Adam moments for a named parameter collection."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float, beta1: float = 0.9, beta2: float = 0.999):
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.first_moment = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -959,7 +958,6 @@ class AdamState:
         self.step_count = 0
         self.beta1 = beta1
         self.beta2 = beta2
-        self.epsilon = epsilon
         self.learning_rate = learning_rate
 
 
@@ -982,7 +980,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array], state: AdamSta
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

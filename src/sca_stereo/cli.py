@@ -25,7 +25,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--no-sca", action="store_true", help="disable the cross-view attention blocks")
-    parser.add_argument("--out", type=Path, default=None, help="override the output directory")
+    # a str, not a Path: Path("") reads as ".", so an empty --out could not be told from the working directory
+    parser.add_argument("--out", default=None, help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     # abbreviation is a per-parser setting: a prefix like --sample-id must not pass for --sample-ids
     add = functools.partial(sub.add_parser, allow_abbrev=False)

@@ -84,8 +84,10 @@ class RunConfig:
         def check(names, ok, rule: str) -> None:
             for name in names:
                 if not ok(getattr(self, name)):
-                    raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+                    raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
+        # an empty path would name the working directory
+        check(["data_dir", "checkpoint_dir", "output_dir"], lambda v: v != "", "a non-empty path")
         check([name for name, kind in _FIELDS.items() if kind == "float"], math.isfinite, "finite")
         stages = ("pretrain", "translator", "adapt")
         counts = [f"{stage}_batch" for stage in stages] + ["val_interval", "num_layers"]

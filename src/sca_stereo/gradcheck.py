@@ -9,12 +9,13 @@ that is right only for constant ``g``: one that averages ``g`` over rows or
 reverses it along an axis still passes.
 
 :data:`CASES` is the battery, one row per differentiable operation of the
-package. It backs both the test suite and the ``gradcheck`` CLI command.
+package, run once per seed of ``SEEDS`` to ``TOLERANCE``. It backs both the
+test suite and the ``gradcheck`` CLI command.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,10 +36,14 @@ def _outputs(fn: Callable[..., Outputs], inputs: list[Tensor]) -> list[Tensor]:
     return out if isinstance(out, list) else [out]
 
 
+STEP = 1e-5  # central-difference step
+SEEDS = (0, 1, 2)  # the battery runs every case once per seed
+TOLERANCE = 1e-5  # a run passes at or below this max relative error
+
+
 def check_gradients(
     fn: Callable[..., Outputs],
     inputs: list[Tensor],
-    h: float = 1e-5,
     max_entries_per_input: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
@@ -81,12 +86,12 @@ def check_gradients(
             g_flat = g.ravel()
             for idx in indices:
                 orig = flat[idx]
-                flat[idx] = orig + h
+                flat[idx] = orig + STEP
                 f_plus = contracted()
-                flat[idx] = orig - h
+                flat[idx] = orig - STEP
                 f_minus = contracted()
                 flat[idx] = orig
-                numeric = (f_plus - f_minus) / (2.0 * h)
+                numeric = (f_plus - f_minus) / (2.0 * STEP)
                 worst = max(worst, relative_error(g_flat[idx], numeric))
     finally:
         for t, check in zip(inputs, checked):
@@ -109,13 +114,13 @@ def run_case(make: Callable[[np.random.Generator], Check], seed: int) -> float:
     return check_gradients(op, inputs, max_entries_per_input=max_entries, rng=rng)
 
 
-def run_battery(seeds: Iterable[int] = (0, 1, 2), tol: float = 1e-5) -> list[dict]:
-    """Run every case on every seed; one report row per run."""
+def run_battery() -> list[dict]:
+    """Run every case on every one of ``SEEDS``; one report row per run."""
     rows = []
     for name, make in CASES.items():
-        for seed in seeds:
+        for seed in SEEDS:
             err = run_case(make, seed)
-            rows.append({"op": name, "seed": seed, "max_rel_err": err, "passed": err <= tol})
+            rows.append({"op": name, "seed": seed, "max_rel_err": err, "passed": err <= TOLERANCE})
     return rows
 
 
@@ -201,10 +206,11 @@ def _hinge_discriminator(fake, real_source, real_target):
     return losses.adv_loss_discriminator(both(fake), both(real_source), both(real_target))
 
 
-def _stereo_consistency(fl, fr):
+def _stereo_consistency(hl, hr, fl, fr):
+    # a half-width pair, upsampled by the factor the widths give, and a full-width pair as it is;
     # d = 2.5 leaves 3 border columns of each view out of its occlusion mask
     d = np.full(fl.shape[1:], 2.5)
-    return losses.stereo_consistency_loss({"left": [(fl, 1)], "right": [(fr, 1)]}, None, {v: d for v in VIEWS})
+    return losses.stereo_consistency_loss([{"left": hl, "right": hr}, {"left": fl, "right": fr}], {v: d for v in VIEWS})
 
 
 def _disparity(pl, pr):
@@ -233,7 +239,7 @@ def _discriminate_shared_weights(rng):
 
     def op(*_):
         weights = translation.spectral_weights(dparams.params, dparams.u)
-        return [x for img in images for x in translation.discriminate(img, weights, dparams.n_scales)[0]]
+        return [x for img in images for x in translation.discriminate(img, weights)[0]]
 
     return Check(op, [dparams.params["disc0.conv2.w"], dparams.params["disc1.conv1.b"]], 12)
 
@@ -253,7 +259,7 @@ def _fade(init, block, max_entries=None):
 
 def _sca_block_wq(rng):
     fg, fc = ({v: ad.constant(rng.standard_normal((2, 4, 6))) for v in VIEWS} for _ in range(2))
-    params = translation.init_sca_block_params(rng, "sca", 2, d_max=2)
+    params = translation.init_sca_block_params(rng, "sca", 2)
 
     def op(_wq):
         out = translation.sca_block(fg, fc, params, "sca", d_max=2)
@@ -279,7 +285,7 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     "mul": _row(ad.mul, _normal(6), _normal(6)),
     "div": _row(ad.div, _normal(5), _uniform(0.5, 2.0, 5)),
     "abs": _row(ad.absolute, _away_from(0.0, 4, 4)),
-    "leaky_relu": _row(lambda a: ad.leaky_relu(a, 0.2), _away_from(0.0, 5, 5)),
+    "leaky_relu": _row(ad.leaky_relu, _away_from(0.0, 5, 5)),
     "relu": _row(ad.relu, _away_from(0.0, 4, 6)),
     "tanh": _row(ad.tanh, _normal(3, 4)),
     "sqrt": _row(ad.sqrt, _uniform(0.5, 3.0, 6)),
@@ -361,13 +367,15 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     ),
     # logits away from the hinge kinks at -1 and +1
     "hinge_adv_discriminator": _row(_hinge_discriminator, *[_uniform(-0.6, 0.6, 1, 3, 4)] * 3),
-    "stereo_consistency_loss": _row(_stereo_consistency, _normal(2, 4, 8), _normal(2, 4, 8)),
+    "stereo_consistency_loss": _row(
+        _stereo_consistency, _normal(2, 2, 4), _normal(2, 2, 4), _normal(2, 4, 8), _normal(2, 4, 8)
+    ),
     "warped_l1": _row(
         lambda fb, fm: geometry.warped_l1(fb, fm, _WARP_PLAN, _L1_MASK), _normal(2, 3, 8), _normal(2, 3, 8)
     ),
     "disparity_loss": _row(_disparity, _uniform(1.0, 6.0, 4, 6), _uniform(1.0, 6.0, 4, 6)),
     "reprojection_loss": _row(
-        lambda il, ir, pl, pr: losses.reprojection_loss({"left": il, "right": ir}, {"left": pl, "right": pr}, 0.85),
+        lambda il, ir, pl, pr: losses.reprojection_loss({"left": il, "right": ir}, {"left": pl, "right": pr}),
         _const(_uniform(0.1, 0.9, 3, 4, 8)),
         _const(_uniform(0.1, 0.9, 3, 4, 8)),
         _uniform(1.53, 2.53, 4, 8),

@@ -6,7 +6,8 @@ perceptual / feature-matching terms, plus the two weighted objectives:
 
 View pairs are passed as ``{"left": ..., "right": ...}`` dicts; the two
 (base, match) orderings of every symmetric loss are summed; the matcher's
-losses sum over the views their prediction dict holds.
+losses sum over the views their prediction dict holds. The stereo loss
+takes a list of such pairs, each at a power-of-two fraction of full width.
 """
 
 from __future__ import annotations
@@ -51,52 +52,47 @@ def adv_loss_discriminator(
     return ad.add_n([_scale_mean(group[v], transform) for group, transform in groups for v in VIEWS])
 
 
-def stereo_consistency_loss(
-    gen_feats: dict[str, list[tuple[Tensor, int]]],
-    images: dict[str, Tensor] | None,
-    gt_disparities: dict[str, np.ndarray],
-) -> Tensor:
+def stereo_consistency_loss(maps: list[dict[str, Tensor]], gt_disparities: dict[str, np.ndarray]) -> Tensor:
     """Occlusion-masked L1 between each view and the warp of the other view.
 
-    Applied per scale on generator features brought back to full resolution
-    by one :func:`autodiff.upsample_bilinear2` call at their factor (the
-    translated images participate as they are), warped under the
-    ground-truth disparity of the base view, normalized by the unoccluded
-    pixel count, and summed over scales and both view orderings. Each term
-    is one :func:`geometry.warped_l1` op; the terms of one base view share
-    one :func:`geometry.warp_plan`, which lives only as long as the tape,
-    and that plan also gives the view's occlusion mask, the
-    :func:`geometry.lr_mask` of the two ground-truth maps. A base view
-    whose mask is empty adds no terms.
+    ``maps`` holds one ``{view: map}`` pair per scale, such as the
+    generator's features followed by the translated images. A map narrower
+    than the ground truth is brought back to full resolution by one
+    :func:`autodiff.upsample_bilinear2` call, at the ground-truth width over
+    its width; a map at full width takes part as it is. Each pair is warped
+    under the ground-truth disparity of the base view, normalized by the
+    unoccluded pixel count, and summed over pairs and both view orderings.
+    Each term is one :func:`geometry.warped_l1` op; the terms of one base
+    view share one :func:`geometry.warp_plan`, which lives only as long as
+    the tape, and that plan also gives the view's occlusion mask, the
+    :func:`geometry.lr_mask` of the two ground-truth maps. A base view whose
+    mask is empty adds no terms. A width ratio that is not a power of two
+    raises ``ValueError``.
 
-    One scale is upsampled at a time, for both views, and both base views'
-    terms of that scale are built before the next: no term keeps a feature,
-    so only one scale's full-resolution maps are alive at once. The terms
-    are still summed base-major, every left-base term before every
-    right-base one, which fixes the value and the backward walk.
+    One pair is upsampled at a time, and both base views' terms of that pair
+    are built before the next: no term keeps a feature, so only one pair's
+    full-resolution maps are alive at once. The terms are still summed
+    base-major, every left-base term before every right-base one, which
+    fixes the value and the backward walk.
     """
-    factors = [factor for _, factor in gen_feats["left"]]
-    if factors != [factor for _, factor in gen_feats["right"]]:
-        raise ValueError("mismatched upsampling factors between views")
     plans = {b: geometry.warp_plan(gt_disparities[b], b) for b in VIEWS}
     visible = {b: geometry.lr_mask(gt_disparities, b, plans[b]) for b in VIEWS}
     terms: dict[str, list[Tensor]] = {b: [] for b in VIEWS}
+    width = gt_disparities["left"].shape[1]
 
-    def add_terms(full: dict[str, Tensor]) -> None:
-        """Both base views' terms of one scale; ``full`` dies with the call."""
+    def add_terms(pair: dict[str, Tensor]) -> None:
+        """Both base views' terms of one pair; its full-width maps die with the call."""
+        factors = {v: width // pair[v].shape[2] for v in VIEWS}  # 1 for a map at full width, which goes in as it is
+        full = {v: pair[v] if factors[v] == 1 else ad.upsample_bilinear2(pair[v], factors[v]) for v in VIEWS}
         for b in VIEWS:
             mask = visible[b]
             if full[b].shape[1:] != mask.shape:
-                raise ValueError(
-                    f"upsampled feature {full[b].shape} does not reach mask resolution {mask.shape}"
-                )
+                raise ValueError(f"map {pair[b].shape} does not reach mask resolution {mask.shape}")
             if mask.any():
                 terms[b].append(geometry.warped_l1(full[b], full[geometry.other_view(b)], plans[b], mask))
 
-    for scale in zip(*(gen_feats[v] for v in VIEWS)):
-        add_terms({v: ad.upsample_bilinear2(f, factor) for v, (f, factor) in zip(VIEWS, scale)})
-    if images is not None:
-        add_terms(images)
+    for pair in maps:
+        add_terms(pair)
     return ad.add_n([t for b in VIEWS for t in terms[b]])
 
 
@@ -141,9 +137,10 @@ def ssim(a: Tensor, b: Tensor) -> Tensor:
     return ad.div(num, den)
 
 
-def reprojection_loss(
-    images: dict[str, Tensor], pred_disparities: dict[str, Tensor], alpha: float = 0.85
-) -> Tensor:
+REPROJECTION_SSIM_WEIGHT = 0.85  # the DSSIM term's weight is half of it, the L1 term's its complement
+
+
+def reprojection_loss(images: dict[str, Tensor], pred_disparities: dict[str, Tensor]) -> Tensor:
     """Photometric L1 + SSIM penalty of warping each view onto the other.
 
     Uses the predicted (differentiable) disparities of the base view as the
@@ -155,8 +152,10 @@ def reprojection_loss(
         offset = geometry.signed_offset(pred_disparities[b], b)
         warped = geometry.backward_warp(images[m], offset)
         l1 = ad.mean_all(ad.absolute(ad.sub(images[b], warped)))
-        dssim = ad.mulc(ad.addc(ad.mulc(ad.mean_all(ssim(images[b], warped)), -1.0), 1.0), alpha / 2.0)
-        terms.append(ad.add(ad.mulc(l1, 1.0 - alpha), dssim))
+        dssim = ad.mulc(
+            ad.addc(ad.mulc(ad.mean_all(ssim(images[b], warped)), -1.0), 1.0), REPROJECTION_SSIM_WEIGHT / 2.0
+        )
+        terms.append(ad.add(ad.mulc(l1, 1.0 - REPROJECTION_SSIM_WEIGHT), dssim))
     return ad.add_n(terms)
 
 
@@ -167,39 +166,34 @@ def reprojection_loss(
 _FROZEN_FEATURE_SEED = 714025
 
 
-class PerceptualNet:
-    """Frozen random 4-layer conv feature extractor.
-
-    Stands in for pretrained features so the package stays hermetic; weights
-    are fixed at construction and never trained.
-    """
-
-    def __init__(self, seed: int = _FROZEN_FEATURE_SEED):
-        rng = np.random.default_rng(seed)
-        plan = [(3, 8, 2), (8, 16, 2), (16, 16, 1), (16, 16, 1)]
-        self.kernels = []
-        for c_in, c_out, stride in plan:
-            std = np.sqrt(2.0 / (c_in * 9))
-            self.kernels.append((ad.constant(rng.standard_normal((c_out, c_in, 3, 3)) * std), stride))
-
-    def __call__(self, image: Tensor) -> list[Tensor]:
-        feats = []
-        x = image
-        for kernel, stride in self.kernels:
-            x = ad.leaky_relu(ad.conv2d(x, kernel, stride=stride, padding=1))
-            feats.append(x)
-        return feats
-
-
 @functools.cache
-def default_perceptual_net() -> PerceptualNet:
-    return PerceptualNet()
+def perceptual_kernels() -> tuple[tuple[Tensor, int], ...]:
+    """(kernel, stride) per layer of a frozen random 4-layer conv feature extractor.
+
+    Stands in for pretrained features so the package stays hermetic; the
+    kernels are drawn once from a fixed seed and never trained.
+    """
+    rng = np.random.default_rng(_FROZEN_FEATURE_SEED)
+    kernels = []
+    for c_in, c_out, stride in [(3, 8, 2), (8, 16, 2), (16, 16, 1), (16, 16, 1)]:
+        std = np.sqrt(2.0 / (c_in * 9))
+        kernels.append((ad.constant(rng.standard_normal((c_out, c_in, 3, 3)) * std), stride))
+    return tuple(kernels)
+
+
+def _perceptual_features(image: Tensor) -> list[Tensor]:
+    feats = []
+    x = image
+    for kernel, stride in perceptual_kernels():
+        x = ad.leaky_relu(ad.conv2d(x, kernel, stride=stride, padding=1))
+        feats.append(x)
+    return feats
 
 
 def perceptual_loss(a: Tensor, b: Tensor) -> Tensor:
     """Mean L1 between frozen features of two images, averaged over layers."""
-    net = default_perceptual_net()
-    return ad.mean_n([ad.mean_all(ad.absolute(ad.sub(x, y))) for x, y in zip(net(a), net(b))])
+    pairs = zip(_perceptual_features(a), _perceptual_features(b))
+    return ad.mean_n([ad.mean_all(ad.absolute(ad.sub(x, y))) for x, y in pairs])
 
 
 def feature_matching_loss(

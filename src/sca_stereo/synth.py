@@ -112,12 +112,15 @@ class _Layer:
         return a + (u - t0) * (b - a)
 
 
-def _smooth_rows(values: np.ndarray, width: int = 5) -> np.ndarray:
-    """Running mean of a [C,H,K] array over the ``width`` rows centred on each row, edge rows repeated past the ends."""
-    pad = width // 2
+_SMOOTH_ROWS = 5  # rows in the running mean that smooths a texture's roughness down its columns
+
+
+def _smooth_rows(values: np.ndarray) -> np.ndarray:
+    """Mean of a [C,H,K] array over the ``_SMOOTH_ROWS`` rows centred on each row, edge rows repeated past the ends."""
+    pad = _SMOOTH_ROWS // 2
     padded = [np.zeros_like(values[:, :1]), values[:, :1].repeat(pad, 1), values, values[:, -1:].repeat(pad, 1)]
     csum = np.cumsum(np.concatenate(padded, axis=1), axis=1)
-    return (csum[:, width:] - csum[:, :-width]) / width
+    return (csum[:, _SMOOTH_ROWS:] - csum[:, :-_SMOOTH_ROWS]) / _SMOOTH_ROWS
 
 
 def _make_texture(rng: np.random.Generator, h: int, knots: int) -> np.ndarray:

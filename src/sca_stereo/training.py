@@ -343,13 +343,13 @@ def _generator_step(
         src, tgt, z = sample(k)
         fakes, feats = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
         fakes_of[k] = {v: fakes[v].detach() for v in VIEWS}
-        fake = {v: translation.discriminate(fakes[v], det, dparams.n_scales) for v in VIEWS}
-        real_hidden = [h for v in VIEWS for h in translation.discriminate(tgt.images[v], det, dparams.n_scales)[1]]
+        fake = {v: translation.discriminate(fakes[v], det) for v in VIEWS}
+        real_hidden = [h for v in VIEWS for h in translation.discriminate(tgt.images[v], det)[1]]
         sample_parts = {
             "adv_g": losses.adv_loss_generator({v: fake[v][0] for v in VIEWS}),
             "perc": ad.mean_n([losses.perceptual_loss(fakes[v], src.images[v]) for v in VIEWS]),
             "feat": losses.feature_matching_loss([h for v in VIEWS for h in fake[v][1]], real_hidden),
-            "stereo": losses.stereo_consistency_loss(feats, fakes, src.disparities),
+            "stereo": losses.stereo_consistency_loss(feats + [fakes], src.disparities),
         }
         parts[k] = {name: t.detach() for name, t in sample_parts.items()}
         return losses.generator_objective(sample_parts, config)
@@ -386,7 +386,7 @@ def train_translator(config: RunConfig) -> Path:
         # every discriminate call shares the step's spectral-weight nodes.
         dparams.power_iteration()
         d_weights = translation.spectral_weights(dparams.params, dparams.u)
-        logits = lambda images: {v: translation.discriminate(images[v], d_weights, dparams.n_scales)[0] for v in VIEWS}
+        logits = lambda images: {v: translation.discriminate(images[v], d_weights)[0] for v in VIEWS}
         terms = []
         for k in range(len(codes)):
             src, tgt, _ = sample(k)
@@ -513,8 +513,7 @@ def evaluate(config: RunConfig, matcher_ckpt: Path, split: str) -> dict[str, flo
 
 def image_consistency(images: dict[str, Tensor], disparities: dict[str, np.ndarray]) -> float:
     """Image-level stereo-consistency score (no feature scales)."""
-    empty: dict[str, list] = {"left": [], "right": []}
-    return losses.stereo_consistency_loss(empty, images, disparities).item()
+    return losses.stereo_consistency_loss([images], disparities).item()
 
 
 def translate_export(

@@ -13,11 +13,12 @@ single output convolution after the last 2x upsample produces the
 full-resolution image. This keeps the heavy convolutions off the full
 pixel grid.
 
-The discriminator is a small strided patch classifier applied at two image
-scales, returning raw logit maps and the hidden activations used for feature
-matching. Its kernels are spectral-normalized once per training step by
-:func:`spectral_weights`, and every :func:`discriminate` call of that step
-convolves with the same normalized weight dict.
+The discriminator is a small strided patch classifier applied at
+``DISC_SCALES`` (two) image scales, returning raw logit maps and the hidden
+activations used for feature matching. Its kernels are spectral-normalized
+once per training step by :func:`spectral_weights`, and every
+:func:`discriminate` call of that step convolves with the same normalized
+weight dict.
 """
 
 from __future__ import annotations
@@ -42,24 +43,23 @@ def init_conv(
     name: str,
     c_in: int,
     c_out: int,
-    k: int = 3,
     weight_scale: float = 1.0,
     bias_init: float | None = 0.0,
 ) -> None:
-    """Add ``name.w`` and, unless ``bias_init`` is None, ``name.b``.
+    """Add a 3x3 kernel ``name.w`` and, unless ``bias_init`` is None, ``name.b``.
 
     Leave out the bias of a conv whose output feeds an instance norm: the
     norm removes any per-channel constant, so that bias gets no gradient.
     """
-    fan_in = c_in * k * k
-    std = weight_scale * np.sqrt(2.0 / fan_in)
-    params[name + ".w"] = ad.tensor(rng.standard_normal((c_out, c_in, k, k)) * std, requires_grad=True)
+    std = weight_scale * np.sqrt(2.0 / (c_in * 9))
+    params[name + ".w"] = ad.tensor(rng.standard_normal((c_out, c_in, 3, 3)) * std, requires_grad=True)
     if bias_init is not None:
         params[name + ".b"] = ad.tensor(np.full(c_out, bias_init), requires_grad=True)
 
 
-def conv(x: Tensor, params: dict[str, Tensor], name: str, stride: int = 1, padding: int = 1) -> Tensor:
-    return ad.conv2d(x, params[name + ".w"], stride=stride, padding=padding, bias=params.get(name + ".b"))
+def conv(x: Tensor, params: dict[str, Tensor], name: str, stride: int = 1) -> Tensor:
+    """The 3x3 conv ``name`` at ``stride``, zero-padded by one pixel."""
+    return ad.conv2d(x, params[name + ".w"], stride=stride, padding=1, bias=params.get(name + ".b"))
 
 
 def detach_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -71,13 +71,13 @@ def detach_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def fadain(f_g: Tensor, f_t: Tensor, eps: float = 1e-5) -> Tensor:
+def fadain(f_g: Tensor, f_t: Tensor) -> Tensor:
     """Re-style ``f_g`` with the per-channel statistics of ``f_t``."""
     if f_g.shape != f_t.shape:
         raise ValueError(f"fadain: shape mismatch {f_g.shape} vs {f_t.shape}")
     _, h, w = f_g.shape
-    normalized = ad.instance_norm(f_g, eps)
-    mu_t, std_t = ad.channel_stats(f_t, eps)
+    normalized = ad.instance_norm(f_g)
+    mu_t, std_t = ad.channel_stats(f_t)
     return ad.add(ad.mul_spatial(normalized, std_t), ad.broadcast_chan(mu_t, h, w))
 
 
@@ -121,7 +121,7 @@ def fade_resblock(x: Tensor, content: Tensor, params: dict[str, Tensor], prefix:
 # ---------------------------------------------------------------------------
 
 
-def init_sca_block_params(rng: np.random.Generator, prefix: str, channels: int, d_max: int) -> dict[str, Tensor]:
+def init_sca_block_params(rng: np.random.Generator, prefix: str, channels: int) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     std = np.sqrt(1.0 / (2 * channels))
     params[prefix + ".wq"] = ad.tensor(rng.standard_normal((channels, 2 * channels, 1, 1)) * std, requires_grad=True)
@@ -179,7 +179,6 @@ class TranslatorParams:
         if n_scales < 2:
             raise ValueError(f"n_scales must be at least 2, got {n_scales}")
         self.n_scales = n_scales
-        self.z_channels = z_channels
         self.d_max_full = d_max_full
         self.sca_enabled = sca_enabled
         self.cloud_scale = cloud_scale
@@ -198,15 +197,11 @@ class TranslatorParams:
             c = self.channels[k]
             p.update(init_fade_resblock_params(rng, f"gen.res{k}", c, c))
             if sca_enabled:
-                p.update(init_sca_block_params(rng, f"gen.sca{k}", c, self.scale_d_max(k)))
+                p.update(init_sca_block_params(rng, f"gen.sca{k}", c))
             if k > 0:
                 init_conv(p, rng, f"gen.up{k}", c, self.channels[k - 1])
         init_conv(p, rng, "gen.out", self.channels[0], 3)
         self.params = p
-
-    def scale_d_max(self, k: int) -> int:
-        """Attention range at stream scale index k (resolution 1/2**(k+1))."""
-        return scaled_d_max(self.d_max_full, k + 1)
 
 
 def _stream(image: Tensor, prefix: str, tparams: TranslatorParams) -> list[Tensor]:
@@ -243,12 +238,12 @@ def generate(
     content_feats: dict[str, list[Tensor]],
     style_feats: dict[str, list[Tensor]],
     tparams: TranslatorParams,
-) -> tuple[dict[str, Tensor], dict[str, list[tuple[Tensor, int]]]]:
+) -> tuple[dict[str, Tensor], list[dict[str, Tensor]]]:
     """Run the generator for both views jointly.
 
-    Returns the translated pair (values in [0, 1]) and, per view, the
-    intermediate features with their upsampling factor back to full
-    resolution.
+    Returns the translated pair (values in [0, 1]) and the intermediate
+    features as one ``{view: map}`` dict per scale, coarse to fine; scale
+    index k lives at 1/2**(k+1) resolution.
     """
     p = tparams.params
     top = tparams.n_scales - 1
@@ -256,7 +251,7 @@ def generate(
     z_map = ad.broadcast_chan(z, hc, wc)
     f_z = ad.leaky_relu(conv(z_map, p, "gen.from_z"))  # one map for both views
     f_g = {v: f_z for v in VIEWS}
-    feats: dict[str, list[tuple[Tensor, int]]] = {v: [] for v in VIEWS}
+    feats: list[dict[str, Tensor]] = []
     for k in range(top, -1, -1):
         f_g = {v: fadain(f_g[v], style_feats[v][k]) for v in VIEWS}
         f_g = {v: fade_resblock(f_g[v], content_feats[v][k], p, f"gen.res{k}") for v in VIEWS}
@@ -266,10 +261,9 @@ def generate(
                 {v: content_feats[v][k] for v in VIEWS},
                 p,
                 f"gen.sca{k}",
-                tparams.scale_d_max(k),
+                scaled_d_max(tparams.d_max_full, k + 1),
             )
-        for v in VIEWS:
-            feats[v].append((f_g[v], 2 ** (k + 1)))
+        feats.append(f_g)
         if k > 0:
             f_g = {v: ad.leaky_relu(conv(ad.upsample_bilinear2(f_g[v]), p, f"gen.up{k}")) for v in VIEWS}
     images = {
@@ -285,7 +279,7 @@ def translate(
     style_images: dict[str, Tensor],
     z: Tensor,
     tparams: TranslatorParams,
-) -> tuple[dict[str, Tensor], dict[str, list[tuple[Tensor, int]]]]:
+) -> tuple[dict[str, Tensor], list[dict[str, Tensor]]]:
     """Full translation call: clouds are derived from the disparity maps, in the fixed rig of :mod:`geometry`."""
     clouds = {v: geometry.disparity_to_world_points(src_disparities[v], v) for v in VIEWS}
     content = {v: content_stream(src_images[v], clouds[v], tparams) for v in VIEWS}
@@ -298,14 +292,16 @@ def translate(
 # ---------------------------------------------------------------------------
 
 
-class DiscriminatorParams:
-    """Strided patch classifier at several image scales, spectral-normalized with ``u``, each kernel's unit vector."""
+DISC_SCALES = 2  # the discriminator sees the image and its 2x average-pooled copy
 
-    def __init__(self, rng: np.random.Generator, base_channels: int = 16, n_scales: int = 2):
-        self.n_scales = n_scales
+
+class DiscriminatorParams:
+    """Strided patch classifier per image scale, spectral-normalized with ``u``, each kernel's unit vector."""
+
+    def __init__(self, rng: np.random.Generator, base_channels: int = 16):
         p: dict[str, Tensor] = {}
         self.u: dict[str, np.ndarray] = {}
-        for s in range(n_scales):
+        for s in range(DISC_SCALES):
             init_conv(p, rng, f"disc{s}.conv1", 3, base_channels)
             init_conv(p, rng, f"disc{s}.conv2", base_channels, base_channels * 2)
             init_conv(p, rng, f"disc{s}.logit", base_channels * 2, 1)
@@ -327,10 +323,8 @@ def spectral_weights(params: dict[str, Tensor], u: dict[str, np.ndarray]) -> dic
     return {name: ad.spectral_normalize(p, u[name]) if name in u else p for name, p in params.items()}
 
 
-def discriminate(
-    image: Tensor, weights: dict[str, Tensor], n_scales: int
-) -> tuple[list[Tensor], list[list[Tensor]]]:
-    """Raw patch logit maps and hidden activations at each of ``n_scales`` scales.
+def discriminate(image: Tensor, weights: dict[str, Tensor]) -> tuple[list[Tensor], list[list[Tensor]]]:
+    """Raw patch logit maps and hidden activations at each of the ``DISC_SCALES`` scales.
 
     ``weights`` is a :func:`spectral_weights` dict, built once per training
     step and shared by all of that step's calls; build it from detached
@@ -342,11 +336,11 @@ def discriminate(
     logits: list[Tensor] = []
     hidden: list[list[Tensor]] = []
     x_scale = image
-    for s in range(n_scales):
+    for s in range(DISC_SCALES):
         h1 = ad.leaky_relu(conv(x_scale, weights, f"disc{s}.conv1", stride=2))
         h2 = ad.leaky_relu(conv(h1, weights, f"disc{s}.conv2", stride=2))
         logits.append(conv(h2, weights, f"disc{s}.logit"))
         hidden.append([h1, h2])
-        if s + 1 < n_scales:
+        if s + 1 < DISC_SCALES:
             x_scale = ad.downsample_avg2(x_scale)
     return logits, hidden

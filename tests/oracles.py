@@ -347,22 +347,19 @@ def ssim_oracle(a, b, c1=0.01**2, c2=0.03**2):
     return out
 
 
-def stereo_consistency_oracle(feats_by_view, images_by_view, disparities, masks):
+def stereo_consistency_oracle(maps, disparities, masks):
     """Direct evaluation of the masked multi-scale consistency loss.
 
-    ``feats_by_view[view]`` is a list of (array, factor) pairs already at
-    full resolution (factor must be 1 here); images may be None.
+    ``maps`` is a list of ``{view: array}`` pairs; an array narrower than the
+    disparity maps is first upsampled by their width over its width.
     """
     total = 0.0
     for b, m in (("left", "right"), ("right", "left")):
         mask = masks[b]
         mask_sum = mask.sum()
-        pairs = list(zip(feats_by_view[b], feats_by_view[m]))
-        if images_by_view is not None:
-            pairs.append(((images_by_view[b], 1), (images_by_view[m], 1)))
         sign = -1.0 if b == "left" else 1.0
-        for (f_b, factor), (f_m, _) in pairs:
-            assert factor == 1
+        for pair in maps:
+            f_b, f_m = (upsample_oracle(pair[v], mask.shape[1] // pair[v].shape[2]) for v in (b, m))
             if mask_sum == 0:
                 continue
             warped = backward_warp_oracle(f_m, sign * disparities[b])

@@ -75,7 +75,7 @@ class TestBackward:
             warped = geometry.backward_warp(other, offset)
             return losses.ssim(img, warped)
 
-        err = check_gradients(fn, [img, other, offset], h=1e-5)
+        err = check_gradients(fn, [img, other, offset])
         assert err <= 1e-5
 
     def test_accumulation_deterministic(self):
@@ -809,25 +809,18 @@ class TestPlumbingValues:
 
 
 class TestLeakyRelu:
-    @pytest.mark.parametrize("slope", [0.2, 1.0])
-    def test_matches_factor_form_bit_for_bit(self, slope):
+    def test_matches_factor_form_bit_for_bit(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((3, 5, 7))
         data[0, 0, :4] = [0.0, -0.0, np.inf, -np.inf]
         x = ad.tensor(data, requires_grad=True)
         g = rng.standard_normal(data.shape)
         g[0, 0, 2:4] = [1.0, -1.0]  # both infinities contract to +inf, not nan
-        out = ad.leaky_relu(x, slope)
+        out = ad.leaky_relu(x)
         ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
-        factor = np.where(data > 0, 1.0, slope)
+        factor = np.where(data > 0, 1.0, 0.2)
         assert np.array_equal(out.data, data * factor, equal_nan=True)
         assert np.array_equal(x.grad, g * factor)
-
-    # at slope 0, max(a, 0 * a) is nan at +inf
-    @pytest.mark.parametrize("slope", [-0.1, 0.0, 1.5])
-    def test_slope_outside_unit_interval_rejected(self, slope):
-        with pytest.raises(ValueError, match="slope"):
-            ad.leaky_relu(ad.tensor([1.0]), slope)
 
 
 class TestUpsample:

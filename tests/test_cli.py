@@ -1011,6 +1011,22 @@ class TestErrorMessages:
         self._fails_with(argv, capsys, "sample id 1 is given more than once")
         assert not (base / "out").exists()
 
+    # an empty path would silently name the working directory
+    @pytest.mark.parametrize(
+        "line, key",
+        [("data_dir =", "data_dir"), ("output_dir = ", "output_dir"), ("checkpoint_dir = # c", "checkpoint_dir")],
+    )
+    def test_empty_path_in_config(self, tmp_path, capsys, line, key):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(line + "\n")
+        self._fails_with(["--config", str(cfg_path), "gen-data"], capsys, f"{key} must be a non-empty path, got ''")
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_empty_out_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self._fails_with(["--out", "", "gen-data"], capsys, "output_dir must be a non-empty path, got ''")
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_that_is_a_directory(self, tmp_path, capsys):
         self._fails_with(["--config", str(tmp_path), "gen-data"], capsys, f"cannot read config file {tmp_path}")
 

@@ -67,7 +67,7 @@ class TestStereoConsistency:
         rng = np.random.default_rng(0)
         f = ad.constant(rng.standard_normal((2, h, w)))
         disp = {v: np.full((h, w), eps) for v in VIEWS}
-        loss = losses.stereo_consistency_loss({v: [(f, 1)] for v in VIEWS}, None, disp)
+        loss = losses.stereo_consistency_loss([{v: f for v in VIEWS}], disp)
         assert loss.item() <= 1e-6
 
     def test_shifted_features_zero_on_unmasked(self):
@@ -78,35 +78,53 @@ class TestStereoConsistency:
         f_l = ad.constant(base[:, :, :w])
         f_r = ad.constant(base[:, :, d:])
         disp = self._setup(h, w, float(d))
-        loss = losses.stereo_consistency_loss({"left": [(f_l, 1)], "right": [(f_r, 1)]}, None, disp)
+        loss = losses.stereo_consistency_loss([{"left": f_l, "right": f_r}], disp)
         assert loss.item() <= 1e-12
 
     def test_matches_brute_force_oracle(self):
-        h, w = 5, 10
+        h, w = 8, 16
         rng = np.random.default_rng(2)
-        feats = {v: [(ad.constant(rng.standard_normal((3, h, w))), 1)] for v in VIEWS}
-        images = {v: ad.constant(rng.uniform(0, 1, (3, h, w))) for v in VIEWS}
+        # a quarter-, a half- and a full-width feature pair, then the images
+        maps = [{v: ad.constant(rng.standard_normal((3, h // k, w // k))) for v in VIEWS} for k in (4, 2, 1)]
+        maps.append({v: ad.constant(rng.uniform(0, 1, (3, h, w))) for v in VIEWS})
         disp = {v: rng.uniform(1.0, 3.0, (h, w)) for v in VIEWS}
         # the loss derives its masks; the oracle gets them from the brute-force left-right check
         masks = {b: lr_occlusion_oracle(disp[b], disp[geometry.other_view(b)], b) for b in VIEWS}
         assert all(0 < masks[b].sum() < h * w for b in VIEWS)
-        loss = losses.stereo_consistency_loss(feats, images, disp)
-        expected = stereo_consistency_oracle(
-            {v: [(f.data, k) for f, k in feats[v]] for v in VIEWS},
-            {v: images[v].data for v in VIEWS},
-            disp,
-            masks,
-        )
+        loss = losses.stereo_consistency_loss(maps, disp)
+        expected = stereo_consistency_oracle([{v: m[v].data for v in VIEWS} for m in maps], disp, masks)
         assert abs(loss.item() - expected) <= 1e-12
+
+    def test_full_width_pair_is_not_upsampled(self, monkeypatch):
+        h, w = 4, 8
+        rng = np.random.default_rng(6)
+        maps = [{v: ad.constant(rng.standard_normal((2, h // k, w // k))) for v in VIEWS} for k in (2, 1)]
+        factors = []
+        upsample = ad.upsample_bilinear2
+
+        def recording_upsample(a, factor=2):
+            factors.append(factor)
+            return upsample(a, factor)
+
+        monkeypatch.setattr(ad, "upsample_bilinear2", recording_upsample)
+        losses.stereo_consistency_loss(maps, self._setup(h, w))
+        assert factors == [2, 2]  # the half-width pair's two views, at the width ratio
+
+    @pytest.mark.parametrize("width", [4, 5, 24])
+    def test_width_ratio_not_a_power_of_two_rejected(self, width):
+        # the ground truth is 12 wide: 12 over 4 is 3, over 5 is not whole, over 24 is below one
+        maps = [{v: ad.constant(np.zeros((1, 6, width))) for v in VIEWS}]
+        with pytest.raises(ValueError):
+            losses.stereo_consistency_loss(maps, self._setup())
 
     def test_empty_mask_contributes_zero(self):
         h, w = 3, 6
         rng = np.random.default_rng(3)
-        feats = {v: [(ad.constant(rng.standard_normal((1, h, w))), 1)] for v in VIEWS}
+        feats = {v: ad.constant(rng.standard_normal((1, h, w))) for v in VIEWS}
         # no pixel of either view passes the left-right check: |2 - 5| = 3, and 2 or 5 against a zero past the edge
         disp = {"left": np.full((h, w), 2.0), "right": np.full((h, w), 5.0)}
         assert not any(geometry.occlusion_mask(disp, v).any() for v in VIEWS)
-        loss = losses.stereo_consistency_loss(feats, None, disp)
+        loss = losses.stereo_consistency_loss([feats], disp)
         assert loss.item() == 0.0
 
     def test_warped_features_strictly_reduce_loss(self):
@@ -115,10 +133,10 @@ class TestStereoConsistency:
         f_l = ad.constant(rng.standard_normal((2, h, w)))
         f_r = ad.constant(rng.standard_normal((2, h, w)))
         disp = self._setup(h, w, d)
-        loose = losses.stereo_consistency_loss({"left": [(f_l, 1)], "right": [(f_r, 1)]}, None, disp).item()
+        loose = losses.stereo_consistency_loss([{"left": f_l, "right": f_r}], disp).item()
         # replace the left features by the ground-truth warp of the right view
         warped_l = ad.constant(backward_warp_oracle(f_r.data, -disp["left"]))
-        tight = losses.stereo_consistency_loss({"left": [(warped_l, 1)], "right": [(f_r, 1)]}, None, disp).item()
+        tight = losses.stereo_consistency_loss([{"left": warped_l, "right": f_r}], disp).item()
         assert tight < loose
 
 
@@ -234,9 +252,9 @@ class TestWarpedL1:
         monkeypatch.setattr(geometry, "warped_l1", recording_warped_l1)
         # three feature scales and the images: four terms per base view
         scales = [(2, 1), (3, 2), (4, 4)]
-        feats = {v: [(ad.tensor(rng.standard_normal((c, h // k, w // k)), True), k) for c, k in scales] for v in VIEWS}
-        images = {v: ad.tensor(rng.uniform(0, 1, (3, h, w)), requires_grad=True) for v in VIEWS}
-        ad.backward(losses.stereo_consistency_loss(feats, images, disp))
+        maps = [{v: ad.tensor(rng.standard_normal((c, h // k, w // k)), True) for v in VIEWS} for c, k in scales]
+        maps.append({v: ad.tensor(rng.uniform(0, 1, (3, h, w)), requires_grad=True) for v in VIEWS})
+        ad.backward(losses.stereo_consistency_loss(maps, disp))
         # exactly one plan per base view, built from that view's warp offset
         assert len(made) == 2
         plan_of = {}
@@ -327,25 +345,12 @@ class TestReprojection:
         preds = {v: ad.constant(np.zeros((5, 8))) for v in VIEWS}
         assert losses.reprojection_loss(images, preds).item() == pytest.approx(0.0, abs=1e-12)
 
-    def test_alpha_zero_is_pure_l1(self):
-        rng = np.random.default_rng(10)
-        images = {v: ad.constant(rng.uniform(0, 1, (3, 5, 8))) for v in VIEWS}
-        preds = {v: ad.constant(np.full((5, 8), 1.5)) for v in VIEWS}
-        loss = losses.reprojection_loss(images, preds, alpha=0.0)
-        expected = 0.0
-        for b in VIEWS:
-            m = geometry.other_view(b)
-            sign = -1.0 if b == "left" else 1.0
-            warped = backward_warp_oracle(images[m].data, sign * preds[b].data)
-            expected += np.abs(images[b].data - warped).mean()
-        assert loss.item() == pytest.approx(expected, abs=1e-12)
-
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(11)
-        alpha = 0.85
+        alpha = 0.85  # the paper's SSIM weight
         images = {v: ad.constant(rng.uniform(0, 1, (3, 6, 9))) for v in VIEWS}
         preds = {v: ad.constant(rng.uniform(0.5, 2.5, (6, 9))) for v in VIEWS}
-        loss = losses.reprojection_loss(images, preds, alpha=alpha)
+        loss = losses.reprojection_loss(images, preds)
         expected = 0.0
         for b in VIEWS:
             m = geometry.other_view(b)
@@ -376,9 +381,9 @@ class TestPerceptual:
         a = ad.constant(rng.uniform(0, 1, (3, 8, 8)))
         b = ad.constant(rng.uniform(0, 1, (3, 8, 8)))
         assert losses.perceptual_loss(a, b).item() == losses.perceptual_loss(a, b).item()
-        assert losses.default_perceptual_net() is losses.default_perceptual_net()
-        fresh = losses.PerceptualNet()
-        for (k_fresh, stride_fresh), (k, stride) in zip(fresh.kernels, losses.default_perceptual_net().kernels):
+        assert losses.perceptual_kernels() is losses.perceptual_kernels()
+        fresh = losses.perceptual_kernels.__wrapped__()
+        for (k_fresh, stride_fresh), (k, stride) in zip(fresh, losses.perceptual_kernels()):
             assert np.array_equal(k_fresh.data, k.data) and stride_fresh == stride
 
 

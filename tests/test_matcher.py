@@ -297,14 +297,14 @@ class TestStreamedSteps:
             reference_fakes.append({v: fakes[v].data for v in geometry.VIEWS})
             fake_logits, fake_hidden, real_hidden = {}, [], []
             for v in geometry.VIEWS:
-                fake_logits[v], hidden = translation.discriminate(fakes[v], det, dparams.n_scales)
+                fake_logits[v], hidden = translation.discriminate(fakes[v], det)
                 fake_hidden.extend(hidden)
             for v in geometry.VIEWS:
-                real_hidden.extend(translation.discriminate(tgt.images[v], det, dparams.n_scales)[1])
+                real_hidden.extend(translation.discriminate(tgt.images[v], det)[1])
             terms["adv_g"].append(losses.adv_loss_generator(fake_logits))
             terms["perc"].append(ad.mean_n([losses.perceptual_loss(fakes[v], src.images[v]) for v in geometry.VIEWS]))
             terms["feat"].append(losses.feature_matching_loss(fake_hidden, real_hidden))
-            terms["stereo"].append(losses.stereo_consistency_loss(feats, fakes, src.disparities))
+            terms["stereo"].append(losses.stereo_consistency_loss(feats + [fakes], src.disparities))
         components = {name: ad.mean_n(t) for name, t in terms.items()}
         loss = losses.generator_objective(components, weights)
         logged = {name: t.item() for name, t in components.items()}

@@ -38,10 +38,10 @@ class TestSmoothRows:
             values = rng.uniform(-1.0, 1.0, (3, 64, 150))
             assert np.array_equal(synth._smooth_rows(values), smooth_rows_oracle(values))
 
-    @pytest.mark.parametrize("width, h", [(1, 4), (3, 1), (7, 2), (7, 9)])
-    def test_other_widths_and_short_columns(self, width, h):
+    @pytest.mark.parametrize("h", [1, 2, 4, 9])
+    def test_short_columns(self, h):
         values = np.random.default_rng(5).standard_normal((2, h, 6))
-        assert np.array_equal(synth._smooth_rows(values, width), smooth_rows_oracle(values, width))
+        assert np.array_equal(synth._smooth_rows(values), smooth_rows_oracle(values))
 
 
 class TestGenerateScene:

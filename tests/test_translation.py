@@ -6,6 +6,7 @@ from sca_stereo import geometry, synth, translation
 from sca_stereo.gradcheck import check_gradients
 
 VIEWS = ("left", "right")
+Z_CHANNELS = 4
 
 
 def tiny_translator(sca=True, seed=0):
@@ -13,7 +14,7 @@ def tiny_translator(sca=True, seed=0):
         np.random.default_rng(seed),
         base_channels=4,
         n_scales=2,
-        z_channels=4,
+        z_channels=Z_CHANNELS,
         d_max_full=4,
         sca_enabled=sca,
         cloud_scale=20.0,
@@ -91,7 +92,7 @@ class TestScaBlock:
     def test_identical_views_dmax_zero_symmetric(self):
         rng = np.random.default_rng(6)
         c = 3
-        params = translation.init_sca_block_params(np.random.default_rng(3), "sca", c, d_max=0)
+        params = translation.init_sca_block_params(np.random.default_rng(3), "sca", c)
         f = ad.tensor(rng.standard_normal((c, 4, 6)))
         g = ad.tensor(rng.standard_normal((c, 4, 6)))
         out = translation.sca_block({"left": f, "right": f}, {"left": g, "right": g}, params, "sca", 0)
@@ -100,7 +101,7 @@ class TestScaBlock:
     def test_zero_residual_conv_reduces_to_fade(self):
         rng = np.random.default_rng(7)
         c = 2
-        params = translation.init_sca_block_params(np.random.default_rng(4), "sca", c, d_max=2)
+        params = translation.init_sca_block_params(np.random.default_rng(4), "sca", c)
         params["sca.res.w"].data[:] = 0.0
         fg = {v: ad.tensor(rng.standard_normal((c, 4, 6))) for v in VIEWS}
         fc = {v: ad.tensor(rng.standard_normal((c, 4, 6))) for v in VIEWS}
@@ -150,7 +151,7 @@ class TestStreams:
 class TestGenerate:
     def _translate(self, tparams, seed=0, z_seed=42):
         src, tgt = scene_inputs(seed)
-        z = ad.constant(np.random.default_rng(z_seed).standard_normal(tparams.z_channels))
+        z = ad.constant(np.random.default_rng(z_seed).standard_normal(Z_CHANNELS))
         return translation.translate(src.images, src.disparities, tgt.images, z, tparams)
 
     def test_output_shape_and_range(self):
@@ -159,7 +160,8 @@ class TestGenerate:
             assert images[v].shape == (3, 16, 32)
             assert images[v].data.min() >= 0.0
             assert images[v].data.max() <= 1.0
-        assert [f[1] for f in feats["left"]] == [4, 2]
+        # one {view: map} pair per scale, coarse to fine: 1/4 then 1/2 of the 32-pixel width
+        assert [{v: f[v].shape[2] for v in VIEWS} for f in feats] == [{v: 8 for v in VIEWS}, {v: 16 for v in VIEWS}]
 
     def test_deterministic(self):
         tparams = tiny_translator()
@@ -171,7 +173,7 @@ class TestGenerate:
     def test_ablated_left_output_independent_of_right(self):
         tparams = tiny_translator(sca=False)
         src, tgt = scene_inputs(3)
-        z = ad.constant(np.random.default_rng(0).standard_normal(tparams.z_channels))
+        z = ad.constant(np.random.default_rng(0).standard_normal(Z_CHANNELS))
         base, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
         perturbed_images = dict(src.images)
         perturbed_images["right"] = ad.constant(np.clip(src.images["right"].data + 0.1, 0, 1))
@@ -182,7 +184,7 @@ class TestGenerate:
     def test_sca_left_output_sensitive_to_right(self):
         tparams = tiny_translator(sca=True)
         src, tgt = scene_inputs(3)
-        z = ad.constant(np.random.default_rng(0).standard_normal(tparams.z_channels))
+        z = ad.constant(np.random.default_rng(0).standard_normal(Z_CHANNELS))
         base, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
         perturbed_images = dict(src.images)
         perturbed_images["right"] = ad.constant(np.clip(src.images["right"].data + 0.1, 0, 1))
@@ -192,7 +194,7 @@ class TestGenerate:
     def test_generate_wq_gradient_fd(self):
         tparams = tiny_translator(sca=True, seed=5)
         src, tgt = scene_inputs(4)
-        z = ad.constant(np.random.default_rng(1).standard_normal(tparams.z_channels))
+        z = ad.constant(np.random.default_rng(1).standard_normal(Z_CHANNELS))
         wq = tparams.params["gen.sca1.wq"]
 
         def fn(_wq):
@@ -212,7 +214,7 @@ class TestParameters:
         # such a bias adds a per-channel constant that the norm removes, so its gradient is zero
         tparams = tiny_translator(sca=True, seed=5)
         src, tgt = scene_inputs(4)
-        z = ad.constant(np.random.default_rng(1).standard_normal(tparams.z_channels))
+        z = ad.constant(np.random.default_rng(1).standard_normal(Z_CHANNELS))
         images, _ = translation.translate(src.images, src.disparities, tgt.images, z, tparams)
         cotangent = ad.constant(np.random.default_rng(3).standard_normal((6, 16, 32)))
         ad.backward(ad.sum_all(ad.mul(ad.concat_channels([images["left"], images["right"]]), cotangent)))
@@ -220,8 +222,8 @@ class TestParameters:
         assert {k for k, g in grads.items() if g < 1e-8 * max(grads.values())} == set()
 
 
-def tiny_discriminator(seed, n_scales=2):
-    return translation.DiscriminatorParams(np.random.default_rng(seed), base_channels=4, n_scales=n_scales)
+def tiny_discriminator(seed):
+    return translation.DiscriminatorParams(np.random.default_rng(seed), base_channels=4)
 
 
 class TestDiscriminator:
@@ -229,7 +231,7 @@ class TestDiscriminator:
         dparams = tiny_discriminator(0)
         img = ad.constant(np.random.default_rng(1).uniform(0, 1, (3, 16, 32)))
         weights = translation.spectral_weights(dparams.params, dparams.u)
-        logits, hidden = translation.discriminate(img, weights, dparams.n_scales)
+        logits, hidden = translation.discriminate(img, weights)
         assert logits[0].shape == (1, 4, 8)  # 16 -> 8 -> 4 via two stride-2 convs
         assert logits[1].shape == (1, 2, 4)  # half-size input
         assert len(hidden) == 2 and len(hidden[0]) == 2
@@ -237,9 +239,7 @@ class TestDiscriminator:
     def test_deterministic(self):
         dparams = tiny_discriminator(0)
         img = ad.constant(np.random.default_rng(2).uniform(0, 1, (3, 8, 8)))
-        run = lambda: translation.discriminate(
-            img, translation.spectral_weights(dparams.params, dparams.u), dparams.n_scales
-        )[0]
+        run = lambda: translation.discriminate(img, translation.spectral_weights(dparams.params, dparams.u))[0]
         for x, y in zip(run(), run()):
             assert np.array_equal(x.data, y.data)
 
@@ -261,7 +261,7 @@ class TestDiscriminator:
         dparams = tiny_discriminator(5)
         det = translation.spectral_weights(translation.detach_params(dparams.params), dparams.u)
         img = ad.constant(np.random.default_rng(6).uniform(0, 1, (3, 8, 8)))
-        logits, _ = translation.discriminate(img, det, dparams.n_scales)
+        logits, _ = translation.discriminate(img, det)
         assert not logits[0].requires_grad
 
     def test_init_records_no_tape_op(self, monkeypatch):
@@ -290,7 +290,7 @@ class TestDiscriminator:
                         weights[name] = p if u is None else ad.spectral_normalize(p, u)
                 else:
                     weights = shared
-                logits.extend(translation.discriminate(img, weights, dparams.n_scales)[0])
+                logits.extend(translation.discriminate(img, weights)[0])
             ad.backward(ad.add_n([ad.mean_all(ad.tanh(x)) for x in logits]))
             return {name: dparams.params[name].grad_array() for name in dparams.u}
 
