@@ -601,7 +601,8 @@ def shifted_weighted_sum(weights: Tensor, values: Tensor, direction: str) -> Ten
 
 _STACK_BELOW_C_IN = 8  # fewer columns per tap kernel (C_in forward, C_out input vjp): one GEMM on stacked windows
 # bytes of one tap GEMM's operands above which a tap sum runs in column blocks: 2.25 MiB, just above one core's
-# 2 MiB L2 and at least 25% from every default shape (largest unblocked 1.64 MiB, matcher.feat2 3.05 MiB)
+# 2 MiB L2 and at least 25% from every default shape (largest unblocked: gen.out's forward, 1.40 MiB; matcher.feat2
+# 3.05 MiB forward, 3.14 MiB input vjp)
 _TAP_SUM_BUDGET = 9 << 18
 
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, apply_overrides, load_config
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, NumericError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,13 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a bad config or a malformed file prints one error line and returns 2, as a bad flag does."""
+    """Run one command. A bad config or a malformed file prints one error line and returns 2, as a bad flag does;
+    a run stopped by a non-finite gradient prints one line too, and returns 1."""
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, FormatError) as err:
+    except (ConfigError, FormatError, NumericError) as err:
         print(f"sca-stereo: error: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, NumericError) else 2
 
 
 def _run(args: argparse.Namespace) -> int:

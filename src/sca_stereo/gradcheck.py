@@ -250,7 +250,8 @@ def _fade(init, block, max_entries=None):
     def make(rng):
         x = _normal(2, 4, 5)(rng)
         content = ad.constant(rng.standard_normal((2, 4, 5)))
-        params = init(rng, "p", 2, 2)
+        params: dict[str, Tensor] = {}
+        init(params, rng, "p", 2)
         inputs = [x] + [params[k] for k in sorted(params)]
         return Check(lambda x, *_: block(x, content, params, "p"), inputs, max_entries)
 
@@ -259,7 +260,8 @@ def _fade(init, block, max_entries=None):
 
 def _sca_block_wq(rng):
     fg, fc = ({v: ad.constant(rng.standard_normal((2, 4, 6))) for v in VIEWS} for _ in range(2))
-    params = translation.init_sca_block_params(rng, "sca", 2)
+    params: dict[str, Tensor] = {}
+    translation.init_sca_block_params(params, rng, "sca", 2)
 
     def op(_wq):
         out = translation.sca_block(fg, fc, params, "sca", d_max=2)
@@ -268,7 +270,7 @@ def _sca_block_wq(rng):
     return Check(op, [params["sca.wq"]])
 
 
-def _matcher_head(rng):
+def _predict_disparity(rng):
     p = matcher.MatcherParams(rng, channels=4, d_max=4)
     il, ir = (ad.constant(rng.uniform(0, 1, (3, 8, 16))) for _ in range(2))
     return Check(lambda _k: matcher.predict_disparity(il, ir, p), [p.params["matcher.feat2.w"]], 16)
@@ -393,5 +395,5 @@ CASES: dict[str, Callable[[np.random.Generator], Check]] = {
     "fade_modulation": _fade(translation.init_fade_params, translation.fade_modulation),
     "fade_resblock": _fade(translation.init_fade_resblock_params, translation.fade_resblock, 24),
     "sca_block_wq": _sca_block_wq,
-    "matcher_head": _matcher_head,
+    "predict_disparity": _predict_disparity,
 }

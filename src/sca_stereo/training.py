@@ -24,6 +24,7 @@ before its first step.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import functools
@@ -47,6 +48,7 @@ _TRANSLATOR_BETAS = (0.0, 0.9)
 
 # rng stream tags
 _TAG_DATA, _TAG_PRETRAIN, _TAG_TRANSLATOR, _TAG_ADAPT, _TAG_TRANSLATE = 1, 2, 3, 4, 5
+_TAG_MATCHER_INIT, _TAG_TRANSLATOR_INIT, _TAG_DISCRIMINATOR_INIT = 10, 11, 12
 
 SPLITS = ("source_train", "source_val", "target_train", "target_test")
 
@@ -55,14 +57,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    """Write ``header``, then each row of ``rows`` as it is produced, flushed at once."""
+@contextlib.contextmanager
+def _csv_log(path: Path, header: list[str]) -> Iterator:
+    """A csv writer on ``path`` that has written ``header``. The file is line-buffered: each row lands at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        for row in itertools.chain([header], rows):
-            writer.writerow(row)
-            f.flush()
+    with open(path, "w", newline="", buffering=1) as f:
+        log = csv.writer(f, lineterminator="\n")
+        log.writerow(header)
+        yield log
 
 
 def _rng(config: RunConfig, tag: int) -> np.random.Generator:
@@ -213,14 +215,13 @@ def _load_params(path: Path, params: dict[str, Tensor], context: str, trainable:
 
 
 def _init_matcher(config: RunConfig) -> matcher.MatcherParams:
-    rng = np.random.default_rng([config.master_seed, 10])
+    rng = _rng(config, _TAG_MATCHER_INIT)
     return matcher.MatcherParams(rng, channels=config.matcher_channels, d_max=config.d_max_full)
 
 
 def _init_translator(config: RunConfig) -> translation.TranslatorParams:
-    rng = np.random.default_rng([config.master_seed, 11])
     return translation.TranslatorParams(
-        rng,
+        _rng(config, _TAG_TRANSLATOR_INIT),
         base_channels=config.base_channels,
         n_scales=config.n_scales,
         z_channels=config.z_channels,
@@ -231,8 +232,7 @@ def _init_translator(config: RunConfig) -> translation.TranslatorParams:
 
 
 def _init_discriminator(config: RunConfig) -> translation.DiscriminatorParams:
-    rng = np.random.default_rng([config.master_seed, 12])
-    return translation.DiscriminatorParams(rng, base_channels=config.base_channels)
+    return translation.DiscriminatorParams(_rng(config, _TAG_DISCRIMINATOR_INIT), base_channels=config.base_channels)
 
 
 def load_matcher(config: RunConfig, path: Path, trainable: bool = True) -> matcher.MatcherParams:
@@ -271,8 +271,8 @@ def _fit(config: RunConfig, log_name: str, columns: list[str], plans: list, run)
     iteration and those values, flushed as its iteration ends, so a run stopped at iteration k keeps the header
     and k - 1 rows.
     """
-    rows = ([it, *(_fmt(t.item()) for t in run(it, plan))] for it, plan in enumerate(plans, start=1))
-    _write_csv(Path(config.output_dir) / log_name, ["iteration", *columns], rows)
+    with _csv_log(Path(config.output_dir) / log_name, ["iteration", *columns]) as log:
+        log.writerows([it, *(_fmt(t.item()) for t in run(it, plan))] for it, plan in enumerate(plans, start=1))
 
 
 def _left_disparity(mparams: matcher.MatcherParams):
@@ -307,16 +307,15 @@ def pretrain(config: RunConfig) -> Path:
     state = AdamState(mparams.params, config.pretrain_lr)
     rng = _rng(config, _TAG_PRETRAIN)
     plans = [rng.integers(0, len(train), size=config.pretrain_batch) for _ in range(config.pretrain_iters)]
-    val_rows = []
+    with _csv_log(Path(config.output_dir) / "pretrain_val.csv", ["iteration", "epe"]) as val_log:
 
-    def run(it: int, idx: np.ndarray) -> tuple[Tensor]:
-        loss = _pretrain_step([train.samples[k] for k in idx], mparams, state)
-        if it % config.val_interval == 0 or it == config.pretrain_iters:
-            val_rows.append([it, _fmt(evaluate_samples(val, _left_disparity(mparams))[1]["epe"])])
-        return (loss,)
+        def run(it: int, idx: np.ndarray) -> tuple[Tensor]:
+            loss = _pretrain_step([train.samples[k] for k in idx], mparams, state)
+            if it % config.val_interval == 0 or it == config.pretrain_iters:
+                val_log.writerow([it, _fmt(evaluate_samples(val, _left_disparity(mparams))[1]["epe"])])
+            return (loss,)
 
-    _fit(config, "pretrain_loss.csv", ["l1"], plans, run)
-    _write_csv(Path(config.output_dir) / "pretrain_val.csv", ["iteration", "epe"], val_rows)
+        _fit(config, "pretrain_loss.csv", ["l1"], plans, run)
     return _save_params(config, "matcher.ckpt", mparams.params)
 
 
@@ -506,8 +505,8 @@ def evaluate(config: RunConfig, matcher_ckpt: Path, split: str) -> dict[str, flo
     data = load_split(config, split)
     mparams = load_matcher(config, matcher_ckpt, trainable=False)
     rows, means = evaluate_samples(data, _left_disparity(mparams))
-    rows.append(["mean"] + [_fmt(v) for v in means.values()])
-    _write_csv(Path(config.output_dir) / f"evaluate_{split}.csv", ["sample", *METRICS], rows)
+    with _csv_log(Path(config.output_dir) / f"evaluate_{split}.csv", ["sample", *METRICS]) as log:
+        log.writerows([*rows, ["mean"] + [_fmt(v) for v in means.values()]])
     return means
 
 
@@ -539,5 +538,6 @@ def translate_export(
             fileio.write_ppm(fakes[v], out_dir / f"sample_{sid:05d}_{v}.ppm")
         rows.append([sid, _fmt(image_consistency(fakes, src.disparities))])
     csv_path = Path(config.output_dir) / "consistency.csv"
-    _write_csv(csv_path, ["sample", "consistency"], rows)
+    with _csv_log(csv_path, ["sample", "consistency"]) as log:
+        log.writerows(rows)
     return csv_path

@@ -81,13 +81,10 @@ def fadain(f_g: Tensor, f_t: Tensor) -> Tensor:
     return ad.add(ad.mul_spatial(normalized, std_t), ad.broadcast_chan(mu_t, h, w))
 
 
-def init_fade_params(
-    rng: np.random.Generator, prefix: str, channels: int, content_channels: int
-) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    init_conv(params, rng, prefix + ".gamma", content_channels, channels, bias_init=1.0)
-    init_conv(params, rng, prefix + ".beta", content_channels, channels)
-    return params
+def init_fade_params(params: dict[str, Tensor], rng: np.random.Generator, prefix: str, channels: int) -> None:
+    """Add the γ and β convs that map ``channels``-wide content features to a scale and shift."""
+    init_conv(params, rng, prefix + ".gamma", channels, channels, bias_init=1.0)
+    init_conv(params, rng, prefix + ".beta", channels, channels)
 
 
 def fade_modulation(x: Tensor, content: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -99,15 +96,11 @@ def fade_modulation(x: Tensor, content: Tensor, params: dict[str, Tensor], prefi
     return ad.add(ad.mul(ad.instance_norm(x), gamma), beta)
 
 
-def init_fade_resblock_params(
-    rng: np.random.Generator, prefix: str, channels: int, content_channels: int
-) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    params.update(init_fade_params(rng, prefix + ".fade1", channels, content_channels))
-    params.update(init_fade_params(rng, prefix + ".fade2", channels, content_channels))
+def init_fade_resblock_params(params: dict[str, Tensor], rng: np.random.Generator, prefix: str, channels: int) -> None:
+    init_fade_params(params, rng, prefix + ".fade1", channels)
+    init_fade_params(params, rng, prefix + ".fade2", channels)
     init_conv(params, rng, prefix + ".conv1", channels, channels, bias_init=None)  # feeds fade2's instance norm
     init_conv(params, rng, prefix + ".conv2", channels, channels)
-    return params
 
 
 def fade_resblock(x: Tensor, content: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -121,15 +114,13 @@ def fade_resblock(x: Tensor, content: Tensor, params: dict[str, Tensor], prefix:
 # ---------------------------------------------------------------------------
 
 
-def init_sca_block_params(rng: np.random.Generator, prefix: str, channels: int) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
+def init_sca_block_params(params: dict[str, Tensor], rng: np.random.Generator, prefix: str, channels: int) -> None:
     std = np.sqrt(1.0 / (2 * channels))
-    params[prefix + ".wq"] = ad.tensor(rng.standard_normal((channels, 2 * channels, 1, 1)) * std, requires_grad=True)
-    params[prefix + ".wk"] = ad.tensor(rng.standard_normal((channels, 2 * channels, 1, 1)) * std, requires_grad=True)
+    for key in (prefix + ".wq", prefix + ".wk"):
+        params[key] = ad.tensor(rng.standard_normal((channels, 2 * channels, 1, 1)) * std, requires_grad=True)
     # the residual sum feeds the fade's instance norm
     init_conv(params, rng, prefix + ".res", channels, channels, weight_scale=0.1, bias_init=None)
-    params.update(init_fade_params(rng, prefix + ".fade", channels, channels))
-    return params
+    init_fade_params(params, rng, prefix + ".fade", channels)
 
 
 def sca_block(
@@ -195,9 +186,9 @@ class TranslatorParams:
         init_conv(p, rng, "gen.from_z", z_channels, self.channels[-1])
         for k in range(n_scales):
             c = self.channels[k]
-            p.update(init_fade_resblock_params(rng, f"gen.res{k}", c, c))
+            init_fade_resblock_params(p, rng, f"gen.res{k}", c)
             if sca_enabled:
-                p.update(init_sca_block_params(rng, f"gen.sca{k}", c))
+                init_sca_block_params(p, rng, f"gen.sca{k}", c)
             if k > 0:
                 init_conv(p, rng, f"gen.up{k}", c, self.channels[k - 1])
         init_conv(p, rng, "gen.out", self.channels[0], 3)

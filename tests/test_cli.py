@@ -520,26 +520,44 @@ class TestPipelineCommands:
         score = training.image_consistency(images, src.disparities)
         assert float(row["consistency"]) == pytest.approx(score, abs=0.02)
 
-    def test_loss_log_keeps_finished_iterations_when_a_step_raises(self, tiny_env, monkeypatch):
+    @staticmethod
+    def _pretrain_logs_until(tiny_env, monkeypatch, stop, name):
+        """The lines of pretrain's log ``name`` after a 5-iteration run, and after one whose step ``stop`` raises.
+
+        The stopped run's lines are read twice, as the step raises (what a killed run leaves) and after the stage
+        returns; both reads must agree.
+        """
         base, cfg_path = tiny_env
         main(["--config", str(cfg_path), "gen-data"])
         config = load_config(cfg_path)
         config.pretrain_iters = 5
         training.pretrain(config)
-        full = (base / "out" / "pretrain_loss.csv").read_text().splitlines(keepends=True)
-        steps = []
+        path = base / "out" / name
+        full = path.read_text().splitlines(keepends=True)
+        steps, at_stop = [], []
         original = training._descend
 
         def failing(*args):
             steps.append(1)
-            if len(steps) == 3:
-                raise RuntimeError("stopped at iteration 3")
+            if len(steps) == stop:
+                at_stop.append(path.read_text())
+                raise RuntimeError(f"stopped at iteration {stop}")
             original(*args)
 
         monkeypatch.setattr(training, "_descend", failing)
-        with pytest.raises(RuntimeError, match="iteration 3"):
+        with pytest.raises(RuntimeError, match=f"iteration {stop}"):
             training.pretrain(config)
-        assert (base / "out" / "pretrain_loss.csv").read_text() == "".join(full[:3])
+        assert at_stop == [path.read_text()]
+        return full, path.read_text().splitlines(keepends=True)
+
+    def test_loss_log_keeps_finished_iterations_when_a_step_raises(self, tiny_env, monkeypatch):
+        full, stopped = self._pretrain_logs_until(tiny_env, monkeypatch, 3, "pretrain_loss.csv")
+        assert stopped == full[:3]
+
+    def test_validation_log_keeps_finished_rows_when_a_step_raises(self, tiny_env, monkeypatch):
+        full, stopped = self._pretrain_logs_until(tiny_env, monkeypatch, 5, "pretrain_val.csv")
+        assert [line.split(",")[0] for line in full] == ["iteration", "2", "4", "5"]  # val_interval = 2
+        assert stopped == full[:3]
 
     def test_adapt_with_zero_weights_keeps_checkpoint(self, tiny_env, tmp_path):
         base, cfg_path = tiny_env
@@ -937,11 +955,12 @@ class TestParser:
 
 
 class TestErrorMessages:
-    """A bad config or a malformed file ends the command with one stderr line and status 2, as a bad flag does."""
+    """A bad config or a malformed file ends the command with one stderr line and status 2, as a bad flag does; a
+    non-finite gradient ends it with one line and status 1."""
 
     @staticmethod
-    def _fails_with(argv, capsys, *words):
-        assert main(argv) == 2
+    def _fails_with(argv, capsys, *words, status=2):
+        assert main(argv) == status
         captured = capsys.readouterr()
         assert captured.err.startswith("sca-stereo: error: ") and captured.err.count("\n") == 1
         assert all(word in captured.err for word in words), captured.err
@@ -1000,6 +1019,28 @@ class TestErrorMessages:
         argv = ["--config", str(cfg_path), "evaluate", "--matcher-ckpt", str(ckpt), "--split", "target_test"]
         offset = f"(byte offset {len(blob) - 8})"
         self._fails_with(argv, capsys, f"{ckpt}: array 'matcher.feat2.b' holds a non-finite value", offset)
+
+    def test_non_finite_gradient_ends_the_stage_with_status_one(self, tiny_env, capsys, monkeypatch):
+        """A failed run, not bad input: one error line, status 1, and the loss log keeps its finished rows."""
+        base, cfg_path = tiny_env
+        assert main(["--config", str(cfg_path), "gen-data"]) == 0
+        calls = []
+        original = training.collect_grads
+
+        def poisoned(params):
+            grads = original(params)
+            calls.append(1)
+            if len(calls) == 3:
+                grads["matcher.feat1.w"][0, 0, 0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "collect_grads", poisoned)
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "pretrain"]
+        self._fails_with(argv, capsys, "non-finite gradient for parameter 'matcher.feat1.w'", status=1)
+        rows = (base / "out" / "pretrain_loss.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["iteration", "1", "2"]
+        assert not (base / "ckpt" / "matcher.ckpt").exists()
 
     def test_repeated_sample_id(self, tiny_env, capsys):
         base, cfg_path = tiny_env

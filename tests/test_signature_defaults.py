@@ -65,16 +65,22 @@ def _calls(tree: ast.Module) -> list[tuple[str, list[ast.AST] | None, dict[str, 
     return found
 
 
-def _defaulted(tree: ast.Module, module: str):
-    """``(module, called name, parameter, positional index or None, default)`` of every defaulted parameter."""
+def _definitions(tree: ast.Module):
+    """``(called name, definition, count of leading self/cls parameters)`` of every function definition."""
     classes = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
+        positional = node.args.posonlyargs + node.args.args
+        skip = 1 if id(node) in classes and positional and positional[0].arg in ("self", "cls") else 0
+        yield classes[id(node)] if node.name == "__init__" and id(node) in classes else node.name, node, skip
+
+
+def _defaulted(tree: ast.Module, module: str):
+    """``(module, called name, parameter, positional index or None, default)`` of every defaulted parameter."""
+    for called, node, skip in _definitions(tree):
         args = node.args
         positional = args.posonlyargs + args.args
-        skip = 1 if id(node) in classes and positional and positional[0].arg in ("self", "cls") else 0
-        called = classes[id(node)] if node.name == "__init__" and id(node) in classes else node.name
         first_default = len(positional) - len(args.defaults)
         for index, (arg, default) in enumerate(zip(positional[first_default:], args.defaults), first_default):
             yield module, called, arg.arg, index - skip, default

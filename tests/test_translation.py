@@ -61,7 +61,8 @@ class TestFadeResblock:
     def test_unit_gamma_zero_beta_is_plain_resblock(self):
         rng = np.random.default_rng(3)
         c = 3
-        params = translation.init_fade_resblock_params(np.random.default_rng(0), "rb", c, c)
+        params = {}
+        translation.init_fade_resblock_params(params, np.random.default_rng(0), "rb", c)
         for key in ("rb.fade1", "rb.fade2"):
             params[key + ".gamma.w"].data[:] = 0.0
             params[key + ".gamma.b"].data[:] = 1.0
@@ -81,7 +82,8 @@ class TestFadeResblock:
     def test_first_conv_linearity(self):
         rng = np.random.default_rng(4)
         c = 2
-        params = translation.init_fade_resblock_params(np.random.default_rng(1), "rb", c, c)
+        params = {}
+        translation.init_fade_resblock_params(params, np.random.default_rng(1), "rb", c)
         x = ad.tensor(rng.standard_normal((c, 4, 4)))
         single = ad.conv2d(x, params["rb.conv1.w"], stride=1, padding=1)
         double = ad.conv2d(ad.mulc(x, 2.0), params["rb.conv1.w"], stride=1, padding=1)
@@ -92,7 +94,8 @@ class TestScaBlock:
     def test_identical_views_dmax_zero_symmetric(self):
         rng = np.random.default_rng(6)
         c = 3
-        params = translation.init_sca_block_params(np.random.default_rng(3), "sca", c)
+        params = {}
+        translation.init_sca_block_params(params, np.random.default_rng(3), "sca", c)
         f = ad.tensor(rng.standard_normal((c, 4, 6)))
         g = ad.tensor(rng.standard_normal((c, 4, 6)))
         out = translation.sca_block({"left": f, "right": f}, {"left": g, "right": g}, params, "sca", 0)
@@ -101,7 +104,8 @@ class TestScaBlock:
     def test_zero_residual_conv_reduces_to_fade(self):
         rng = np.random.default_rng(7)
         c = 2
-        params = translation.init_sca_block_params(np.random.default_rng(4), "sca", c)
+        params = {}
+        translation.init_sca_block_params(params, np.random.default_rng(4), "sca", c)
         params["sca.res.w"].data[:] = 0.0
         fg = {v: ad.tensor(rng.standard_normal((c, 4, 6))) for v in VIEWS}
         fc = {v: ad.tensor(rng.standard_normal((c, 4, 6))) for v in VIEWS}
